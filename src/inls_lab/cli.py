@@ -9,11 +9,9 @@ keys, %.12e numeric formatting, no timestamps.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -61,32 +59,21 @@ def cmd_ground_state(args) -> int:
     if kind == RegimeKind.ENERGY_CRITICAL:
         grid = make_grid(args.rmax, args.dr, params.N)
         W = gs.explicit_W(params, grid)
-        big = make_grid(2000.0, 2e-2, params.N)
-        wv = gs.W_value(big.r, params.N, params.b)
-        dwv = gs.W_prime(big.r, params.N, params.b)
-        from .grids import integrate
-
-        pot = integrate(big.r**params.b
-                        * wv ** ((2 * params.N + 2 * params.b) / (params.N - 2)), big)
-        grad_sq = integrate(dwv**2, big)
-        EW = 0.5 * grad_sq - (params.N - 2) / (2 * params.N + 2 * params.b) * pot
-        check_511 = abs(pot - grad_sq) / grad_sq
-        ref_512 = (params.b + 2) / (2 * params.N + 2 * params.b) * grad_sq
-        check_512 = abs(EW - ref_512) / abs(ref_512)
+        ids = gs.W_identities(params, make_grid(2000.0, 2e-2, params.N))
         _write_profile_csv(out / "profile.csv", grid.r, np.real(W.values))
         _write_json(out / "ground_state.json", {
             "params": {"N": params.N, "b": params.b, "p": params.p},
             "profile": "W",
             "shoot_value": 1.0,
             "mass": fn.mass(W),
-            "grad_sq": grad_sq,
-            "potential": pot,
-            "sharp_sobolev_constant": gs.sharp_sobolev_constant(params, big),
+            "grad_sq": ids["grad_sq"],
+            "potential": ids["potential"],
+            "sharp_sobolev_constant": ids["sharp_sobolev_constant"],
         })
         print(f"energy-critical profile W written to {out}")
-        print(f"potential equals grad_sq (5.11): rel dev {check_511:.3e}")
-        print(f"E(W) = (b+2)/(2N+2b) grad_sq (5.12): rel dev {check_512:.3e}")
-        return 0 if max(check_511, check_512) < 1e-5 else CHECK_FAILURE
+        print(f"potential equals grad_sq (5.11): rel dev {ids['dev_511']:.3e}")
+        print(f"E(W) = (b+2)/(2N+2b) grad_sq (5.12): rel dev {ids['dev_512']:.3e}")
+        return 0 if max(ids["dev_511"], ids["dev_512"]) < 1e-5 else CHECK_FAILURE
 
     try:
         ground = gs.shoot(params, r_max=args.rmax, tol=args.tol, dr=args.dr)
@@ -96,7 +83,7 @@ def cmd_ground_state(args) -> int:
     res1, res2 = fn.pohozaev_residuals(ground.profile, params)
     _write_profile_csv(out / "profile.csv", ground.profile.grid.r,
                        np.real(ground.profile.values))
-    gs.save_fixture(ground, out / "ground_state.json")
+    _write_json(out / "ground_state.json", gs.ground_state_fixture(ground))
     print(f"ground state written to {out}")
     print(f"Q(0) = {ground.shoot_value:.12e}  ode residual {ground.ode_residual:.3e}"
           f"  decay rate {ground.decay_rate:.4f}")
@@ -146,15 +133,17 @@ def cmd_verify(args) -> int:
 # evolve
 # ---------------------------------------------------------------------------
 
-def _initial_state(spec: str, params: Params, grid) -> RadialField:
+def _initial_state(spec: str, params: Params,
+                   grid) -> tuple[RadialField, gs.GroundState | None]:
+    """The initial field, and the ground state Q when the spec is cQ:<c>."""
     kind, _, arg = spec.partition(":")
     if kind == "cQ":
         c = float(arg)
         ground = gs.shoot(params)
-        return RadialField(grid, (c * ground.resample(grid).values).astype(complex))
+        return RadialField(grid, (c * ground.resample(grid).values).astype(complex)), ground
     if kind == "gaussian":
         amp = float(arg)
-        return RadialField(grid, (amp * np.exp(-grid.r**2)).astype(complex))
+        return RadialField(grid, (amp * np.exp(-grid.r**2)).astype(complex)), None
     if kind == "file":
         path = Path(arg)
         if not path.exists():
@@ -163,14 +152,9 @@ def _initial_state(spec: str, params: Params, grid) -> RadialField:
         vals = np.interp(grid.r, data[:, 0], data[:, 1])
         if data.shape[1] > 2:
             vals = vals + 1j * np.interp(grid.r, data[:, 0], data[:, 2])
-        return RadialField(grid, vals.astype(complex))
+        return RadialField(grid, vals.astype(complex)), None
     raise ValueError(f"unknown init spec {spec!r}; use cQ:<c>, gaussian:<amp>, "
                      "or file:<path>")
-
-
-def _run_one(params: Params, cfg: StepperConfig, init: str, grid):
-    u0 = _initial_state(init, params, grid)
-    return evolve(u0, params, cfg)
 
 
 def _outcome_json(outcome) -> dict:
@@ -194,12 +178,11 @@ def _cfg_json(cfg: StepperConfig) -> dict:
     }
 
 
-def _bound_49_all_true(diag, params: Params) -> bool | None:
+def _bound_49_all_true(diag, params: Params, ground: gs.GroundState) -> bool | None:
     """Whether the gradient product stayed below the ground state's at every
     recorded step; None when the comparison is undefined (mass-critical)."""
     if not math.isfinite(params.sigma_c):
         return None
-    ground = gs.shoot(params)
     thresh = math.sqrt(gradient_sq_norm(ground.profile)) * fn.mass(
         ground.profile
     ) ** (params.sigma_c / 2.0)
@@ -219,7 +202,8 @@ def cmd_evolve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        result = _run_one(params, cfg, args.init, grid)
+        u0, ground = _initial_state(args.init, params, grid)
+        result = evolve(u0, params, cfg)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
@@ -230,8 +214,8 @@ def cmd_evolve(args) -> int:
         mat = np.stack([u.values for _, u in result.states])
         np.savez_compressed(out / "states.npz", t=ts, r=grid.r, states=mat)
     bound_49 = None
-    if args.init.startswith("cQ:"):
-        bound_49 = _bound_49_all_true(result.diagnostics, params)
+    if ground is not None:
+        bound_49 = _bound_49_all_true(result.diagnostics, params, ground)
     _write_json(out / "summary.json", {
         "schema": 1,
         "params": {"N": params.N, "b": params.b, "p": params.p},
@@ -271,30 +255,18 @@ def cmd_sweep(args) -> int:
     ground = gs.shoot(params)
     q = ground.resample(grid)
 
-    def verdict_of(c: float) -> str:
+    rows = []
+    for c in amplitudes:
         u0 = RadialField(grid, (c * q.values).astype(complex))
+        status = evolve(u0, params, cfg).outcome.status.value
         try:
-            return fn.threshold_report(u0, params, ground).verdict.value
+            v = fn.threshold_report(u0, params, ground).verdict.value
         except ValueError:
             # mass-critical data with E >= 0: thresholds undefined
-            return "Undefined"
-
-    def run_of(c: float):
-        u0 = RadialField(grid, (c * q.values).astype(complex))
-        return evolve(u0, params, cfg)
-
-    max_workers = int(os.environ.get("INLS_LAB_THREADS", "4")) or 1
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as ex:
-        results = list(ex.map(run_of, amplitudes))
-
+            v = "Undefined"
+        rows.append((c, v, status, _AGREEMENT.get((v, status), False)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for c, res in zip(amplitudes, results):
-        v = verdict_of(c)
-        status = res.outcome.status.value
-        agree = _AGREEMENT.get((v, status), False)
-        rows.append((c, v, status, agree))
     with open(out / "sweep.csv", "w") as fh:
         fh.write("amplitude,verdict,status,agreement\n")
         for c, v, status, agree in rows:
@@ -308,51 +280,12 @@ def cmd_sweep(args) -> int:
 # exponents table
 # ---------------------------------------------------------------------------
 
-def _frac_str(x) -> str:
-    if x is None:
-        return "inf"
-    if isinstance(x, Fraction):
-        return str(x)
-    return f"{x:.12e}"
-
-
 def cmd_exponents(args) -> int:
     params = _params_from(args)
-    bF, pF = Fraction(args.b), Fraction(args.p)
-    N = params.N
-    gamma_c = Fraction(N, 2) - (2 + bF) / (pF - 1)
-    rows: list[tuple[str, str]] = [
-        ("N", str(N)), ("b", str(bF)), ("p", str(pF)),
-        ("gamma_c", str(gamma_c)),
-        ("sigma_c", "inf" if gamma_c == 0 else str((1 - gamma_c) / gamma_c)),
-        ("A", str((N * (pF - 1) - 2 * bF) / 2)),
-        ("B", str((4 + 2 * bF - (N - 2) * (pF - 1)) / 2)),
-        ("regime", classify(params).kind.value),
-    ]
-    # alpha and beta from the exact parsed rationals, not the float Params,
-    # so non-dyadic inputs like 4/3 stay exact all the way through
-    alpha = pF - 1 - 2 * bF / (N - 1)
-    if alpha > 0:
-        beta = max(Fraction(1, 3), Fraction(2) / ((N - 1) * alpha + 2))
-        rows += [("alpha_N_minus_1", str(alpha)), ("beta", str(beta))]
-    else:
-        rows += [("alpha_N_minus_1", "n/a"), ("beta", "n/a")]
-        alpha = None
-    if alpha is not None:
-        try:
-            q, r, k, m = expo.scattering_exponents(alpha, N)
-            l, d = expo.auxiliary_exponents(alpha, N)
-            rows += [("q", str(q)), ("r", str(r)), ("k", str(k)), ("m", str(m)),
-                     ("l", str(l)), ("delta", str(d))]
-            rep = expo.dispersive_n_feasible(alpha, N)
-            if rep.feasible:
-                rows += [("n", _frac_str(rep.n)), ("theta", str(rep.theta))]
-            else:
-                rows += [("n", "infeasible"), ("theta", "infeasible")]
-        except ValueError:
-            rows += [(nm, "n/a") for nm in ("q", "r", "k", "m", "l", "delta",
-                                            "n", "theta")]
-    lines = ["name,value"] + [f"{k},{v}" for k, v in rows]
+    # the exact parsed rationals, not the float Params, so that non-dyadic
+    # inputs like 4/3 stay exact all the way through
+    rows = expo.table(params.N, Fraction(args.b), Fraction(args.p))
+    lines = ["name,value"] + [f"{k},{v}" for k, v in rows.items()]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

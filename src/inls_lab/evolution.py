@@ -22,7 +22,9 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .grids import Params, RadialField, RadialGrid, classify
+from . import functionals as fn
+from .grids import Params, RadialField, RadialGrid, classify, grad_sq_of, radial_derivative
+from .virial import quadratic_cutoff
 
 __all__ = [
     "StepperConfig",
@@ -246,22 +248,21 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
     boundary_mask = g.r >= 0.9 * g.r_max
     w = g.weights
     rb = g.r**params.b
-    phi = g.r**2
-    dphi = 2.0 * g.r
+    weight = quadratic_cutoff(g)  # the unlocalized virial weight |x|^2
 
     def record(t, v):
         # overflow during violent focusing is data, not an error: the inf/nan
         # rows feed the under-resolution and blow-up detectors downstream
         with np.errstate(over="ignore", invalid="ignore"):
             av2 = np.abs(v) ** 2
-            du = np.gradient(v, g.dr)
-            grad_sq = float(np.real(np.dot(w, np.abs(du) ** 2)))
-            pot = float(np.dot(w, rb * np.abs(v) ** (params.p + 1.0)))
-            m = float(np.dot(w, av2))
-            E = 0.5 * grad_sq - pot / (params.p + 1.0)
-            local = [float(np.dot(w[mk], av2[mk])) for mk in masks]
-            V = float(np.dot(w, phi * av2))
-            Vp = 2.0 * float(np.dot(w, dphi * np.imag(du * np.conj(v))))
+            du = radial_derivative(v, g)
+            grad_sq = grad_sq_of(w, du)
+            pot = fn.potential_of(w, rb, v, params.p)
+            m = fn.mass_of(w, av2)
+            E = fn.energy_of(grad_sq, pot, params.p)
+            local = [fn.mass_of(w[mk], av2[mk]) for mk in masks]
+            V = fn.virial_V_of(w, weight.phi, av2)
+            Vp = fn.virial_Vprime_of(w, weight.dphi, du, v)
         diag.append(t, m, E, grad_sq, pot, local, V, Vp)
         return m, E, grad_sq
 
@@ -296,7 +297,7 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
         m, E, grad_sq = record(t, v)
         drift = abs(E - E0) / (abs(E0) + 1.0)
         drift_max = max(drift_max, drift)
-        if float(np.dot(w[boundary_mask], np.abs(v[boundary_mask]) ** 2)) > (
+        if fn.mass_of(w[boundary_mask], np.abs(v[boundary_mask]) ** 2) > (
             cfg.boundary_mass_tol * m0 if m0 > 0 else math.inf
         ):
             boundary_flagged = True

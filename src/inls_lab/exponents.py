@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .grids import Params
+from .grids import Params, classify
 
 __all__ = [
-    "PairQR",
     "admissible_check",
     "scattering_exponents",
     "auxiliary_exponents",
@@ -22,9 +21,8 @@ __all__ = [
     "dispersive_n_feasible",
     "DispersiveReport",
     "scattering_alpha_window",
+    "table",
 ]
-
-Rat = Fraction
 
 
 def _inv(q: Fraction | None) -> Fraction:
@@ -36,15 +34,11 @@ def _inv(q: Fraction | None) -> Fraction:
     return 1 / q
 
 
-@dataclass(frozen=True)
-class PairQR:
-    """A candidate Strichartz pair; q may be None (infinity)."""
-
-    q: Fraction | None
-    r: Fraction
-
-    def admissible(self, N: int) -> bool:
-        return admissible_check(self.q, self.r, N)
+def _require(holds: bool, identity: str) -> None:
+    """Raise AssertionError when an exact identity fails; unlike a bare
+    assert, the check survives python -O."""
+    if not holds:
+        raise AssertionError(f"exact identity failed: {identity}")
 
 
 def admissible_check(q: Fraction | None, r: Fraction | None, N: int) -> bool:
@@ -100,9 +94,9 @@ def scattering_exponents(alpha: Fraction, N: int) -> tuple[Fraction, ...]:
     if m_den <= 0:
         raise ValueError("m degenerates: N alpha^2 + (N-2) alpha - 4 must be positive")
     m = 2 * alpha * (alpha + 2) / m_den
-    assert 1 / k + 1 / m == 2 / q
-    assert k > q / 2
-    assert admissible_check(q, r, N)
+    _require(1 / k + 1 / m == 2 / q, "1/k + 1/m = 2/q")
+    _require(k > q / 2, "k > q/2")
+    _require(admissible_check(q, r, N), "(q, r) admissible")
     return q, r, k, m
 
 
@@ -122,10 +116,10 @@ def auxiliary_exponents(alpha: Fraction, N: int) -> tuple[Fraction, Fraction]:
     l = 2 * N * alpha * (alpha + 2) / l_den
     delta = (N * alpha - 4) / (2 * alpha)
     # the fractional Sobolev embedding behind the linear-part estimate
-    assert 1 / r == 1 / l - delta / N
-    assert l <= r
-    assert Fraction(0) < delta < Fraction(1)
-    assert admissible_check(k, l, N)
+    _require(1 / r == 1 / l - delta / N, "1/r = 1/l - delta/N")
+    _require(l <= r, "l <= r")
+    _require(Fraction(0) < delta < Fraction(1), "0 < delta < 1")
+    _require(admissible_check(k, l, N), "(k, l) admissible")
     return l, delta
 
 
@@ -150,11 +144,17 @@ def morawetz_beta(params: Params, mode="N-1") -> tuple[Fraction, Fraction]:
         if not Fraction(1, 2) <= s <= 1:
             raise ValueError("s must lie in [1/2, 1]")
         denom = Fraction(N) - 2 * s
+    return _alpha_beta(N, b, p, denom)
+
+
+def _alpha_beta(N: int, b: Fraction, p: Fraction,
+                denom: Fraction) -> tuple[Fraction, Fraction]:
+    """alpha = p - 1 - 2b/denom and beta = max(1/3, 2/((N-1) alpha + 2))."""
     alpha = p - 1 - 2 * b / denom
     if alpha <= 0:
         raise ValueError(f"alpha = {alpha} must be positive for this weight mode")
     beta = max(Fraction(1, 3), Fraction(2) / ((N - 1) * alpha + 2))
-    assert Fraction(0) < beta < Fraction(1)
+    _require(Fraction(0) < beta < Fraction(1), "0 < beta < 1")
     return alpha, beta
 
 
@@ -180,15 +180,10 @@ def dispersive_n_feasible(alpha: Fraction, N: int) -> DispersiveReport:
     alpha = Fraction(alpha)
     if N < 3:
         return DispersiveReport(False, violations=("requires N >= 3",))
-    lo, hi = scattering_alpha_window(N)
-    if not alpha > lo:
-        return DispersiveReport(
-            False, violations=(f"alpha = {alpha} not above the window edge 4/N = {lo}",)
-        )
-    if hi is not None and not alpha < hi:
-        return DispersiveReport(
-            False, violations=(f"alpha = {alpha} not below 4/(N-2) = {hi}",)
-        )
+    try:
+        _require_window(alpha, N)
+    except ValueError as e:
+        return DispersiveReport(False, violations=(str(e),))
 
     n_inv = Fraction(0) if alpha > 1 else (1 - alpha) / 2
     violations = []
@@ -200,7 +195,8 @@ def dispersive_n_feasible(alpha: Fraction, N: int) -> DispersiveReport:
     if not (lo_n <= n_inv <= hi_n):
         violations.append(f"1/n = {n_inv} outside [(1-alpha)/2, (N+2-(N-2)a)/(2N)]")
     cubic = (alpha + 1) * (N * alpha**2 + (N - 2) * alpha - 4)
-    assert cubic == N * alpha**3 + 2 * (N - 1) * alpha**2 + (N - 6) * alpha - 4
+    _require(cubic == N * alpha**3 + 2 * (N - 1) * alpha**2 + (N - 6) * alpha - 4,
+             "cubic factorization")
     bound = Fraction((N - 2) * (alpha**2 + 3 * alpha) - 4, 2 * N * alpha * (alpha + 2))
     if not n_inv < bound:
         violations.append(
@@ -214,6 +210,44 @@ def dispersive_n_feasible(alpha: Fraction, N: int) -> DispersiveReport:
     _, r, _, _ = scattering_exponents(alpha, N)
     l, _ = auxiliary_exponents(alpha, N)
     theta = (1 / r - n_inv) / (1 / l - n_inv)
-    assert Fraction(0) < theta <= 1
+    _require(Fraction(0) < theta <= 1, "0 < theta <= 1")
     n = None if n_inv == 0 else 1 / n_inv
     return DispersiveReport(True, n=n, theta=theta)
+
+
+def table(N: int, b: Fraction, p: Fraction) -> dict[str, Fraction | int | str]:
+    """Every derived exponent of (N, b, p), exact, in table order.
+
+    gamma_c, sigma_c, the Gagliardo-Nirenberg pair A, B, the regime, the
+    Morawetz pair (alpha, beta) for the N-1 radial weight and, while alpha
+    lies in the scattering window, (q, r, k, m), (l, delta), n and theta.
+    The non-numeric entries are the strings "inf", "n/a" and "infeasible".
+    """
+    gamma_c = Fraction(N, 2) - (2 + b) / (p - 1)
+    rows: dict[str, Fraction | int | str] = {
+        "N": N, "b": b, "p": p, "gamma_c": gamma_c,
+        "sigma_c": "inf" if gamma_c == 0 else (1 - gamma_c) / gamma_c,
+        "A": (N * (p - 1) - 2 * b) / 2,
+        "B": (4 + 2 * b - (N - 2) * (p - 1)) / 2,
+        "regime": classify(Params(N, float(b), float(p))).kind.value,
+    }
+    try:
+        alpha, beta = _alpha_beta(N, b, p, Fraction(N - 1))
+    except ValueError:
+        rows.update(alpha_N_minus_1="n/a", beta="n/a")
+        return rows
+    rows.update(alpha_N_minus_1=alpha, beta=beta)
+    try:
+        q, r, k, m = scattering_exponents(alpha, N)
+        l, delta = auxiliary_exponents(alpha, N)
+    except ValueError:
+        rows.update(dict.fromkeys(("q", "r", "k", "m", "l", "delta", "n", "theta"),
+                                  "n/a"))
+        return rows
+    rows.update(q=q, r=r, k=k, m=m, l=l, delta=delta)
+    rep = dispersive_n_feasible(alpha, N)
+    if rep.feasible:
+        rows.update(n="inf" if rep.n is None else rep.n, theta=rep.theta)
+    else:
+        rows.update(n="infeasible", theta="infeasible")
+    return rows

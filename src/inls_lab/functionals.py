@@ -24,7 +24,7 @@ from .grids import (
     RegimeKind,
     classify,
     gradient_sq_norm,
-    integrate,
+    require_finite,
 )
 
 __all__ = [
@@ -62,20 +62,52 @@ class Exponents:
         return cls(gamma_c=params.gamma_c, sigma_c=params.sigma_c, A=A, B=B)
 
 
+# ---------------------------------------------------------------------------
+# the diagnostics kernel: each formula once, on raw arrays (quadrature
+# weights w, samples v, |v|^2 and d_r v), shared by the public functions and
+# by the stepper's per-step record, which neither scans nor wraps its state
+# ---------------------------------------------------------------------------
+
+def mass_of(w: np.ndarray, av2: np.ndarray) -> float:
+    """int |u|^2 from av2 = |u|^2."""
+    return float(np.dot(w, av2))
+
+
+def potential_of(w: np.ndarray, rb: np.ndarray, v: np.ndarray, p: float) -> float:
+    """int r^b |u|^{p+1} from rb = r^b."""
+    return float(np.dot(w, rb * np.abs(v) ** (p + 1.0)))
+
+
+def energy_of(grad_sq: float, pot: float, p: float) -> float:
+    """E = 1/2 ||grad u||^2 - potential/(p+1)."""
+    return 0.5 * grad_sq - pot / (p + 1.0)
+
+
+def virial_V_of(w: np.ndarray, phi: np.ndarray, av2: np.ndarray) -> float:
+    """V_phi = int phi |u|^2 from av2 = |u|^2."""
+    return float(np.dot(w, phi * av2))
+
+
+def virial_Vprime_of(w: np.ndarray, dphi: np.ndarray, du: np.ndarray,
+                     v: np.ndarray) -> float:
+    """V'_phi = 2 Im int phi' (d_r u) conj(u)."""
+    return 2.0 * float(np.dot(w, dphi * np.imag(du * np.conj(v))))
+
+
 def mass(u: RadialField) -> float:
     """M(u) = ||u||_{L^2}^2."""
-    return integrate(np.abs(u.values) ** 2, u.grid)
+    return require_finite(mass_of(u.grid.weights, np.abs(u.values) ** 2))
 
 
 def potential(u: RadialField, params: Params) -> float:
     """The potential term int r^b |u|^{p+1}."""
-    r = u.grid.r
-    return integrate(r**params.b * np.abs(u.values) ** (params.p + 1.0), u.grid)
+    g = u.grid
+    return require_finite(potential_of(g.weights, g.r**params.b, u.values, params.p))
 
 
 def energy(u: RadialField, params: Params) -> float:
     """E(u) = 1/2 ||grad u||^2 - potential(u)/(p+1); conserved by the flow."""
-    return 0.5 * gradient_sq_norm(u) - potential(u, params) / (params.p + 1.0)
+    return energy_of(gradient_sq_norm(u), potential(u, params), params.p)
 
 
 def weinstein(u: RadialField, params: Params) -> float:
@@ -162,7 +194,8 @@ def coercivity_delta(rho: float, params: Params) -> float:
     return (N * (p - 1.0) - 2.0 * b) * (1.0 - shr) / (2.0 * (p + 1.0) * shr)
 
 
-def _ground_profile(ground) -> RadialField:
+def ground_profile(ground) -> RadialField:
+    """The profile of a GroundState, or the field itself."""
     return ground.profile if hasattr(ground, "profile") else ground
 
 
@@ -172,7 +205,7 @@ def coercivity_gap(f: RadialField, params: Params, ground, rho: float) -> float:
     Requires the gradient product of f to sit strictly below (1-rho) times the
     ground state's; asserts K(f) >= delta(rho) * potential(f) and returns K(f).
     """
-    Q = _ground_profile(ground)
+    Q = ground_profile(ground)
     N, b, p = params.N, params.b, params.p
     sc = params.sigma_c
     if not math.isfinite(sc):
@@ -221,45 +254,38 @@ def threshold_report(u0: RadialField, params: Params, ground) -> ThresholdReport
     role).  Mass-critical parameters admit only the negative-energy criterion;
     anything else raises.
     """
-    Q = _ground_profile(ground)
+    Q = ground_profile(ground)
     kind = classify(params).kind
     E0 = energy(u0, params)
-    if kind == RegimeKind.MASS_CRITICAL:
-        if E0 < 0:
-            # the blow-up criterion at mass-critical parameters is E < 0 alone
-            g0 = math.sqrt(gradient_sq_norm(u0))
-            gq = math.sqrt(gradient_sq_norm(Q))
-            return ThresholdReport(
-                me_product=E0,
-                grad_product=g0,
-                me_Q=energy(Q, params),
-                grad_Q=gq,
-                verdict=Verdict.NEGATIVE_ENERGY,
-            )
+    if kind == RegimeKind.MASS_CRITICAL and not E0 < 0:
         raise ValueError(
             "dichotomy thresholds are undefined at mass-critical parameters "
             "(sigma_c = inf); only E(u0) < 0 classifies there"
         )
-    if kind not in (RegimeKind.INTERCRITICAL, RegimeKind.ENERGY_CRITICAL):
+    if kind not in (RegimeKind.MASS_CRITICAL, RegimeKind.INTERCRITICAL,
+                    RegimeKind.ENERGY_CRITICAL):
         raise ValueError(f"threshold comparison needs intercritical or "
                          f"energy-critical parameters, got {kind.value}")
 
-    if kind == RegimeKind.ENERGY_CRITICAL:
-        me = E0
-        gp = math.sqrt(gradient_sq_norm(u0))
-        meQ = energy(Q, params)
-        gQ = math.sqrt(gradient_sq_norm(Q))
-    else:
+    if kind == RegimeKind.INTERCRITICAL:
         sc = params.sigma_c
         me = E0 * mass(u0) ** sc
         gp = math.sqrt(gradient_sq_norm(u0)) * mass(u0) ** (sc / 2.0)
         meQ = energy(Q, params) * mass(Q) ** sc
         gQ = math.sqrt(gradient_sq_norm(Q)) * mass(Q) ** (sc / 2.0)
+    else:
+        me = E0
+        gp = math.sqrt(gradient_sq_norm(u0))
+        meQ = energy(Q, params)
+        gQ = math.sqrt(gradient_sq_norm(Q))
 
     # E0 < 0 forces the gradient product above the ground state's (the
     # coercivity function is positive up to a root beyond it), so negative
-    # energy data land in the blow-up branch through the same comparisons
-    if me >= meQ and E0 >= 0:
+    # energy data land in the blow-up branch through the same comparisons;
+    # at mass-critical parameters E < 0 is the whole blow-up criterion
+    if kind == RegimeKind.MASS_CRITICAL:
+        verdict = Verdict.NEGATIVE_ENERGY
+    elif me >= meQ and E0 >= 0:
         verdict = Verdict.ABOVE_THRESHOLD
     elif gp < gQ:
         verdict = Verdict.GLOBAL_BRANCH

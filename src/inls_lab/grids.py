@@ -25,6 +25,8 @@ __all__ = [
     "make_grid",
     "integrate",
     "gradient_sq_norm",
+    "grad_sq_of",
+    "require_finite",
     "laplacian",
     "sphere_area",
 ]
@@ -219,12 +221,24 @@ def radial_derivative(f, grid: RadialGrid | None = None) -> np.ndarray:
     return np.gradient(v, g.dr)
 
 
+def require_finite(x: float) -> float:
+    """x, unless a non-finite sample of the integrand behind it made it
+    non-finite (a non-finite sample never sums to a finite value)."""
+    if not math.isfinite(x):
+        raise ValueError("non-finite sample in integrand")
+    return x
+
+
+def grad_sq_of(w: np.ndarray, du: np.ndarray) -> float:
+    """int |d_r u|^2 from the quadrature weights and du = d_r u."""
+    return float(np.real(np.dot(w, np.abs(du) ** 2)))
+
+
 def gradient_sq_norm(u: RadialField) -> float:
     """The squared L^2 norm of the gradient, int |d_r u|^2 over R^N."""
     if len(u.grid) < 3:
         raise ValueError("gradient needs a grid with at least 3 points")
-    du = radial_derivative(u)
-    return integrate(np.abs(du) ** 2, u.grid)
+    return require_finite(grad_sq_of(u.grid.weights, radial_derivative(u)))
 
 
 def laplacian(u: RadialField, N: int | None = None) -> RadialField:

@@ -12,7 +12,6 @@ exponentially.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,10 +39,9 @@ __all__ = [
     "W_prime",
     "uniqueness_conditions",
     "uniqueness_profiles",
+    "W_identities",
     "sharp_sobolev_constant",
     "ground_state_fixture",
-    "save_fixture",
-    "load_fixture",
 ]
 
 _OVERSHOOT = 1
@@ -321,6 +319,29 @@ def explicit_W(params: Params, grid: RadialGrid) -> RadialField:
     return RadialField(grid, W_value(grid.r, params.N, params.b))
 
 
+def W_identities(params: Params, grid: RadialGrid) -> dict[str, float]:
+    """The quadratures potential = int r^b W^{(2N+2b)/(N-2)} and
+    grad_sq = ||grad W||^2, taken once with the analytic derivative of W,
+    the sharp_sobolev_constant they give, and the relative deviations dev_511
+    of (5.11) potential = grad_sq and dev_512 of (5.12)
+    E(W) = (b+2)/(2N+2b) grad_sq."""
+    if classify(params).kind != RegimeKind.ENERGY_CRITICAL:
+        raise ValueError("the W identities and the sharp Sobolev constant "
+                         "require energy-critical parameters")
+    N, b, r = params.N, params.b, grid.r
+    pot = integrate(r**b * W_value(r, N, b) ** ((2.0 * N + 2.0 * b) / (N - 2.0)), grid)
+    grad_sq = integrate(W_prime(r, N, b) ** 2, grid)
+    ref_512 = (b + 2) / (2 * N + 2 * b) * grad_sq
+    return {
+        "potential": pot,
+        "grad_sq": grad_sq,
+        "sharp_sobolev_constant": pot / grad_sq ** ((N + b) / (N - 2.0)),
+        "dev_511": abs(pot - grad_sq) / grad_sq,
+        "dev_512": abs(functionals.energy_of(grad_sq, pot, params.p) - ref_512)
+        / abs(ref_512),
+    }
+
+
 def sharp_sobolev_constant(params: Params, grid: RadialGrid) -> float:
     """Optimal constant of the weighted critical Sobolev inequality,
 
@@ -328,14 +349,7 @@ def sharp_sobolev_constant(params: Params, grid: RadialGrid) -> float:
 
     evaluated by quadrature with the analytic derivative of W.
     """
-    if classify(params).kind != RegimeKind.ENERGY_CRITICAL:
-        raise ValueError("sharp Sobolev constant requires energy-critical parameters")
-    N, b = params.N, params.b
-    w = W_value(grid.r, N, b)
-    dw = W_prime(grid.r, N, b)
-    num = integrate(grid.r**b * w ** ((2.0 * N + 2.0 * b) / (N - 2.0)), grid)
-    grad_sq = integrate(dw**2, grid)
-    return num / grad_sq ** ((N + b) / (N - 2.0))
+    return W_identities(params, grid)["sharp_sobolev_constant"]
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +493,3 @@ def ground_state_fixture(gs: GroundState) -> dict:
         "grad_sq": gradient_sq_norm(gs.profile),
         "potential": functionals.potential(gs.profile, gs.params),
     }
-
-
-def save_fixture(gs: GroundState, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(ground_state_fixture(gs), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_fixture(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -9,7 +9,6 @@ profile's features are resolved.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +20,9 @@ from .grids import (
     integrate,
     make_grid,
     radial_derivative,
+    sphere_area,
 )
-from .functionals import Exponents, mass, potential
+from .functionals import mass, potential, weinstein
 
 __all__ = [
     "radial_sobolev_21",
@@ -86,7 +86,6 @@ def gn_check(f: RadialField, params: Params, c_opt: float) -> float:
 
     with equality (to quadrature accuracy) exactly at the ground state.
     """
-    _check_nonzero(f)
     N = params.N
     if not params.p > params.lwp_lower_p:
         raise ValueError(
@@ -96,9 +95,7 @@ def gn_check(f: RadialField, params: Params, c_opt: float) -> float:
         raise ValueError(
             f"inequality requires p <= (N+2+2b)/(N-2) = {params.energy_critical_p:.6g}"
         )
-    ex = Exponents.from_params(params)
-    den = c_opt * gradient_sq_norm(f) ** (ex.A / 2.0) * mass(f) ** (ex.B / 2.0)
-    return potential(f, params) / den
+    return weinstein(f, params) / c_opt
 
 
 def interpolation_theta(params: Params) -> float:
@@ -195,11 +192,7 @@ def hardy_ratio(f: RadialField, r_exp: float) -> float:
     num_int[1:] = (av[1:] / g.r[1:]) ** r_exp
     num = integrate(num_int, g)
     if (N - 1.0) - r_exp == 0.0:
-        num += 0.5 * g.dr * _omega(N) * av[0] ** r_exp
+        num += 0.5 * g.dr * sphere_area(N) * av[0] ** r_exp
     den_int = np.abs(radial_derivative(f)) ** r_exp
     den = integrate(den_int, g)
     return (num / den) ** (1.0 / r_exp)
-
-
-def _omega(N: int) -> float:
-    return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)

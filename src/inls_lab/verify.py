@@ -45,21 +45,23 @@ def _row(name, ref, value, tol, ok=None) -> CheckRow:
                     value=float(value), tolerance=float(tol))
 
 
+def _exact(name, ref, ok) -> CheckRow:
+    """An exact check: value 0 when it holds, 1 when it fails."""
+    return _row(name, ref, 0.0 if ok else 1.0, 0.0, ok=ok)
+
+
 # ---------------------------------------------------------------------------
 # exponents
 # ---------------------------------------------------------------------------
 
 def suite_exponents() -> list[CheckRow]:
     rows = []
-    q, r, k, m = expo.scattering_exponents(Fraction(2), 3)
-    worked = (q, r, k, m) == (Fraction(8, 3), Fraction(4), Fraction(8),
-                              Fraction(8, 5))
-    rows.append(_row("worked_triple_qrkm", "Eq. (4.23)", 0.0 if worked else 1.0,
-                     0.0, ok=worked))
-    l, d = expo.auxiliary_exponents(Fraction(2), 3)
-    worked2 = (l, d) == (Fraction(12, 5), Fraction(1, 2))
-    rows.append(_row("worked_triple_l_delta", "Eq. (4.28)",
-                     0.0 if worked2 else 1.0, 0.0, ok=worked2))
+    rows.append(_exact("worked_triple_qrkm", "Eq. (4.23)",
+                       expo.scattering_exponents(Fraction(2), 3)
+                       == (Fraction(8, 3), Fraction(4), Fraction(8), Fraction(8, 5))))
+    rows.append(_exact("worked_triple_l_delta", "Eq. (4.28)",
+                       expo.auxiliary_exponents(Fraction(2), 3)
+                       == (Fraction(12, 5), Fraction(1, 2))))
     rows.append(_row("admissible_endpoint", "Def 3.1", 0.0, 0.0,
                      ok=expo.admissible_check(None, Fraction(2), 3)))
 
@@ -89,14 +91,12 @@ def suite_exponents() -> list[CheckRow]:
     rows.append(_row("rational_sweep_1000", "Eq. (4.1); Def 3.1",
                      float(failures), 0.0, ok=failures == 0))
 
-    a, b = expo.morawetz_beta(Params(3, 1, 4), "N-1")
-    rows.append(_row("morawetz_(3,1,4)", "Eq. (4.18); Eq. (4.22)",
-                     0.0 if (a, b) == (Fraction(2), Fraction(1, 3)) else 1.0,
-                     0.0, ok=(a, b) == (Fraction(2), Fraction(1, 3))))
-    a2, b2 = expo.morawetz_beta(Params(2, 1, 6), "N-1")
-    rows.append(_row("morawetz_(2,1,6)", "Eq. (4.18)",
-                     0.0 if (a2, b2) == (Fraction(3), Fraction(2, 5)) else 1.0,
-                     0.0, ok=(a2, b2) == (Fraction(3), Fraction(2, 5))))
+    rows.append(_exact("morawetz_(3,1,4)", "Eq. (4.18); Eq. (4.22)",
+                       expo.morawetz_beta(Params(3, 1, 4), "N-1")
+                       == (Fraction(2), Fraction(1, 3))))
+    rows.append(_exact("morawetz_(2,1,6)", "Eq. (4.18)",
+                       expo.morawetz_beta(Params(2, 1, 6), "N-1")
+                       == (Fraction(3), Fraction(2, 5))))
     beta_ok = True
     for i in range(1, 40):
         pp = 10 / 3 + i * 0.4
@@ -108,13 +108,10 @@ def suite_exponents() -> list[CheckRow]:
     rows.append(_row("beta_below_one_sweep", "Eq. (4.18)", 0.0, 0.0, ok=beta_ok))
 
     rep = expo.dispersive_n_feasible(Fraction(2), 3)
-    ok = rep.feasible and rep.n is None and rep.theta == Fraction(3, 5)
-    rows.append(_row("dispersive_choice_(2,3)", "Eq. (4.32); Eq. (4.33)",
-                     0.0 if ok else 1.0, 0.0, ok=ok))
-    rep_b = expo.dispersive_n_feasible(Fraction(4, 3), 3)
-    rows.append(_row("dispersive_boundary_excluded", "Eq. (4.32)",
-                     0.0 if not rep_b.feasible else 1.0, 0.0,
-                     ok=not rep_b.feasible))
+    rows.append(_exact("dispersive_choice_(2,3)", "Eq. (4.32); Eq. (4.33)",
+                       rep.feasible and rep.n is None and rep.theta == Fraction(3, 5)))
+    rows.append(_exact("dispersive_boundary_excluded", "Eq. (4.32)",
+                       not expo.dispersive_n_feasible(Fraction(4, 3), 3).feasible))
     return rows
 
 

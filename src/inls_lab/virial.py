@@ -31,6 +31,7 @@ from .grids import (
     integrate,
     make_grid,
     radial_derivative,
+    require_finite,
 )
 from . import functionals
 from .functionals import energy, potential
@@ -202,15 +203,7 @@ def build_zeta_theta_phi(R: float, grid: RadialGrid) -> CutoffProfile:
 def vartheta(rho):
     """The piecewise slope profile: 2 rho, then 2[rho - (rho-1)^5], then a
     cubic Hermite bridge down to 0 at rho = 2."""
-    rho = np.asarray(rho, dtype=float)
-    v = 2.0 * rho
-    quint = (rho > 1.0) & (rho <= _R1)
-    x = rho - 1.0
-    v[quint] = 2.0 * (rho[quint] - x[quint] ** 5)
-    bridge = (rho > _R1) & (rho < 2.0)
-    v[bridge] = _bridge_h(rho[bridge])
-    v[rho >= 2.0] = 0.0
-    return v
+    return _vartheta_family(rho)[0]
 
 
 def _bridge_value() -> float:
@@ -337,7 +330,7 @@ def psi2_closed_form(rho, params: Params):
 def psi12(R: float, params: Params, grid: RadialGrid):
     """psi_1 = 2 - psi_R'' and psi_2 = (4+2b)/N (2N - lap psi) - 2b(2 - psi'/r),
     cross-checked against the closed form on the quintic annulus."""
-    p_star = _mass_critical_p(params)
+    _mass_critical_p(params)
     N, b = params.N, params.b
     prof = build_vartheta_psi(R, grid)
     psi1 = 2.0 - prof.d2phi
@@ -381,13 +374,18 @@ def lemma53_check(R: float, params: Params, eps: float,
                   n_points: int = 100000) -> tuple[bool, float]:
     """Grid minimum over r > R of 2 psi_1 - [N eps/(2N+4+2b)] psi_2^{N/(2+b)}."""
     _mass_critical_p(params)
-    N, b = params.N, params.b
-    grid = _lemma_grid(R, N, r_max_factor, n_points)
-    psi1, psi2 = psi12(R, params, grid)
-    expr = 2.0 * psi1 - N * eps / (2.0 * N + 4.0 + 2.0 * b) * psi2 ** (N / (2.0 + b))
+    grid = _lemma_grid(R, params.N, r_max_factor, n_points)
+    expr = _lemma53_form(*psi12(R, params, grid), params, eps)
     mask = grid.r > R * (1.0 + 1e-9)
     margin = float(np.min(expr[mask]))
     return margin >= 0.0, margin
+
+
+def _lemma53_form(psi1: np.ndarray, psi2: np.ndarray, params: Params,
+                  eps: float) -> np.ndarray:
+    """2 psi_1 - [N eps/(2N+4+2b)] psi_2^{N/(2+b)}."""
+    N, b = params.N, params.b
+    return 2.0 * psi1 - N * eps / (2.0 * N + 4.0 + 2.0 * b) * psi2 ** (N / (2.0 + b))
 
 
 # ---------------------------------------------------------------------------
@@ -397,16 +395,16 @@ def lemma53_check(R: float, params: Params, eps: float,
 def virial_V(u: RadialField, cutoff: CutoffProfile) -> float:
     """V_phi = int phi |u|^2."""
     _check_grid(u, cutoff)
-    return integrate(cutoff.phi * np.abs(u.values) ** 2, u.grid)
+    return require_finite(
+        functionals.virial_V_of(u.grid.weights, cutoff.phi, np.abs(u.values) ** 2)
+    )
 
 
 def virial_Vprime(u: RadialField, cutoff: CutoffProfile) -> float:
     """V'_phi = 2 Im int phi' (d_r u) conj(u)."""
     _check_grid(u, cutoff)
-    du = radial_derivative(u)
-    return 2.0 * integrate(
-        cutoff.dphi * np.imag(du * np.conj(u.values)), u.grid
-    )
+    return require_finite(functionals.virial_Vprime_of(
+        u.grid.weights, cutoff.dphi, radial_derivative(u), u.values))
 
 
 def _check_grid(u: RadialField, cutoff: CutoffProfile):
@@ -454,13 +452,10 @@ def virial_dynamic_check(states, params: Params, cutoff: CutoffProfile,
     """
     if len(states) < 3:
         raise ValueError("need at least 3 saved states for a second difference")
-    ts = np.array([t for t, _ in states])
+    ts, _, _, d2V, _ = _measured_series(states, cutoff)
     dts = np.diff(ts)
     if not np.allclose(dts, dts[0], rtol=1e-8):
         raise ValueError("saved states must be uniformly spaced in time")
-    dt = float(dts[0])
-    V = np.array([virial_V(u, cutoff) for _, u in states])
-    d2V = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / dt**2
     rhs = np.array(
         [virial_rhs(u, params, cutoff, linear_only) for _, u in states[1:-1]]
     )
@@ -541,9 +536,8 @@ def _envelope_terms(u: RadialField, params: Params, R: float, eps: float,
     """The computable gradient tail of the mass-critical estimate:
     -2 int_{r>R} (2 psi_1 - N eps/(2N+4+2b) psi_2^{N/(2+b)}) |grad u|^2."""
     g = u.grid
-    N, b = params.N, params.b
     du2 = np.abs(radial_derivative(u)) ** 2
-    expr = 2.0 * psi1 - N * eps / (2.0 * N + 4.0 + 2.0 * b) * psi2 ** (N / (2.0 + b))
+    expr = _lemma53_form(psi1, psi2, params, eps)
     mask = g.r > R
     integrand = np.where(mask, expr * du2, 0.0)
     return -2.0 * integrate(integrand, g)
@@ -558,15 +552,13 @@ def _remainder_scale(params: Params, R: float, eps: float, grad_sq: float) -> fl
         return (1.0 + eps + eps ** (-kappa)) * R**-2
     if kind == RegimeKind.INTERCRITICAL:
         gamma = (N - 1) * (p - 1.0) / 2.0 - b
-        if p == 5.0:
-            return R**-2 + R ** (-(2.0 * (N - 1) - b)) * grad_sq
-        return R**-2 + R**-gamma * (grad_sq + 1.0)
-    if kind == RegimeKind.ENERGY_CRITICAL:
+    elif kind == RegimeKind.ENERGY_CRITICAL:
         gamma = (2.0 + b) * (N - 1) / (N - 2.0) - b
-        if p == 5.0:
-            return R**-2 + R ** (-(2.0 * (N - 1) - b)) * grad_sq
-        return R**-2 + R**-gamma * (grad_sq + 1.0)
-    raise ValueError(f"no blow-up envelope in regime {kind.value}")
+    else:
+        raise ValueError(f"no blow-up envelope in regime {kind.value}")
+    if p == 5.0:
+        return R**-2 + R ** (-(2.0 * (N - 1) - b)) * grad_sq
+    return R**-2 + R**-gamma * (grad_sq + 1.0)
 
 
 def _leading_terms(u: RadialField, params: Params, E0: float, R: float,
@@ -584,24 +576,39 @@ def _leading_terms(u: RadialField, params: Params, E0: float, R: float,
     return lead
 
 
+def _resolved_stencils(states, params: Params, R: float, eps: float,
+                       drift_tol: float):
+    """The measured series of V = int psi_R |u|^2 and, for each V'' stencil
+    lying entirely inside the resolved window, (i, t, leading terms,
+    remainder scale) at its centre state."""
+    grid = states[0][1].grid
+    kind = classify(params).kind
+    if kind not in (RegimeKind.MASS_CRITICAL, RegimeKind.INTERCRITICAL,
+                    RegimeKind.ENERGY_CRITICAL):
+        raise ValueError(f"no blow-up envelope in regime {kind.value}")
+    cutoff = build_vartheta_psi(R, grid)
+    psi_pair = psi12(R, params, grid) if kind == RegimeKind.MASS_CRITICAL else None
+    series = _measured_series(states, cutoff)
+    resolved = _resolved_mask(states, params, drift_tol)
+    E0 = energy(states[0][1], params)
+    stencils = [
+        (i, t, _leading_terms(u, params, E0, R, eps, psi_pair),
+         _remainder_scale(params, R, eps, gradient_sq_norm(u)))
+        for i, (t, u) in enumerate(states[1:-1])
+        if resolved[i] and resolved[i + 1] and resolved[i + 2]
+    ]
+    return series, stencils
+
+
 def fit_envelope_constant(states, params: Params, R: float, eps: float,
                           drift_tol: float = 1e-5) -> float:
     """Calibrate the absolute remainder constant of the localized virial
     bound on a reference run: the smallest C making the bound hold with 5%
     headroom at every resolved sample."""
-    grid = states[0][1].grid
-    cutoff = build_vartheta_psi(R, grid)
-    kind = classify(params).kind
-    psi_pair = psi12(R, params, grid) if kind == RegimeKind.MASS_CRITICAL else None
-    ts, V, Vp, Vpp, _tol = _measured_series(states, cutoff)
-    resolved = _resolved_mask(states, params, drift_tol)
-    E0 = energy(states[0][1], params)
+    (_, _, _, Vpp, _), stencils = _resolved_stencils(states, params, R, eps,
+                                                     drift_tol)
     c_needed = 0.0
-    for i, (t, u) in enumerate(states[1:-1]):
-        if not (resolved[i] and resolved[i + 1] and resolved[i + 2]):
-            continue
-        lead = _leading_terms(u, params, E0, R, eps, psi_pair)
-        scale = _remainder_scale(params, R, eps, gradient_sq_norm(u))
+    for i, _, lead, scale in stencils:
         c_needed = max(c_needed, (Vpp[i] - lead) / scale)
     return 1.05 * max(c_needed, 1e-6)
 
@@ -620,27 +627,14 @@ def blowup_bound_check(states, params: Params, R: float, eps: float,
     within drift_tol): past that point the state no longer approximates the
     PDE solution.
     """
-    grid = states[0][1].grid
-    kind = classify(params).kind
-    if kind not in (RegimeKind.MASS_CRITICAL, RegimeKind.INTERCRITICAL,
-                    RegimeKind.ENERGY_CRITICAL):
-        raise ValueError(f"no blow-up envelope in regime {kind.value}")
-    cutoff = build_vartheta_psi(R, grid)
-    psi_pair = psi12(R, params, grid) if kind == RegimeKind.MASS_CRITICAL else None
-    ts, V, Vp, Vpp, tol = _measured_series(states, cutoff)
-    resolved = _resolved_mask(states, params, drift_tol)
-    E0 = energy(states[0][1], params)
+    (_, V, Vp, Vpp, tol), stencils = _resolved_stencils(states, params, R, eps,
+                                                        drift_tol)
     rows = []
     interior = range(1, len(states) - 3)  # rows with a genuine V'''' estimate
-    for i, (t, u) in enumerate(states[1:-1]):
+    for i, t, lead, scale in stencils:
         if i not in interior:
             continue
-        if not (resolved[i] and resolved[i + 1] and resolved[i + 2]):
-            continue
-        lead = _leading_terms(u, params, E0, R, eps, psi_pair)
-        rhs = lead + C_envelope * _remainder_scale(
-            params, R, eps, gradient_sq_norm(u)
-        )
+        rhs = lead + C_envelope * scale
         rows.append(
             BoundRow(
                 t=float(t),
@@ -667,12 +661,10 @@ def coercivity_gap_58(u: RadialField, params: Params, ground) -> float:
     otherwise the constants come from the threshold margin of the datum
     against Q (intercritical) or W (energy-critical).
     """
-    from scipy.optimize import brentq
-
     kind = classify(params).kind
     N, b, p = params.N, params.b, params.p
     E_u = energy(u, params)
-    Qf = ground.profile if hasattr(ground, "profile") else ground
+    Qf = functionals.ground_profile(ground)
 
     if kind == RegimeKind.ENERGY_CRITICAL:
         grad_sq = gradient_sq_norm(u)
@@ -680,72 +672,60 @@ def coercivity_gap_58(u: RadialField, params: Params, ground) -> float:
         if E_u < 0:
             eps = (2.0 + b) / (2.0 * (N - 2.0))
             # H + eps grad^2 = (2N+2b)/(N-2) E - ((2+b)/(N-2) - eps) grad^2
-            H = H_base + eps * grad_sq
             nu = -((2.0 * N + 2.0 * b) / (N - 2.0)) * E_u / 2.0
-            if H > -nu + 1e-8 * (1.0 + abs(H)):
-                raise AssertionError("localized virial form failed strict negativity")
-            return H
-        EW = energy(Qf, params)
-        gW = gradient_sq_norm(Qf)
-        if not (E_u < EW and grad_sq > gW):
+        else:
+            EW = energy(Qf, params)
+            gW = gradient_sq_norm(Qf)
+            if not (E_u < EW and grad_sq > gW):
+                raise ValueError(
+                    "precondition failed: needs E(u) < E(W) and ||grad u|| > ||grad W||"
+                )
+            # 0.99 keeps a strict margin: the chain is tight for dilated-W data
+            eps, bracket = _margin_constants(0.99 * (1.0 - E_u / EW),
+                                             (2.0 + b) / (N - 2.0), params)
+            nu = bracket * gW
+    else:
+        if kind != RegimeKind.INTERCRITICAL and E_u >= 0:
             raise ValueError(
-                "precondition failed: needs E(u) < E(W) and ||grad u|| > ||grad W||"
+                "strict negativity needs intercritical or energy-critical "
+                "parameters unless E(u) < 0"
             )
-        # 0.99 keeps a strict margin: the chain is tight for dilated-W data
-        vart = 0.99 * (1.0 - E_u / EW)
-        Gfun = lambda lam: (N + b) / (2.0 + b) * lam**2 - (N - 2.0) / (
-            2.0 + b
-        ) * lam ** ((2.0 * N + 2.0 * b) / (N - 2.0))
-        lam_star = brentq(lambda l: Gfun(l) - (1.0 - vart), 1.0 + 1e-14, 1e6)
-        rho = lam_star - 1.0
-        eps_max = (2.0 + b) / (N - 2.0) * (vart + 2 * rho + rho**2) / (1 + rho) ** 2
-        eps = 0.5 * eps_max
-        nu = ((2.0 + b) / (N - 2.0) * (vart + 2 * rho + rho**2)
-              - eps * (1 + rho) ** 2) * gW
-        H = H_base + eps * grad_sq
-        if H > -nu + 1e-8 * (1.0 + abs(H)):
-            raise AssertionError("localized virial form failed strict negativity")
-        return H
-
-    if kind != RegimeKind.INTERCRITICAL and E_u >= 0:
-        raise ValueError(
-            "strict negativity needs intercritical or energy-critical "
-            "parameters unless E(u) < 0"
+        grad_sq = gradient_sq_norm(u)
+        H_base = grad_sq - (N * (p - 1.0) - 2.0 * b) / (2.0 * (p + 1.0)) * potential(
+            u, params
         )
-
-    grad_sq = gradient_sq_norm(u)
-    H_base = grad_sq - (N * (p - 1.0) - 2.0 * b) / (2.0 * (p + 1.0)) * potential(
-        u, params
-    )
-    if E_u < 0:
-        eps = (N * (p - 1.0) - 4.0 - 2.0 * b) / 4.0
-        nu = -(N * (p - 1.0) - 2.0 * b) / 2.0 * E_u
-        H = H_base + eps * grad_sq
-        if H > -nu + 1e-8 * (1.0 + abs(H)):
-            raise AssertionError("localized virial form failed strict negativity")
-        return H
-
-    report = functionals.threshold_report(u, params, ground)
-    if report.verdict != functionals.Verdict.BLOWUP_BRANCH:
-        raise ValueError(
-            f"strict negativity requires the blow-up branch; verdict is "
-            f"{report.verdict.value}"
-        )
-    # 0.99 keeps a strict margin: the chain is an equality for data of the
-    # form c Q, where the Gagliardo-Nirenberg inequality saturates
-    vart = 0.99 * (1.0 - report.me_product / report.me_Q)
-    a_coef = N * (p - 1.0) - 2.0 * b
-    d_coef = N * (p - 1.0) - 4.0 - 2.0 * b
-    Gfun = lambda lam: (a_coef * lam**2 - 4.0 * lam ** (a_coef / 2.0)) / d_coef
-    lam_star = brentq(lambda l: Gfun(l) - (1.0 - vart), 1.0 + 1e-14, 1e6)
-    rho = lam_star - 1.0
-    eps_max = d_coef / 4.0 * (vart + 2 * rho + rho**2) / (1 + rho) ** 2
-    eps = 0.5 * eps_max
-    mass_ratio = functionals.mass(Qf) / functionals.mass(u)
-    nu = gradient_sq_norm(Qf) * mass_ratio**params.sigma_c * (
-        d_coef / 4.0 * (vart + 2 * rho + rho**2) - eps * (1 + rho) ** 2
-    )
+        d_coef = N * (p - 1.0) - 4.0 - 2.0 * b
+        if E_u < 0:
+            eps = d_coef / 4.0
+            nu = -(N * (p - 1.0) - 2.0 * b) / 2.0 * E_u
+        else:
+            report = functionals.threshold_report(u, params, ground)
+            if report.verdict != functionals.Verdict.BLOWUP_BRANCH:
+                raise ValueError(
+                    f"strict negativity requires the blow-up branch; verdict is "
+                    f"{report.verdict.value}"
+                )
+            # 0.99 keeps a strict margin: the chain is an equality for data of
+            # the form c Q, where the Gagliardo-Nirenberg inequality saturates
+            eps, bracket = _margin_constants(
+                0.99 * (1.0 - report.me_product / report.me_Q), d_coef / 4.0, params)
+            mass_ratio = functionals.mass(Qf) / functionals.mass(u)
+            nu = gradient_sq_norm(Qf) * mass_ratio**params.sigma_c * bracket
     H = H_base + eps * grad_sq
     if H > -nu + 1e-8 * (1.0 + abs(H)):
         raise AssertionError("localized virial form failed strict negativity")
     return H
+
+
+def _margin_constants(vart: float, c: float, params: Params) -> tuple[float, float]:
+    """eps and the bracket c (vart + 2 rho + rho^2) - eps (1+rho)^2 that nu
+    scales, where 1 + rho > 1 solves G(1 + rho) = 1 - vart for the
+    coercivity function G, and eps is half of its ceiling
+    c (vart + 2 rho + rho^2) / (1+rho)^2."""
+    from scipy.optimize import brentq
+
+    lam_star = brentq(lambda lam: functionals.coercivity_G(lam, params) - (1.0 - vart),
+                      1.0 + 1e-14, 1e6)
+    rho = lam_star - 1.0
+    eps = 0.5 * (c * (vart + 2 * rho + rho**2) / (1 + rho) ** 2)
+    return eps, c * (vart + 2 * rho + rho**2) - eps * (1 + rho) ** 2

@@ -175,8 +175,7 @@ class TestBound49Summary:
 
 
 class TestSweepDeterminism:
-    def test_byte_identical_with_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("INLS_LAB_THREADS", "2")
+    def test_matches_single_runs_byte_identical(self, tmp_path):
         outs = []
         for name in ("s1", "s2"):
             out = tmp_path / name
@@ -185,6 +184,35 @@ class TestSweepDeterminism:
                         "--out", str(out)]) == 0
             outs.append((out / "sweep.csv").read_bytes())
         assert outs[0] == outs[1]
+        statuses = [line.split(",")[2]
+                    for line in outs[0].decode().splitlines()[1:]]
+        singles = []
+        for c in ("0.5", "1.5"):
+            out = tmp_path / f"evolve_{c}"
+            assert run(["evolve", "--dim", "3", "--b", "1", "--p", "4",
+                        "--init", f"cQ:{c}", "--tend", "0.15",
+                        "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            singles.append(summary["outcome"]["status"])
+        assert statuses == singles
+
+
+class TestShootOnce:
+    def test_cQ_evolve_shoots_once(self, tmp_path, monkeypatch):
+        import inls_lab.ground_state as gs
+
+        calls = []
+        real_shoot = gs.shoot
+
+        def counting_shoot(*args, **kwargs):
+            calls.append(args)
+            return real_shoot(*args, **kwargs)
+
+        monkeypatch.setattr(gs, "shoot", counting_shoot)
+        assert run(["evolve", "--dim", "3", "--b", "1", "--p", "4",
+                    "--init", "cQ:0.5", "--tend", "0.01",
+                    "--out", str(tmp_path / "run")]) == 0
+        assert len(calls) == 1
 
 
 class TestRationalFlagInput:

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import inls_lab
 from inls_lab.grids import Params
 from inls_lab.exponents import (
     admissible_check,
@@ -137,3 +142,33 @@ class TestDispersive:
     def test_N2_unsupported(self):
         rep = dispersive_n_feasible(F(3), 2)
         assert not rep.feasible
+
+
+class TestOptimizedInterpreter:
+    """The exact identities are explicit raises, so python -O keeps them."""
+
+    @staticmethod
+    def _run_O(*args):
+        env = dict(os.environ)
+        src = str(Path(inls_lab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src])
+        return subprocess.run([sys.executable, "-O", *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_failed_identity_raises_under_O(self):
+        proc = self._run_O("-c", (
+            "from fractions import Fraction\n"
+            "import inls_lab.exponents as expo\n"
+            "expo.admissible_check = lambda *a: False\n"
+            "try:\n"
+            "    expo.scattering_exponents(Fraction(2), 3)\n"
+            "except AssertionError:\n"
+            "    print('raised')\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised"
+
+    def test_verify_exponents_under_O(self):
+        proc = self._run_O("-m", "inls_lab.cli", "verify", "--suite", "exponents")
+        assert proc.returncode == 0, proc.stderr
