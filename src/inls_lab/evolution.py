@@ -8,7 +8,10 @@ K (edge coefficients (r_{i+1/2})^{N-1}/dr) against the diagonal trapezoid
 mass matrix M, with a natural (zero-flux) origin closure and a Dirichlet
 wall at r_max.  Because K is exactly self-adjoint in the M inner product,
 the Cayley step conserves the recorded mass to solver roundoff, for every
-dimension N.  Blow-up on a fixed grid can only be certified as
+dimension N.  The tridiagonal matrix M + i dt/2 K is LU-factored once per
+(grid, dt), so a step costs one pair of triangular sweeps; ``step`` and
+``evolve`` share the factors of the last (grid, dt) stepped.
+Blow-up on a fixed grid can only be certified as
 "self-focusing beyond resolution": detection requires gradient growth AND
 energy drift together.
 """
@@ -20,10 +23,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from . import functionals as fn
-from .grids import Params, RadialField, RadialGrid, classify, grad_sq_of, radial_derivative
+from .grids import (NonFiniteError, Params, RadialField, RadialGrid, classify,
+                    grad_sq_of, radial_derivative)
 from .virial import quadratic_cutoff
 
 __all__ = [
@@ -130,7 +134,9 @@ class DiagnosticsSeries:
 # ---------------------------------------------------------------------------
 
 class _CrankNicolson:
-    """Cached banded factors of (M + i dt/2 K) u+ = (M - i dt/2 K) u-."""
+    """The step plan for one (grid, dt): (M + i dt/2 K) u+ = (M - i dt/2 K) u-
+    with M + i dt/2 K factored once by LAPACK zgttrf, so that each step is
+    one zgttrs solve, and the half-step phase coefficient 0.5j dt r^b."""
 
     def __init__(self, grid: RadialGrid, dt: float):
         N, r, dr = grid.N, grid.r, grid.dr
@@ -146,35 +152,42 @@ class _CrankNicolson:
         off = -kappa[:-1]
         Mw = r[1:-1] ** (N - 1) * dr
         z = 0.5j * dt
-        self.n = n
-        # banded storage for solve_banded: (upper, diag, lower)
-        self.ab = np.zeros((3, m), dtype=complex)
-        self.ab[0, 1:] = z * off
-        self.ab[1, :] = Mw + z * diag
-        self.ab[2, :-1] = z * off
+        *self.lu, info = zgttrf(z * off, Mw + z * diag, z * off)
+        if info != 0:
+            raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
+        self.n, self.r, self.dt = n, r, dt
         self.b_diag = Mw - z * diag
         self.b_off = -z * off
+        self._b = self._h = None
+
+    def phase(self, b: float) -> np.ndarray:
+        """The half-step phase coefficient 0.5j dt r^b, kept for the last b."""
+        if b != self._b:
+            self._b, self._h = b, 0.5j * self.dt * self.r**b
+        return self._h
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        u = values[1:-1].astype(complex)
-        rhs = self.b_diag * u
+        u = values[1:-1]
+        out = np.zeros(self.n, dtype=complex)
+        rhs = out[1:-1]  # solved in place: the wall node stays 0
+        np.multiply(self.b_diag, u, out=rhs)
         rhs[:-1] += self.b_off * u[1:]
         rhs[1:] += self.b_off * u[:-1]
-        out = np.zeros(self.n, dtype=complex)
-        out[1:-1] = solve_banded((1, 1), self.ab, rhs)
+        zgttrs(*self.lu, rhs, overwrite_b=1)
         return out
 
 
-_cn_cache: dict = {}
+_last_plan: tuple | None = None  # (key, plan) of the last (grid, dt) stepped
 
 
-def _get_cn(grid: RadialGrid, dt: float) -> _CrankNicolson:
+def _plan(grid: RadialGrid, dt: float) -> _CrankNicolson:
+    """The step plan for (grid, dt).  Only the last plan is kept, and it is
+    rebuilt when the grid or dt changes: a run steps one grid with one dt."""
+    global _last_plan
     key = (grid.N, len(grid), grid.dr, grid.r_max, dt)
-    cn = _cn_cache.get(key)
-    if cn is None:
-        cn = _CrankNicolson(grid, dt)
-        _cn_cache[key] = cn
-    return cn
+    if _last_plan is None or _last_plan[0] != key:
+        _last_plan = (key, _CrankNicolson(grid, dt))
+    return _last_plan[1]
 
 
 def step(u: RadialField, params: Params, dt: float,
@@ -184,16 +197,18 @@ def step(u: RadialField, params: Params, dt: float,
     The origin node carries zero quadrature weight and zero nonlinear
     coefficient (r^b = 0), so it is not a degree of freedom; it is
     reconstructed at the end of the step by the u'(0) = 0 parabola through
-    the first two interior nodes.
+    the first two interior nodes.  The returned field is the step's one
+    finiteness check: a non-finite state raises NonFiniteError.
     """
     g = u.grid
-    v = u.values.astype(complex)
-    rb = g.r**params.b
+    plan = _plan(g, dt)
+    v = u.values
     if not linear_only:
-        v = v * np.exp(0.5j * dt * rb * np.abs(v) ** (params.p - 1.0))
-    v = _get_cn(g, dt).apply(v)
+        h = plan.phase(params.b)
+        v = v * np.exp(h * np.abs(v) ** (params.p - 1.0))
+    v = plan.apply(v)
     if not linear_only:
-        v = v * np.exp(0.5j * dt * rb * np.abs(v) ** (params.p - 1.0))
+        v = v * np.exp(h * np.abs(v) ** (params.p - 1.0))
     v[0] = (4.0 * v[1] - v[2]) / 3.0
     return RadialField(g, v)
 
@@ -244,8 +259,9 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
     g = u0.grid
     diag = DiagnosticsSeries(radii=cfg.local_mass_radii)
     states = []
-    masks = [g.r <= R for R in cfg.local_mass_radii]
-    boundary_mask = g.r >= 0.9 * g.r_max
+    # g.r is increasing: local masses sum a prefix, the wall mass a suffix
+    ends = [int(np.count_nonzero(g.r <= R)) for R in cfg.local_mass_radii]
+    wall = len(g) - int(np.count_nonzero(g.r >= 0.9 * g.r_max))
     w = g.weights
     rb = g.r**params.b
     weight = quadratic_cutoff(g)  # the unlocalized virial weight |x|^2
@@ -254,55 +270,50 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
         # overflow during violent focusing is data, not an error: the inf/nan
         # rows feed the under-resolution and blow-up detectors downstream
         with np.errstate(over="ignore", invalid="ignore"):
-            av2 = np.abs(v) ** 2
+            av = np.abs(v)
+            av2 = av**2
             du = radial_derivative(v, g)
             grad_sq = grad_sq_of(w, du)
-            pot = fn.potential_of(w, rb, v, params.p)
+            pot = fn.potential_of(w, rb, av, params.p)
             m = fn.mass_of(w, av2)
             E = fn.energy_of(grad_sq, pot, params.p)
-            local = [fn.mass_of(w[mk], av2[mk]) for mk in masks]
+            local = [fn.mass_of(w[:k], av2[:k]) for k in ends]
             V = fn.virial_V_of(w, weight.phi, av2)
             Vp = fn.virial_Vprime_of(w, weight.dphi, du, v)
         diag.append(t, m, E, grad_sq, pot, local, V, Vp)
-        return m, E, grad_sq
+        return m, E, grad_sq, av2
 
-    v = u0.values.astype(complex)
+    u = RadialField(g, u0.values.astype(complex))
     t = 0.0
-    m0, E0, grad0 = record(t, v)
+    m0, E0, grad0, _ = record(t, u.values)
     if cfg.save_every > 0:
-        states.append((t, RadialField(g, v.copy())))
+        states.append((t, u))
 
     n_steps = int(round(cfg.t_end / cfg.dt))
     factor_sq = cfg.blowup_gradient_factor**2
+    wall_tol = cfg.boundary_mass_tol * m0 if m0 > 0 else math.inf
     drift_max = 0.0
     boundary_flagged = False
     status = RunStatus.COMPLETED_GLOBAL
     blowup_estimate = None
-    zero_run = bool(np.all(v == 0))
+    zero_run = u.is_zero
 
     for k in range(1, n_steps + 1):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                u_new = step(RadialField(g, v), params, cfg.dt, cfg.linear_only)
-        except ValueError:
-            # non-finite values inside the solve: the run left resolution
+                u = step(u, params, cfg.dt, cfg.linear_only)
+        except NonFiniteError:
+            # the state left resolution; t stays at the last finite state
             status = RunStatus.UNDER_RESOLVED
             break
-        v = u_new.values
         t = k * cfg.dt
-        if not np.all(np.isfinite(v.view(float))):
-            status = RunStatus.UNDER_RESOLVED
-            t -= cfg.dt
-            break
-        m, E, grad_sq = record(t, v)
+        m, E, grad_sq, av2 = record(t, u.values)
         drift = abs(E - E0) / (abs(E0) + 1.0)
         drift_max = max(drift_max, drift)
-        if fn.mass_of(w[boundary_mask], np.abs(v[boundary_mask]) ** 2) > (
-            cfg.boundary_mass_tol * m0 if m0 > 0 else math.inf
-        ):
+        if fn.mass_of(w[wall:], av2[wall:]) > wall_tol:
             boundary_flagged = True
         if cfg.save_every > 0 and k % cfg.save_every == 0:
-            states.append((t, RadialField(g, v.copy())))
+            states.append((t, u))
         if (not zero_run and grad_sq >= factor_sq * grad0
                 and drift > cfg.energy_drift_tol):
             status = RunStatus.BLOWUP_DETECTED

@@ -64,8 +64,9 @@ class Exponents:
 
 # ---------------------------------------------------------------------------
 # the diagnostics kernel: each formula once, on raw arrays (quadrature
-# weights w, samples v, |v|^2 and d_r v), shared by the public functions and
-# by the stepper's per-step record, which neither scans nor wraps its state
+# weights w, samples v, |v|, |v|^2 and d_r v), shared by the public functions
+# and by the stepper's per-step record, which neither scans nor wraps its
+# state
 # ---------------------------------------------------------------------------
 
 def mass_of(w: np.ndarray, av2: np.ndarray) -> float:
@@ -73,9 +74,9 @@ def mass_of(w: np.ndarray, av2: np.ndarray) -> float:
     return float(np.dot(w, av2))
 
 
-def potential_of(w: np.ndarray, rb: np.ndarray, v: np.ndarray, p: float) -> float:
-    """int r^b |u|^{p+1} from rb = r^b."""
-    return float(np.dot(w, rb * np.abs(v) ** (p + 1.0)))
+def potential_of(w: np.ndarray, rb: np.ndarray, av: np.ndarray, p: float) -> float:
+    """int r^b |u|^{p+1} from rb = r^b and av = |u|."""
+    return float(np.dot(w, rb * av ** (p + 1.0)))
 
 
 def energy_of(grad_sq: float, pot: float, p: float) -> float:
@@ -102,7 +103,8 @@ def mass(u: RadialField) -> float:
 def potential(u: RadialField, params: Params) -> float:
     """The potential term int r^b |u|^{p+1}."""
     g = u.grid
-    return require_finite(potential_of(g.weights, g.r**params.b, u.values, params.p))
+    return require_finite(
+        potential_of(g.weights, g.r**params.b, np.abs(u.values), params.p))
 
 
 def energy(u: RadialField, params: Params) -> float:

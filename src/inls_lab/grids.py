@@ -21,6 +21,7 @@ __all__ = [
     "RegimeClass",
     "RadialGrid",
     "RadialField",
+    "NonFiniteError",
     "classify",
     "make_grid",
     "integrate",
@@ -160,6 +161,10 @@ def make_grid(r_max: float, dr: float, N: int) -> RadialGrid:
     return RadialGrid(N=N, r=r, dr=dr_actual, r_max=r_max, weights=weights)
 
 
+class NonFiniteError(ValueError):
+    """A field or an integral over it holds a non-finite value."""
+
+
 @dataclass(frozen=True)
 class RadialField:
     """Complex-valued radial profile sampled on a RadialGrid."""
@@ -174,7 +179,7 @@ class RadialField:
                 f"field has {v.shape} samples, grid has {len(self.grid)} nodes"
             )
         if not np.all(np.isfinite(v.view(float) if np.iscomplexobj(v) else v)):
-            raise ValueError("field contains non-finite samples")
+            raise NonFiniteError("field contains non-finite samples")
         object.__setattr__(self, "values", v)
 
     def __mul__(self, c) -> "RadialField":
@@ -211,7 +216,7 @@ def integrate(f, grid: RadialGrid | None = None) -> float:
     """
     v, g = _values_and_grid(f, grid)
     if not np.all(np.isfinite(v.view(float) if np.iscomplexobj(v) else v)):
-        raise ValueError("non-finite sample in integrand")
+        raise NonFiniteError("non-finite sample in integrand")
     return float(np.real(np.dot(g.weights, v)))
 
 
@@ -225,7 +230,7 @@ def require_finite(x: float) -> float:
     """x, unless a non-finite sample of the integrand behind it made it
     non-finite (a non-finite sample never sums to a finite value)."""
     if not math.isfinite(x):
-        raise ValueError("non-finite sample in integrand")
+        raise NonFiniteError("non-finite sample in integrand")
     return x
 
 

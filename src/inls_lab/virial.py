@@ -331,12 +331,16 @@ def psi12(R: float, params: Params, grid: RadialGrid):
     """psi_1 = 2 - psi_R'' and psi_2 = (4+2b)/N (2N - lap psi) - 2b(2 - psi'/r),
     cross-checked against the closed form on the quintic annulus."""
     _mass_critical_p(params)
+    return _psi12_of(build_vartheta_psi(R, grid), params)
+
+
+def _psi12_of(prof: CutoffProfile, params: Params):
+    """psi_1 and psi_2 of the tabulated cutoff prof = psi_R (see psi12)."""
     N, b = params.N, params.b
-    prof = build_vartheta_psi(R, grid)
     psi1 = 2.0 - prof.d2phi
     por = prof.phi_over_r()
     psi2 = (4.0 + 2.0 * b) / N * (2.0 * N - prof.lap) - 2.0 * b * (2.0 - por)
-    rho = grid.r / R
+    rho = prof.grid.r / prof.R
     annulus = (rho > 1.0 + 1e-12) & (rho <= _R1)
     if np.any(annulus):
         ref = psi2_closed_form(rho[annulus], params)
@@ -519,14 +523,13 @@ def _measured_series(states, cutoff):
     return ts, V, Vp, Vpp, tol
 
 
-def _resolved_mask(states, params: Params, drift_tol: float) -> np.ndarray:
-    """Samples whose energy drift stays within the resolution tolerance.
+def _resolved_mask(E: np.ndarray, drift_tol: float) -> np.ndarray:
+    """Samples whose energy E drifts within the resolution tolerance of E[0].
 
     A fixed grid cannot follow the focusing core; once the recorded energy
     drifts, the state (and any V'' stencil touching it) no longer represents
     the PDE solution and is excluded from envelope checks.
     """
-    E = np.array([energy(u, params) for _, u in states])
     drift = np.abs(E - E[0]) / (abs(E[0]) + 1.0)
     return drift <= drift_tol
 
@@ -561,18 +564,20 @@ def _remainder_scale(params: Params, R: float, eps: float, grad_sq: float) -> fl
     return R**-2 + R**-gamma * (grad_sq + 1.0)
 
 
-def _leading_terms(u: RadialField, params: Params, E0: float, R: float,
-                   eps: float, psi_pair) -> float:
+def _leading_terms(u: RadialField, params: Params, E0: float, grad_sq: float,
+                   pot: float, R: float, eps: float, psi_pair) -> float:
+    """The leading terms of the bound at u, whose gradient norm and potential
+    are grad_sq and pot."""
     kind = classify(params).kind
     N, b, p = params.N, params.b, params.p
     if kind == RegimeKind.MASS_CRITICAL:
         psi1, psi2 = psi_pair
         return 16.0 * E0 + _envelope_terms(u, params, R, eps, psi1, psi2)
-    lead = 8.0 * gradient_sq_norm(u)
+    lead = 8.0 * grad_sq
     if kind == RegimeKind.INTERCRITICAL:
-        lead -= (4.0 * N * (p - 1.0) - 8.0 * b) / (p + 1.0) * potential(u, params)
+        lead -= (4.0 * N * (p - 1.0) - 8.0 * b) / (p + 1.0) * pot
     else:
-        lead -= 8.0 * potential(u, params)
+        lead -= 8.0 * pot
     return lead
 
 
@@ -587,13 +592,18 @@ def _resolved_stencils(states, params: Params, R: float, eps: float,
                     RegimeKind.ENERGY_CRITICAL):
         raise ValueError(f"no blow-up envelope in regime {kind.value}")
     cutoff = build_vartheta_psi(R, grid)
-    psi_pair = psi12(R, params, grid) if kind == RegimeKind.MASS_CRITICAL else None
+    psi_pair = _psi12_of(cutoff, params) if kind == RegimeKind.MASS_CRITICAL else None
     series = _measured_series(states, cutoff)
-    resolved = _resolved_mask(states, params, drift_tol)
-    E0 = energy(states[0][1], params)
+    # each state's gradient norm and potential, once: its energy, E0 and
+    # the remainder scale all derive from them
+    grad_sq = np.array([gradient_sq_norm(u) for _, u in states])
+    pot = np.array([potential(u, params) for _, u in states])
+    E = functionals.energy_of(grad_sq, pot, params.p)
+    resolved = _resolved_mask(E, drift_tol)
     stencils = [
-        (i, t, _leading_terms(u, params, E0, R, eps, psi_pair),
-         _remainder_scale(params, R, eps, gradient_sq_norm(u)))
+        (i, t, _leading_terms(u, params, E[0], grad_sq[i + 1], pot[i + 1], R,
+                              eps, psi_pair),
+         _remainder_scale(params, R, eps, grad_sq[i + 1]))
         for i, (t, u) in enumerate(states[1:-1])
         if resolved[i] and resolved[i + 1] and resolved[i + 2]
     ]

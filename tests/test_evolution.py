@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from inls_lab import evolution
 from inls_lab.grids import Params, RadialField, gradient_sq_norm, make_grid
 from inls_lab.functionals import mass
 from inls_lab.evolution import (
@@ -54,6 +56,55 @@ class TestStep:
             sups.append(np.abs(u.values).max())
         assert all(a > b for a, b in zip(sups, sups[1:]))
         assert mass(u) == pytest.approx(mass(gauss_state), rel=1e-12)
+
+
+def _banded_cn_step(u: RadialField, dt: float) -> np.ndarray:
+    """The free-flow CN step solved with solve_banded on (upper, diag,
+    lower) band storage, with the stepper's origin fix-up."""
+    g = u.grid
+    r, dr, N = g.r, g.dr, g.N
+    m = len(r) - 2
+    kappa = (r[1:-1] + 0.5 * dr) ** (N - 1) / dr
+    diag = np.zeros(m)
+    diag[:-1] += kappa[:-1]
+    diag[1:] += kappa[:-1]
+    diag[-1] += kappa[-1]
+    off = -kappa[:-1]
+    Mw = r[1:-1] ** (N - 1) * dr
+    z = 0.5j * dt
+    ab = np.zeros((3, m), dtype=complex)
+    ab[0, 1:] = z * off
+    ab[1, :] = Mw + z * diag
+    ab[2, :-1] = z * off
+    x = u.values[1:-1]
+    rhs = (Mw - z * diag) * x
+    rhs[:-1] += -z * off * x[1:]
+    rhs[1:] += -z * off * x[:-1]
+    out = np.zeros(len(r), dtype=complex)
+    out[1:-1] = solve_banded((1, 1), ab, rhs)
+    out[0] = (4.0 * out[1] - out[2]) / 3.0
+    return out
+
+
+class TestSolver:
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("dt", [1e-3, -1e-3])
+    def test_matches_banded_reference(self, N, dt):
+        g = make_grid(20.0, 5e-3, N)
+        u = RadialField(g, (np.exp(-g.r**2) * np.exp(0.3j * g.r)).astype(complex))
+        out = step(u, Params(N, 1.0, 3.0), dt, linear_only=True)
+        assert np.array_equal(out.values, _banded_cn_step(u, dt))
+
+    def test_plan_cache_bounded(self):
+        # one plan is kept: the last (grid, dt), reused until either changes
+        g = make_grid(2.0, 1e-2, 3)
+        u = RadialField(g, np.exp(-g.r**2).astype(complex))
+        for k in range(20):
+            step(u, P313, 1e-4 * (k + 1))
+        key, plan = evolution._last_plan
+        assert key[-1] == plan.dt == 2e-3
+        step(u, P313, 2e-3)
+        assert evolution._last_plan[1] is plan
 
 
 class TestEvolve:
@@ -164,3 +215,48 @@ class TestUnderResolved:
                            (1e160 * np.exp(-evo_grid.r**2)).astype(complex))
         res = evolve(huge, P313, StepperConfig(dt=1e-3, t_end=0.01))
         assert res.outcome.status == RunStatus.UNDER_RESOLVED
+        assert res.outcome.t_final == 0.0
+        assert len(res.diagnostics.t) == 1
+
+
+class TestFailureLabel:
+    def test_other_value_errors_propagate(self, gauss_state, monkeypatch):
+        def broken(u, params, dt, linear_only=False):
+            raise ValueError("a bug, not a non-finite state")
+
+        monkeypatch.setattr(evolution, "step", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            evolve(gauss_state, P313, StepperConfig(dt=1e-3, t_end=0.01))
+
+
+class TestStepMetering:
+    """evolve calls the module-level step by its global name once per
+    accepted step, so a wrapper around evolution.step sees every step."""
+
+    @staticmethod
+    def _metered(monkeypatch):
+        calls = []
+        original = evolution.step
+
+        def counted(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr(evolution, "step", counted)
+        return calls
+
+    def test_global_run(self, gauss_state, monkeypatch):
+        calls = self._metered(monkeypatch)
+        res = evolve(gauss_state, P313, StepperConfig(dt=1e-3, t_end=0.05))
+        assert res.outcome.status == RunStatus.COMPLETED_GLOBAL
+        assert len(calls) == len(res.diagnostics.t) - 1 == 50
+
+    def test_blowup_run_stops_early(self, monkeypatch):
+        # negative energy at mass-critical (3,1,3): focuses within t = 0.2
+        g = make_grid(10.0, 5e-3, 3)
+        u0 = RadialField(g, (8.0 * np.exp(-g.r**2)).astype(complex))
+        calls = self._metered(monkeypatch)
+        res = evolve(u0, P313, StepperConfig(dt=1e-3, t_end=1.0))
+        assert res.outcome.status == RunStatus.BLOWUP_DETECTED
+        assert len(calls) == len(res.diagnostics.t) - 1 < 1000

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from inls_lab.grids import (
+    NonFiniteError,
     Params,
     RadialField,
     RegimeKind,
@@ -12,6 +13,7 @@ from inls_lab.grids import (
     integrate,
     laplacian,
     make_grid,
+    require_finite,
 )
 
 
@@ -206,6 +208,19 @@ class TestRadialField:
         v[0] = np.nan + 0j
         with pytest.raises(ValueError):
             RadialField(g, v)
+
+    def test_non_finite_has_its_own_error(self):
+        # NonFiniteError names a non-finite value and nothing else
+        g = make_grid(1.0, 1e-2, 3)
+        v = np.ones(len(g), dtype=complex)
+        v[3] = np.inf
+        with pytest.raises(NonFiniteError):
+            RadialField(g, v)
+        with pytest.raises(NonFiniteError):
+            require_finite(math.nan)
+        with pytest.raises(ValueError) as err:
+            RadialField(g, np.ones(len(g) + 1))
+        assert not isinstance(err.value, NonFiniteError)
 
     def test_scalar_multiply(self):
         g = make_grid(1.0, 1e-2, 3)
