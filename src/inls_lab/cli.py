@@ -18,12 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import Params, RadialField, RegimeKind, classify, gradient_sq_norm, make_grid
+from .grids import (Params, RadialField, RegimeKind, classify, gradient_sq_norm,
+                    make_grid, write_csv)
 from . import exponents as expo
 from . import functionals as fn
 from . import ground_state as gs
 from . import verify as ver
-from .evolution import RunStatus, StepperConfig, evolve
+from .evolution import (BLOWUP_GRADIENT_FACTOR, ENERGY_DRIFT_TOL, LOCAL_MASS_RADII,
+                        RunStatus, StepperConfig, evolve)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -100,10 +102,7 @@ def cmd_ground_state(args) -> int:
 
 
 def _write_profile_csv(path: Path, r, q) -> None:
-    with open(path, "w") as fh:
-        fh.write("r,Q\n")
-        for ri, qi in zip(r, q):
-            fh.write(f"{ri:.12e},{qi:.12e}\n")
+    write_csv(path, ("r", "Q"), zip(r, q))
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +167,13 @@ def _outcome_json(outcome) -> dict:
     }
 
 
-def _cfg_json(cfg: StepperConfig) -> dict:
+def _cfg_json(cfg: StepperConfig, args) -> dict:
+    """The run's settings: cfg, the grid flags and the fixed thresholds."""
     return {
-        "dt": cfg.dt, "r_max": cfg.r_max, "dr": cfg.dr, "t_end": cfg.t_end,
-        "blowup_gradient_factor": cfg.blowup_gradient_factor,
-        "energy_drift_tol": cfg.energy_drift_tol,
-        "local_mass_radii": list(cfg.local_mass_radii),
+        "dt": cfg.dt, "r_max": args.rmax, "dr": args.dr, "t_end": cfg.t_end,
+        "blowup_gradient_factor": BLOWUP_GRADIENT_FACTOR,
+        "energy_drift_tol": ENERGY_DRIFT_TOL,
+        "local_mass_radii": list(LOCAL_MASS_RADII),
         "save_every": cfg.save_every, "linear_only": cfg.linear_only,
     }
 
@@ -196,9 +196,8 @@ def _bound_49_all_true(diag, params: Params, ground: gs.GroundState) -> bool | N
 
 def cmd_evolve(args) -> int:
     params = _params_from(args)
-    cfg = StepperConfig(dt=args.dt, r_max=args.rmax, dr=args.dr,
-                        t_end=args.tend, save_every=args.save_every)
-    grid = make_grid(cfg.r_max, cfg.dr, params.N)
+    cfg = StepperConfig(dt=args.dt, t_end=args.tend, save_every=args.save_every)
+    grid = make_grid(args.rmax, args.dr, params.N)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -219,7 +218,7 @@ def cmd_evolve(args) -> int:
     _write_json(out / "summary.json", {
         "schema": 1,
         "params": {"N": params.N, "b": params.b, "p": params.p},
-        "cfg": _cfg_json(cfg),
+        "cfg": _cfg_json(cfg, args),
         "outcome": _outcome_json(result.outcome),
         "bound_49_all_true": bound_49,
         "fixture_hashes": {"diagnostics.csv": _sha256(diag_path)},
@@ -250,8 +249,8 @@ def cmd_sweep(args) -> int:
     if not amplitudes:
         print("error: empty amplitude list", file=sys.stderr)
         return USAGE_ERROR
-    cfg = StepperConfig(dt=args.dt, r_max=args.rmax, dr=args.dr, t_end=args.tend)
-    grid = make_grid(cfg.r_max, cfg.dr, params.N)
+    cfg = StepperConfig(dt=args.dt, t_end=args.tend)
+    grid = make_grid(args.rmax, args.dr, params.N)
     ground = gs.shoot(params)
     q = ground.resample(grid)
 
@@ -267,10 +266,8 @@ def cmd_sweep(args) -> int:
         rows.append((c, v, status, _AGREEMENT.get((v, status), False)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write("amplitude,verdict,status,agreement\n")
-        for c, v, status, agree in rows:
-            fh.write(f"{c:.12e},{v},{status},{str(agree).lower()}\n")
+    write_csv(out / "sweep.csv", ("amplitude", "verdict", "status", "agreement"),
+              ((c, v, status, str(agree).lower()) for c, v, status, agree in rows))
     for c, v, status, agree in rows:
         print(f"c = {c:g}: verdict {v}, run {status}, agreement {agree}")
     return 0 if all(r[3] for r in rows) else CHECK_FAILURE

@@ -27,7 +27,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from . import functionals as fn
 from .grids import (NonFiniteError, Params, RadialField, RadialGrid, classify,
-                    grad_sq_of, radial_derivative)
+                    grad_sq_of, radial_derivative, write_csv)
 from .virial import quadratic_cutoff
 
 __all__ = [
@@ -43,24 +43,28 @@ __all__ = [
 ]
 
 
+# The fixed detector thresholds and diagnostics radii of every run; the CLI
+# records them in summary.json next to the run's own settings.
+BLOWUP_GRADIENT_FACTOR = 10.0  # growth of ||grad u|| that, with drift, ends a run
+ENERGY_DRIFT_TOL = 1e-4        # relative energy drift |E - E0|/(|E0| + 1)
+BOUNDARY_MASS_TOL = 1e-6       # mass past 0.9 r_max over the initial mass
+LOCAL_MASS_RADII = (5.0, 10.0, 20.0)
+
+
 @dataclass(frozen=True)
 class StepperConfig:
+    """The settings of one run; the grid is the initial field's."""
+
     dt: float = 1e-3
-    r_max: float = 40.0
-    dr: float = 5e-3
     t_end: float = 1.0
-    blowup_gradient_factor: float = 10.0
-    energy_drift_tol: float = 1e-4
-    local_mass_radii: tuple[float, ...] = (5.0, 10.0, 20.0)
     save_every: int = 0            # save a state every k steps (0 = never)
     linear_only: bool = False      # drop the nonlinear phase (free flow)
-    boundary_mass_tol: float = 1e-6
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
-        if self.blowup_gradient_factor <= 1:
-            raise ValueError("blowup_gradient_factor must exceed 1")
+        if self.save_every < 0:
+            raise ValueError("save_every must be >= 0 (0 saves no states)")
 
 
 class RunStatus(Enum):
@@ -123,10 +127,7 @@ class DiagnosticsSeries:
             )
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(self.column_names()) + "\n")
-            for row in self.rows():
-                fh.write(",".join(f"{v:.12e}" for v in row) + "\n")
+        write_csv(path, self.column_names(), self.rows())
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +247,11 @@ def _blowup_time_from_slopes(ts, grads) -> float | None:
 def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
     """March the splitting scheme to t_end with per-step diagnostics.
 
-    Declares BlowupDetected when the gradient norm squared grows by the
-    configured factor squared AND the energy drift exceeds its tolerance
-    (growth alone is a resolved focusing event, drift alone a resolution
-    warning); a NaN state ends the run as UnderResolved rather than raising.
+    Steps the grid of u0.  Declares BlowupDetected when the gradient norm
+    squared grows by BLOWUP_GRADIENT_FACTOR squared AND the energy drift
+    exceeds ENERGY_DRIFT_TOL (growth alone is a resolved focusing event,
+    drift alone a resolution warning); a NaN state ends the run as
+    UnderResolved rather than raising.
     """
     if not classify(params).lwp_lower_ok:
         raise ValueError(
@@ -257,10 +259,10 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
             f"{params.lwp_lower_p:.6g}"
         )
     g = u0.grid
-    diag = DiagnosticsSeries(radii=cfg.local_mass_radii)
+    diag = DiagnosticsSeries(radii=LOCAL_MASS_RADII)
     states = []
     # g.r is increasing: local masses sum a prefix, the wall mass a suffix
-    ends = [int(np.count_nonzero(g.r <= R)) for R in cfg.local_mass_radii]
+    ends = [int(np.count_nonzero(g.r <= R)) for R in LOCAL_MASS_RADII]
     wall = len(g) - int(np.count_nonzero(g.r >= 0.9 * g.r_max))
     w = g.weights
     rb = g.r**params.b
@@ -290,8 +292,8 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
         states.append((t, u))
 
     n_steps = int(round(cfg.t_end / cfg.dt))
-    factor_sq = cfg.blowup_gradient_factor**2
-    wall_tol = cfg.boundary_mass_tol * m0 if m0 > 0 else math.inf
+    factor_sq = BLOWUP_GRADIENT_FACTOR**2
+    wall_tol = BOUNDARY_MASS_TOL * m0 if m0 > 0 else math.inf
     drift_max = 0.0
     boundary_flagged = False
     status = RunStatus.COMPLETED_GLOBAL
@@ -315,7 +317,7 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
         if cfg.save_every > 0 and k % cfg.save_every == 0:
             states.append((t, u))
         if (not zero_run and grad_sq >= factor_sq * grad0
-                and drift > cfg.energy_drift_tol):
+                and drift > ENERGY_DRIFT_TOL):
             status = RunStatus.BLOWUP_DETECTED
             blowup_estimate = _blowup_time_from_slopes(diag.t, diag.grad_sq)
             break
@@ -346,14 +348,13 @@ class ScatteringReport:
 
 
 def scattering_diagnostics(diag: DiagnosticsSeries, params: Params,
-                           radii=None, outcome: RunOutcome | None = None,
-                           slack: float = 0.5) -> ScatteringReport:
+                           outcome: RunOutcome | None = None) -> ScatteringReport:
     """Decay-of-potential diagnostics for a completed global run.
 
     Reports the running minimum of the potential term (expected to trend to
     zero on the global branch), the final local masses, and nested windowed
     Morawetz sums sum dt*potential over [0, T/2] and [0, T] compared against
-    sublinear growth |I|^beta (within a 1+slack factor).
+    sublinear growth |I|^beta (within a factor 1.5).
     """
     if outcome is not None and outcome.status != RunStatus.COMPLETED_GLOBAL:
         raise ValueError("scattering diagnostics need a completed global run")
@@ -364,8 +365,7 @@ def scattering_diagnostics(diag: DiagnosticsSeries, params: Params,
     if len(ts) < 3:
         raise ValueError("diagnostics series too short")
     dt = float(ts[1] - ts[0])
-    radii = tuple(radii) if radii is not None else diag.radii
-    local_final = {R: diag.local_mass[R][-1] for R in radii}
+    local_final = {R: diag.local_mass[R][-1] for R in diag.radii}
     T = float(ts[-1])
     sums = []
     for frac in (0.5, 1.0):
@@ -374,7 +374,7 @@ def scattering_diagnostics(diag: DiagnosticsSeries, params: Params,
     _, beta = morawetz_beta(params, "N-1")
     beta = float(beta)
     (l1, s1), (l2, s2) = sums
-    sublinear_ok = bool(s1 == 0.0 or s2 <= (l2 / l1) ** beta * s1 * (1.0 + slack))
+    sublinear_ok = bool(s1 == 0.0 or s2 <= (l2 / l1) ** beta * s1 * 1.5)
     return ScatteringReport(
         potential_initial=float(pot[0]),
         potential_running_min=float(np.min(pot)),

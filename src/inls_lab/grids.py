@@ -4,7 +4,8 @@ Everything downstream works with radial profiles u(r) sampled on a uniform
 grid over [0, r_max].  The quadrature weights carry the full N-dimensional
 surface measure, so ``integrate`` realizes integrals over R^N of radial
 integrands: sum(w_i * f(r_i)) with w_i = omega_{N-1} r_i^{N-1} dr times the
-trapezoid end coefficients.
+trapezoid end coefficients.  ``write_csv`` holds the one number format
+(%.12e) of every CSV file the package writes.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "require_finite",
     "laplacian",
     "sphere_area",
+    "write_csv",
 ]
 
 # relative tolerance used to detect exact critical exponents from floats
@@ -165,6 +167,15 @@ class NonFiniteError(ValueError):
     """A field or an integral over it holds a non-finite value."""
 
 
+def _all_finite(v: np.ndarray) -> bool:
+    """Whether every sample is finite.  Complex samples are checked as their
+    real and imaginary parts through a view of the component dtype, which is
+    cheaper than np.isfinite on the complex array."""
+    if np.iscomplexobj(v):
+        v = v.view(v.real.dtype)
+    return bool(np.all(np.isfinite(v)))
+
+
 @dataclass(frozen=True)
 class RadialField:
     """Complex-valued radial profile sampled on a RadialGrid."""
@@ -178,7 +189,7 @@ class RadialField:
             raise ValueError(
                 f"field has {v.shape} samples, grid has {len(self.grid)} nodes"
             )
-        if not np.all(np.isfinite(v.view(float) if np.iscomplexobj(v) else v)):
+        if not _all_finite(v):
             raise NonFiniteError("field contains non-finite samples")
         object.__setattr__(self, "values", v)
 
@@ -186,11 +197,6 @@ class RadialField:
         return RadialField(self.grid, c * self.values)
 
     __rmul__ = __mul__
-
-    def __add__(self, other: "RadialField") -> "RadialField":
-        if other.grid is not self.grid and not np.array_equal(other.grid.r, self.grid.r):
-            raise ValueError("fields live on different grids")
-        return RadialField(self.grid, self.values + other.values)
 
     @property
     def is_zero(self) -> bool:
@@ -208,16 +214,18 @@ def _values_and_grid(f, grid: RadialGrid | None):
     return v, grid
 
 
-def integrate(f, grid: RadialGrid | None = None) -> float:
+def integrate(v, grid: RadialGrid) -> float:
     """Integral over R^N of a radial integrand sampled on the grid.
 
     Exact for piecewise-linear radial integrands up to trapezoid error in the
     weight; second-order in dr for smooth integrands.
     """
-    v, g = _values_and_grid(f, grid)
-    if not np.all(np.isfinite(v.view(float) if np.iscomplexobj(v) else v)):
+    v = np.asarray(v)
+    if len(v) != len(grid):
+        raise ValueError("sample count does not match grid")
+    if not _all_finite(v):
         raise NonFiniteError("non-finite sample in integrand")
-    return float(np.real(np.dot(g.weights, v)))
+    return float(np.real(np.dot(grid.weights, v)))
 
 
 def radial_derivative(f, grid: RadialGrid | None = None) -> np.ndarray:
@@ -271,3 +279,17 @@ def laplacian(u: RadialField, N: int | None = None) -> RadialField:
         2.0 * dr
     )
     return RadialField(g, out)
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a header of column names, then one line per row: numbers in the
+    fixed %.12e format, text cells as given.  Each row has the cell types of
+    the first, so one line template, built once, formats them all."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        line = None
+        for row in rows:
+            if line is None:
+                line = ",".join("%s" if isinstance(c, str) else "%.12e"
+                                for c in row) + "\n"
+            fh.write(line % tuple(row))

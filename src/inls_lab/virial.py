@@ -32,6 +32,7 @@ from .grids import (
     make_grid,
     radial_derivative,
     require_finite,
+    write_csv,
 )
 from . import functionals
 from .functionals import energy, potential
@@ -48,7 +49,6 @@ __all__ = [
     "lemma53_check",
     "virial_rhs",
     "virial_V",
-    "virial_Vprime",
     "virial_dynamic_check",
     "fit_envelope_constant",
     "blowup_bound_check",
@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 _R1 = 1.0 + 5.0 ** (-0.25)  # end of the quintic piece of vartheta
+# relative energy drift past which a saved state counts as under-resolved
+_DRIFT_TOL = 1e-5
 
 
 class CutoffKind(Enum):
@@ -352,20 +354,19 @@ def _psi12_of(prof: CutoffProfile, params: Params):
     return psi1, psi2
 
 
-def _lemma_grid(R: float, N: int, r_max_factor: float, n_points: int):
-    """Probe grid with an R-independent absolute spacing, so an R-sweep
-    samples genuinely different points of the scaled profiles."""
-    dr = 32.0 * r_max_factor / (8.0 * (n_points - 1))
-    return make_grid(r_max_factor * R, dr, N)
+def _lemma_grid(R: float, N: int) -> RadialGrid:
+    """Probe grid on [0, 4R] with the R-independent spacing 16/99999 (100000
+    points at R = 4), so an R-sweep samples genuinely different points of
+    the scaled profiles."""
+    return make_grid(4.0 * R, 16.0 / 99999, N)
 
 
-def lemma52_check(R: float, params: Params, r_max_factor: float = 4.0,
-                  n_points: int = 100000) -> float:
+def lemma52_check(R: float, params: Params) -> float:
     """sup over r > R of |d_r(psi_2^{1/(p-1)})| R; bounded independently of R."""
     p_star = _mass_critical_p(params)
     if not 0 < params.b < 2 * (params.N - 1):
         raise ValueError("requires 0 < b < 2(N-1)")
-    grid = _lemma_grid(R, params.N, r_max_factor, n_points)
+    grid = _lemma_grid(R, params.N)
     _, psi2 = psi12(R, params, grid)
     y = psi2 ** (1.0 / (p_star - 1.0))
     dy = radial_derivative(y, grid)
@@ -373,12 +374,10 @@ def lemma52_check(R: float, params: Params, r_max_factor: float = 4.0,
     return float(np.max(np.abs(dy[mask])) * R)
 
 
-def lemma53_check(R: float, params: Params, eps: float,
-                  r_max_factor: float = 4.0,
-                  n_points: int = 100000) -> tuple[bool, float]:
+def lemma53_check(R: float, params: Params, eps: float) -> tuple[bool, float]:
     """Grid minimum over r > R of 2 psi_1 - [N eps/(2N+4+2b)] psi_2^{N/(2+b)}."""
     _mass_critical_p(params)
-    grid = _lemma_grid(R, params.N, r_max_factor, n_points)
+    grid = _lemma_grid(R, params.N)
     expr = _lemma53_form(*psi12(R, params, grid), params, eps)
     mask = grid.r > R * (1.0 + 1e-9)
     margin = float(np.min(expr[mask]))
@@ -402,13 +401,6 @@ def virial_V(u: RadialField, cutoff: CutoffProfile) -> float:
     return require_finite(
         functionals.virial_V_of(u.grid.weights, cutoff.phi, np.abs(u.values) ** 2)
     )
-
-
-def virial_Vprime(u: RadialField, cutoff: CutoffProfile) -> float:
-    """V'_phi = 2 Im int phi' (d_r u) conj(u)."""
-    _check_grid(u, cutoff)
-    return require_finite(functionals.virial_Vprime_of(
-        u.grid.weights, cutoff.dphi, radial_derivative(u), u.values))
 
 
 def _check_grid(u: RadialField, cutoff: CutoffProfile):
@@ -490,17 +482,9 @@ class BoundRow:
 
 def bound_rows_to_csv(rows, path) -> None:
     """Write envelope rows as CSV: t, V, V', V'' measured, RHS bound, slack."""
-    with open(path, "w") as fh:
-        fh.write("t,V,Vp,Vpp_measured,rhs_bound,slack\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    f"{v:.12e}"
-                    for v in (r.t, r.V, r.Vp, r.Vpp_measured, r.rhs_bound,
-                              r.slack)
-                )
-                + "\n"
-            )
+    write_csv(path, ("t", "V", "Vp", "Vpp_measured", "rhs_bound", "slack"),
+              ((r.t, r.V, r.Vp, r.Vpp_measured, r.rhs_bound, r.slack)
+               for r in rows))
 
 
 def _measured_series(states, cutoff):
@@ -523,15 +507,15 @@ def _measured_series(states, cutoff):
     return ts, V, Vp, Vpp, tol
 
 
-def _resolved_mask(E: np.ndarray, drift_tol: float) -> np.ndarray:
-    """Samples whose energy E drifts within the resolution tolerance of E[0].
+def _resolved_mask(E: np.ndarray) -> np.ndarray:
+    """Samples whose energy E drifts within _DRIFT_TOL of E[0].
 
     A fixed grid cannot follow the focusing core; once the recorded energy
     drifts, the state (and any V'' stencil touching it) no longer represents
     the PDE solution and is excluded from envelope checks.
     """
     drift = np.abs(E - E[0]) / (abs(E[0]) + 1.0)
-    return drift <= drift_tol
+    return drift <= _DRIFT_TOL
 
 
 def _envelope_terms(u: RadialField, params: Params, R: float, eps: float,
@@ -581,8 +565,7 @@ def _leading_terms(u: RadialField, params: Params, E0: float, grad_sq: float,
     return lead
 
 
-def _resolved_stencils(states, params: Params, R: float, eps: float,
-                       drift_tol: float):
+def _resolved_stencils(states, params: Params, R: float, eps: float):
     """The measured series of V = int psi_R |u|^2 and, for each V'' stencil
     lying entirely inside the resolved window, (i, t, leading terms,
     remainder scale) at its centre state."""
@@ -599,7 +582,7 @@ def _resolved_stencils(states, params: Params, R: float, eps: float,
     grad_sq = np.array([gradient_sq_norm(u) for _, u in states])
     pot = np.array([potential(u, params) for _, u in states])
     E = functionals.energy_of(grad_sq, pot, params.p)
-    resolved = _resolved_mask(E, drift_tol)
+    resolved = _resolved_mask(E)
     stencils = [
         (i, t, _leading_terms(u, params, E[0], grad_sq[i + 1], pot[i + 1], R,
                               eps, psi_pair),
@@ -610,13 +593,11 @@ def _resolved_stencils(states, params: Params, R: float, eps: float,
     return series, stencils
 
 
-def fit_envelope_constant(states, params: Params, R: float, eps: float,
-                          drift_tol: float = 1e-5) -> float:
+def fit_envelope_constant(states, params: Params, R: float, eps: float) -> float:
     """Calibrate the absolute remainder constant of the localized virial
     bound on a reference run: the smallest C making the bound hold with 5%
     headroom at every resolved sample."""
-    (_, _, _, Vpp, _), stencils = _resolved_stencils(states, params, R, eps,
-                                                     drift_tol)
+    (_, _, _, Vpp, _), stencils = _resolved_stencils(states, params, R, eps)
     c_needed = 0.0
     for i, _, lead, scale in stencils:
         c_needed = max(c_needed, (Vpp[i] - lead) / scale)
@@ -624,8 +605,7 @@ def fit_envelope_constant(states, params: Params, R: float, eps: float,
 
 
 def blowup_bound_check(states, params: Params, R: float, eps: float,
-                       C_envelope: float,
-                       drift_tol: float = 1e-5) -> list[BoundRow]:
+                       C_envelope: float) -> list[BoundRow]:
     """Evaluate the localized virial bound along a run.
 
     Checks V''(t), measured by second central differences of the weighted
@@ -634,11 +614,10 @@ def blowup_bound_check(states, params: Params, R: float, eps: float,
     the intercritical and energy-critical forms bound by the full-space
     leading terms plus fitted R-decay remainders.  Rows are emitted only for
     V'' stencils lying entirely inside the resolved window (energy drift
-    within drift_tol): past that point the state no longer approximates the
+    within _DRIFT_TOL): past that point the state no longer approximates the
     PDE solution.
     """
-    (_, V, Vp, Vpp, tol), stencils = _resolved_stencils(states, params, R, eps,
-                                                        drift_tol)
+    (_, V, Vp, Vpp, tol), stencils = _resolved_stencils(states, params, R, eps)
     rows = []
     interior = range(1, len(states) - 3)  # rows with a genuine V'''' estimate
     for i, t, lead, scale in stencils:

@@ -109,6 +109,39 @@ class TestEvolveCommand:
                     "--init", "wavelet:1", "--tend", "0.1",
                     "--out", str(tmp_path / "x")]) == 2
 
+    def test_negative_save_every_exit_2(self, tmp_path):
+        out = tmp_path / "x"
+        assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
+                    "--init", "gaussian:1.0", "--tend", "0.01",
+                    "--save-every", "-5", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_summary_cfg_block(self, tmp_path):
+        # the grid comes from the flags, the thresholds are fixed floats
+        out = tmp_path / "run"
+        assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
+                    "--init", "gaussian:1.0", "--tend", "0.002",
+                    "--rmax", "8", "--dr", "1e-2", "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text()
+        start = text.index('  "cfg": {')
+        assert text[start:text.index("  },", start) + 4] == (
+            '  "cfg": {\n'
+            '    "blowup_gradient_factor": 10.0,\n'
+            '    "dr": 0.01,\n'
+            '    "dt": 0.001,\n'
+            '    "energy_drift_tol": 0.0001,\n'
+            '    "linear_only": false,\n'
+            '    "local_mass_radii": [\n'
+            '      5.0,\n'
+            '      10.0,\n'
+            '      20.0\n'
+            '    ],\n'
+            '    "r_max": 8.0,\n'
+            '    "save_every": 0,\n'
+            '    "t_end": 0.002\n'
+            '  },'
+        )
+
     def test_states_archive(self, tmp_path):
         out = tmp_path / "run"
         assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",

@@ -222,6 +222,18 @@ class TestRadialField:
             RadialField(g, np.ones(len(g) + 1))
         assert not isinstance(err.value, NonFiniteError)
 
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0),
+                                     complex(1.0, math.inf)])
+    def test_non_finite_single_precision_rejected(self, bad):
+        # complex64 samples are checked as float32 parts, not as float64 pairs
+        g = make_grid(1.0, 1e-2, 3)
+        v = np.ones(len(g), dtype=np.complex64)
+        v[3] = bad
+        with pytest.raises(NonFiniteError):
+            RadialField(g, v)
+        with pytest.raises(NonFiniteError):
+            integrate(v, g)
+
     def test_scalar_multiply(self):
         g = make_grid(1.0, 1e-2, 3)
         u = RadialField(g, np.ones(len(g)))

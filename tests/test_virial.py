@@ -305,8 +305,7 @@ class TestEnergyCriticalEnvelope:
         u0 = RadialField(g, (1.2 * W_value(g.r / 1.3, 4, 2.0)
                              * taper).astype(complex))
         assert energy(u0, P425) < 0
-        cfg = StepperConfig(dt=2.5e-4, t_end=1.0, save_every=2, r_max=20.0,
-                            local_mass_radii=(2.0, 5.0, 10.0))
+        cfg = StepperConfig(dt=2.5e-4, t_end=1.0, save_every=2)
         res = evolve(u0, P425, cfg)
         assert res.outcome.status == RunStatus.BLOWUP_DETECTED
         C = fit_envelope_constant(res.states, P425, 8.0, 0.1)
