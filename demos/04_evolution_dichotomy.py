@@ -3,29 +3,25 @@
 # grid flags blow-up.  Thresholds are predicted statically and confirmed
 # dynamically.
 
-import math
-
 from inls_lab import (
     Params,
     RadialField,
     StepperConfig,
     evolve,
-    gradient_sq_norm,
     make_grid,
-    mass,
     shoot,
     threshold_report,
 )
 from inls_lab.evolution import scattering_diagnostics
+from inls_lab.functionals import dichotomy_products, grad_mass_energy
 
 params = Params(3, 1.0, 4.0)
 gs = shoot(params)
 grid = make_grid(40.0, 5e-3, 3)
 q = gs.resample(grid)
 
-g_thresh = math.sqrt(gradient_sq_norm(gs.profile)) * mass(gs.profile) ** (
-    params.sigma_c / 2.0
-)
+_, g_thresh = dichotomy_products(*grad_mass_energy(gs.profile, params),
+                                 params.sigma_c)
 print(f"ground-state gradient threshold: {g_thresh:.4f}\n")
 
 for c in (0.5, 0.8, 1.2):

@@ -20,7 +20,6 @@ from .grids import (
     laplacian,
 )
 from .functionals import (
-    Exponents,
     ThresholdReport,
     Verdict,
     mass,
@@ -37,7 +36,7 @@ from .evolution import StepperConfig, RunStatus, evolve, step
 __all__ = [
     "Params", "RegimeKind", "RegimeClass", "RadialGrid", "RadialField",
     "classify", "make_grid", "integrate", "gradient_sq_norm", "laplacian",
-    "Exponents", "ThresholdReport", "Verdict", "mass", "potential", "energy",
+    "ThresholdReport", "Verdict", "mass", "potential", "energy",
     "weinstein", "pohozaev_residuals", "c_opt_closed_form", "threshold_report",
     "GroundState", "shoot", "explicit_W", "uniqueness_conditions",
     "StepperConfig", "RunStatus", "evolve", "step",

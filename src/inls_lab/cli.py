@@ -167,10 +167,11 @@ def _outcome_json(outcome) -> dict:
     }
 
 
-def _cfg_json(cfg: StepperConfig, args) -> dict:
-    """The run's settings: cfg, the grid flags and the fixed thresholds."""
+def _cfg_json(cfg: StepperConfig, grid) -> dict:
+    """The run's settings: cfg, the stepped grid's r_max and dr, and the
+    fixed thresholds."""
     return {
-        "dt": cfg.dt, "r_max": args.rmax, "dr": args.dr, "t_end": cfg.t_end,
+        "dt": cfg.dt, "r_max": grid.r_max, "dr": grid.dr, "t_end": cfg.t_end,
         "blowup_gradient_factor": BLOWUP_GRADIENT_FACTOR,
         "energy_drift_tol": ENERGY_DRIFT_TOL,
         "local_mass_radii": list(LOCAL_MASS_RADII),
@@ -181,17 +182,12 @@ def _cfg_json(cfg: StepperConfig, args) -> dict:
 def _bound_49_all_true(diag, params: Params, ground: gs.GroundState) -> bool | None:
     """Whether the gradient product stayed below the ground state's at every
     recorded step; None when the comparison is undefined (mass-critical)."""
-    if not math.isfinite(params.sigma_c):
+    sc = params.sigma_c
+    if not math.isfinite(sc):
         return None
-    thresh = math.sqrt(gradient_sq_norm(ground.profile)) * fn.mass(
-        ground.profile
-    ) ** (params.sigma_c / 2.0)
-    return bool(
-        all(
-            math.sqrt(g) * m ** (params.sigma_c / 2.0) < thresh
-            for g, m in zip(diag.grad_sq, diag.mass)
-        )
-    )
+    _, thresh = fn.dichotomy_products(*fn.grad_mass_energy(ground.profile, params), sc)
+    return all(fn.dichotomy_products(g, m, E, sc)[1] < thresh
+               for g, m, E in zip(diag.grad_sq, diag.mass, diag.energy))
 
 
 def cmd_evolve(args) -> int:
@@ -218,7 +214,7 @@ def cmd_evolve(args) -> int:
     _write_json(out / "summary.json", {
         "schema": 1,
         "params": {"N": params.N, "b": params.b, "p": params.p},
-        "cfg": _cfg_json(cfg, args),
+        "cfg": _cfg_json(cfg, grid),
         "outcome": _outcome_json(result.outcome),
         "bound_49_all_true": bound_49,
         "fixture_hashes": {"diagnostics.csv": _sha256(diag_path)},

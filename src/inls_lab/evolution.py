@@ -310,7 +310,7 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
             break
         t = k * cfg.dt
         m, E, grad_sq, av2 = record(t, u.values)
-        drift = abs(E - E0) / (abs(E0) + 1.0)
+        drift = fn.energy_drift(E, E0)
         drift_max = max(drift_max, drift)
         if fn.mass_of(w[wall:], av2[wall:]) > wall_tol:
             boundary_flagged = True

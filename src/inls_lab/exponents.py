@@ -215,6 +215,12 @@ def dispersive_n_feasible(alpha: Fraction, N: int) -> DispersiveReport:
     return DispersiveReport(True, n=n, theta=theta)
 
 
+def _gn_pair(N: int, b: Fraction, p: Fraction) -> tuple[Fraction, Fraction]:
+    """The exact Gagliardo-Nirenberg pair A = (N(p-1)-2b)/2 and
+    B = (4+2b-(N-2)(p-1))/2 (``Params.A``, ``Params.B`` in floats)."""
+    return (N * (p - 1) - 2 * b) / 2, (4 + 2 * b - (N - 2) * (p - 1)) / 2
+
+
 def table(N: int, b: Fraction, p: Fraction) -> dict[str, Fraction | int | str]:
     """Every derived exponent of (N, b, p), exact, in table order.
 
@@ -224,11 +230,11 @@ def table(N: int, b: Fraction, p: Fraction) -> dict[str, Fraction | int | str]:
     The non-numeric entries are the strings "inf", "n/a" and "infeasible".
     """
     gamma_c = Fraction(N, 2) - (2 + b) / (p - 1)
+    A, B = _gn_pair(N, b, p)
     rows: dict[str, Fraction | int | str] = {
         "N": N, "b": b, "p": p, "gamma_c": gamma_c,
         "sigma_c": "inf" if gamma_c == 0 else (1 - gamma_c) / gamma_c,
-        "A": (N * (p - 1) - 2 * b) / 2,
-        "B": (4 + 2 * b - (N - 2) * (p - 1)) / 2,
+        "A": A, "B": B,
         "regime": classify(Params(N, float(b), float(p))).kind.value,
     }
     try:

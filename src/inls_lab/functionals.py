@@ -4,10 +4,11 @@ The weighted Gagliardo-Nirenberg inequality
 
     int r^b |f|^{p+1}  <=  C (||grad f||^2)^{A/2} (||f||^2)^{B/2}
 
-with A = (N(p-1)-2b)/2 and B = (4+2b-(N-2)(p-1))/2 controls everything here:
-its sharp constant is the supremum of the Weinstein quotient, attained at the
-ground state Q, and the global-existence/blow-up dichotomy compares scale
-invariant products of a datum against those of Q.
+with A = (N(p-1)-2b)/2 and B = (4+2b-(N-2)(p-1))/2 (``Params.A``, ``Params.B``)
+controls everything here: its sharp constant is the supremum of the Weinstein
+quotient, attained at the ground state Q, and the global-existence/blow-up
+dichotomy compares the scale-invariant products E M^{sigma_c} and
+||grad u|| M^{sigma_c/2} of a datum against those of Q.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .grids import (
 )
 
 __all__ = [
-    "Exponents",
     "Verdict",
     "ThresholdReport",
     "mass",
@@ -42,24 +42,10 @@ __all__ = [
     "coercivity_delta",
     "coercivity_gap",
     "threshold_report",
+    "energy_drift",
+    "grad_mass_energy",
+    "dichotomy_products",
 ]
-
-
-@dataclass(frozen=True)
-class Exponents:
-    """Exponent bookkeeping for (N, b, p): gamma_c, sigma_c, and the GN pair A, B."""
-
-    gamma_c: float
-    sigma_c: float  # +inf at mass-critical parameters
-    A: float
-    B: float
-
-    @classmethod
-    def from_params(cls, params: Params) -> "Exponents":
-        N, b, p = params.N, params.b, params.p
-        A = (N * (p - 1.0) - 2.0 * b) / 2.0
-        B = (4.0 + 2.0 * b - (N - 2.0) * (p - 1.0)) / 2.0
-        return cls(gamma_c=params.gamma_c, sigma_c=params.sigma_c, A=A, B=B)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +68,11 @@ def potential_of(w: np.ndarray, rb: np.ndarray, av: np.ndarray, p: float) -> flo
 def energy_of(grad_sq: float, pot: float, p: float) -> float:
     """E = 1/2 ||grad u||^2 - potential/(p+1)."""
     return 0.5 * grad_sq - pot / (p + 1.0)
+
+
+def energy_drift(E, E0):
+    """The relative energy drift |E - E0|/(|E0| + 1), for a float or an array E."""
+    return abs(E - E0) / (abs(E0) + 1.0)
 
 
 def virial_V_of(w: np.ndarray, phi: np.ndarray, av2: np.ndarray) -> float:
@@ -112,14 +103,27 @@ def energy(u: RadialField, params: Params) -> float:
     return energy_of(gradient_sq_norm(u), potential(u, params), params.p)
 
 
+def grad_mass_energy(u: RadialField, params: Params) -> tuple[float, float, float]:
+    """||grad u||^2, M(u) and E(u), each integral taken once."""
+    g = gradient_sq_norm(u)
+    return g, mass(u), energy_of(g, potential(u, params), params.p)
+
+
+def dichotomy_products(grad_sq: float, m: float, E: float,
+                       sigma_c: float) -> tuple[float, float]:
+    """The scale-invariant products E M^{sigma_c} and ||grad u|| M^{sigma_c/2}
+    of a field with ||grad u||^2 = grad_sq, mass m and energy E.  At the
+    energy-critical point sigma_c = 0 and they are E and ||grad u||."""
+    return E * m**sigma_c, math.sqrt(grad_sq) * m ** (sigma_c / 2.0)
+
+
 def weinstein(u: RadialField, params: Params) -> float:
     """Scale-invariant quotient potential / [(||grad u||^2)^{A/2} mass^{B/2}]."""
     if u.is_zero:
         raise ValueError("Weinstein quotient is undefined for the zero field")
-    ex = Exponents.from_params(params)
     g = gradient_sq_norm(u)
     m = mass(u)
-    return potential(u, params) / (g ** (ex.A / 2.0) * m ** (ex.B / 2.0))
+    return potential(u, params) / (g ** (params.A / 2.0) * m ** (params.B / 2.0))
 
 
 def pohozaev_residuals(Q: RadialField, params: Params) -> tuple[float, float]:
@@ -127,21 +131,19 @@ def pohozaev_residuals(Q: RadialField, params: Params) -> tuple[float, float]:
     and to the potential term for solutions of the ground-state equation."""
     if Q.is_zero:
         raise ValueError("Pohozaev residuals are undefined for the zero field")
-    N, b, p = params.N, params.b, params.p
     g = gradient_sq_norm(Q)
     m = mass(Q)
     pot = potential(Q, params)
-    c_mass = (N * (p - 1.0) - 2.0 * b) / (4.0 + 2.0 * b - (N - 2.0) * (p - 1.0))
-    c_pot = (N * (p - 1.0) - 2.0 * b) / (2.0 * (p + 1.0))
-    res1 = abs(g - c_mass * m) / g
-    res2 = abs(g - c_pot * pot) / g
+    A = params.A
+    res1 = abs(g - A / params.B * m) / g
+    res2 = abs(g - A / (params.p + 1.0) * pot) / g
     return res1, res2
 
 
 def c_opt_closed_form(q_stats: tuple[float, float], params: Params) -> float:
     """Sharp GN constant from the ground-state norms:
 
-        C_opt = 2(p+1)/(N(p-1)-2b) * (||grad Q|| ||Q||^{sigma_c})^{-(N(p-1)-4-2b)/2}
+        C_opt = (p+1)/A * (||grad Q|| ||Q||^{sigma_c})^{2-A}
 
     Only defined off the mass-critical point (sigma_c finite).
     """
@@ -151,49 +153,44 @@ def c_opt_closed_form(q_stats: tuple[float, float], params: Params) -> float:
             "use weinstein(Q) for the sharp constant there"
         )
     grad_norm, mass_norm = q_stats
-    N, b, p = params.N, params.b, params.p
-    pref = 2.0 * (p + 1.0) / (N * (p - 1.0) - 2.0 * b)
-    expo = -(N * (p - 1.0) - 4.0 - 2.0 * b) / 2.0
-    return pref * (grad_norm * mass_norm**params.sigma_c) ** expo
+    A = params.A
+    return (params.p + 1.0) / A * (grad_norm * mass_norm**params.sigma_c) ** (2.0 - A)
 
 
 def coercivity_F(lam: float, params: Params, c_opt: float) -> float:
-    """F(lambda) = lambda^2/2 - C_opt/(p+1) lambda^{(N(p-1)-2b)/2}."""
+    """F(lambda) = lambda^2/2 - C_opt/(p+1) lambda^A."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    N, b, p = params.N, params.b, params.p
-    return 0.5 * lam**2 - c_opt / (p + 1.0) * lam ** ((N * (p - 1.0) - 2.0 * b) / 2.0)
+    return 0.5 * lam**2 - c_opt / (params.p + 1.0) * lam**params.A
 
 
 def coercivity_G(lam: float, params: Params) -> float:
-    """G(lambda) = [(N(p-1)-2b) lambda^2 - 4 lambda^{(N(p-1)-2b)/2}] / (N(p-1)-4-2b).
+    """G(lambda) = [2A lambda^2 - 4 lambda^A] / (2A - 4).
 
     Normalized so G(1) = 1; strictly increasing on (0, 1), decreasing past its
     maximum.
     """
     if lam <= 0:
         raise ValueError("lambda must be > 0")
-    N, b, p = params.N, params.b, params.p
-    denom = N * (p - 1.0) - 4.0 - 2.0 * b
+    A = params.A
+    denom = 2.0 * A - 4.0
     if abs(denom) < 1e-14:
         raise ValueError("G degenerates at mass-critical parameters (denominator 0)")
-    a = N * (p - 1.0) - 2.0 * b
-    return (a * lam**2 - 4.0 * lam ** (a / 2.0)) / denom
+    return (2.0 * A * lam**2 - 4.0 * lam**A) / denom
 
 
 def coercivity_delta(rho: float, params: Params) -> float:
     """The explicit coercivity-gap constant
 
-        delta(rho) = (N(p-1)-2b) (1 - (1-rho)^e) / (2(p+1) (1-rho)^e),
+        delta(rho) = A (1 - (1-rho)^{A-2}) / ((p+1) (1-rho)^{A-2}),
 
-    with e = (N(p-1)-4-2b)/2, valid below the (1-rho)-shrunk gradient threshold.
+    valid below the (1-rho)-shrunk gradient threshold.
     """
     if not 0 < rho < 1:
         raise ValueError("rho must lie in (0, 1)")
-    N, b, p = params.N, params.b, params.p
-    e = (N * (p - 1.0) - 4.0 - 2.0 * b) / 2.0
-    shr = (1.0 - rho) ** e
-    return (N * (p - 1.0) - 2.0 * b) * (1.0 - shr) / (2.0 * (p + 1.0) * shr)
+    A = params.A
+    shr = (1.0 - rho) ** (A - 2.0)
+    return A * (1.0 - shr) / ((params.p + 1.0) * shr)
 
 
 def ground_profile(ground) -> RadialField:
@@ -202,30 +199,26 @@ def ground_profile(ground) -> RadialField:
 
 
 def coercivity_gap(f: RadialField, params: Params, ground, rho: float) -> float:
-    """K(f) = ||grad f||^2 - (N(p-1)-2b)/(2(p+1)) potential(f).
+    """K(f) = ||grad f||^2 - A/(p+1) potential(f).
 
     Requires the gradient product of f to sit strictly below (1-rho) times the
     ground state's; asserts K(f) >= delta(rho) * potential(f) and returns K(f).
     """
     Q = ground_profile(ground)
-    N, b, p = params.N, params.b, params.p
     sc = params.sigma_c
     if not math.isfinite(sc):
         raise ValueError("coercivity gap needs intercritical parameters")
-    gQ = math.sqrt(gradient_sq_norm(Q)) * mass(Q) ** (sc / 2.0)
-    if f.is_zero:
-        g_f = m_f = 0.0
-    else:
-        g_f = math.sqrt(gradient_sq_norm(f))
-        m_f = mass(f) ** (sc / 2.0)
-    if not g_f * m_f < (1.0 - rho) * gQ:
+    _, gQ = dichotomy_products(*grad_mass_energy(Q, params), sc)
+    g = gradient_sq_norm(f)
+    pot = potential(f, params)
+    _, gp = dichotomy_products(g, mass(f), energy_of(g, pot, params.p), sc)
+    if not gp < (1.0 - rho) * gQ:
         raise ValueError(
             "precondition (4.16) violated: "
-            f"||grad f|| ||f||^sigma_c = {g_f * m_f:.6g} is not below "
+            f"||grad f|| ||f||^sigma_c = {gp:.6g} is not below "
             f"(1-rho) ||grad Q|| ||Q||^sigma_c = {(1.0 - rho) * gQ:.6g}"
         )
-    pot = potential(f, params)
-    K = gradient_sq_norm(f) - (N * (p - 1.0) - 2.0 * b) / (2.0 * (p + 1.0)) * pot
+    K = g - params.A / (params.p + 1.0) * pot
     if K < coercivity_delta(rho, params) * pot - 1e-12:
         raise AssertionError("coercivity gap fell below the closed-form delta(rho)")
     return K
@@ -250,15 +243,15 @@ class ThresholdReport:
 def threshold_report(u0: RadialField, params: Params, ground) -> ThresholdReport:
     """Classify a datum against the ground-state dichotomy thresholds.
 
-    Intercritical: compares E M^{sigma_c} and ||grad u|| ||u||^{sigma_c}
-    products against the ground state's.  Energy-critical: compares E and
-    ||grad u|| directly against the algebraic profile W (sigma_c plays no
-    role).  Mass-critical parameters admit only the negative-energy criterion;
+    Compares the products E M^{sigma_c} and ||grad u|| ||u||^{sigma_c} against
+    the ground state's: Q when intercritical, the algebraic profile W when
+    energy-critical (where sigma_c = 0 leaves E and ||grad u||).
+    Mass-critical parameters admit only the negative-energy criterion;
     anything else raises.
     """
     Q = ground_profile(ground)
     kind = classify(params).kind
-    E0 = energy(u0, params)
+    g0, m0, E0 = grad_mass_energy(u0, params)
     if kind == RegimeKind.MASS_CRITICAL and not E0 < 0:
         raise ValueError(
             "dichotomy thresholds are undefined at mass-critical parameters "
@@ -269,17 +262,11 @@ def threshold_report(u0: RadialField, params: Params, ground) -> ThresholdReport
         raise ValueError(f"threshold comparison needs intercritical or "
                          f"energy-critical parameters, got {kind.value}")
 
-    if kind == RegimeKind.INTERCRITICAL:
-        sc = params.sigma_c
-        me = E0 * mass(u0) ** sc
-        gp = math.sqrt(gradient_sq_norm(u0)) * mass(u0) ** (sc / 2.0)
-        meQ = energy(Q, params) * mass(Q) ** sc
-        gQ = math.sqrt(gradient_sq_norm(Q)) * mass(Q) ** (sc / 2.0)
-    else:
-        me = E0
-        gp = math.sqrt(gradient_sq_norm(u0))
-        meQ = energy(Q, params)
-        gQ = math.sqrt(gradient_sq_norm(Q))
+    # sigma_c is infinite at the mass-critical point; its report carries the
+    # unscaled E and ||grad u||
+    sc = 0.0 if kind == RegimeKind.MASS_CRITICAL else params.sigma_c
+    me, gp = dichotomy_products(g0, m0, E0, sc)
+    meQ, gQ = dichotomy_products(*grad_mass_energy(Q, params), sc)
 
     # E0 < 0 forces the gradient product above the ground state's (the
     # coercivity function is positive up to a root beyond it), so negative

@@ -66,11 +66,24 @@ class Params:
 
     @property
     def sigma_c(self) -> float:
-        """(1 - gamma_c)/gamma_c; +inf at the mass-critical point gamma_c = 0."""
+        """(1 - gamma_c)/gamma_c = B/(A - 2); +inf at the mass-critical point
+        gamma_c = 0 and 0 at the energy-critical point gamma_c = 1."""
         g = self.gamma_c
         if abs(g) <= _CRIT_RTOL:
             return math.inf
-        return (1.0 - g) / g
+        if _isclose(g, 1.0):
+            return 0.0
+        return self.B / (self.A - 2.0)
+
+    @property
+    def A(self) -> float:
+        """Gradient exponent (N(p-1) - 2b)/2 of the Gagliardo-Nirenberg pair."""
+        return (self.N * (self.p - 1.0) - 2.0 * self.b) / 2.0
+
+    @property
+    def B(self) -> float:
+        """Mass exponent (4 + 2b - (N-2)(p-1))/2; A + B = p + 1."""
+        return (4.0 + 2.0 * self.b - (self.N - 2.0) * (self.p - 1.0)) / 2.0
 
     @property
     def mass_critical_p(self) -> float:
@@ -170,8 +183,11 @@ class NonFiniteError(ValueError):
 def _all_finite(v: np.ndarray) -> bool:
     """Whether every sample is finite.  Complex samples are checked as their
     real and imaginary parts through a view of the component dtype, which is
-    cheaper than np.isfinite on the complex array."""
+    cheaper than np.isfinite on the complex array; a strided array, which
+    has no such view, is checked part by part."""
     if np.iscomplexobj(v):
+        if not v.flags.c_contiguous:
+            return _all_finite(v.real) and _all_finite(v.imag)
         v = v.view(v.real.dtype)
     return bool(np.all(np.isfinite(v)))
 
@@ -203,17 +219,6 @@ class RadialField:
         return bool(np.all(self.values == 0))
 
 
-def _values_and_grid(f, grid: RadialGrid | None):
-    if isinstance(f, RadialField):
-        return f.values, f.grid
-    if grid is None:
-        raise ValueError("plain samples require an explicit grid")
-    v = np.asarray(f)
-    if len(v) != len(grid):
-        raise ValueError("sample count does not match grid")
-    return v, grid
-
-
 def integrate(v, grid: RadialGrid) -> float:
     """Integral over R^N of a radial integrand sampled on the grid.
 
@@ -228,10 +233,10 @@ def integrate(v, grid: RadialGrid) -> float:
     return float(np.real(np.dot(grid.weights, v)))
 
 
-def radial_derivative(f, grid: RadialGrid | None = None) -> np.ndarray:
-    """d/dr by centered differences, second-order one-sided at the endpoints."""
-    v, g = _values_and_grid(f, grid)
-    return np.gradient(v, g.dr)
+def radial_derivative(v: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """d/dr of the samples v by centered differences, second-order one-sided
+    at the endpoints."""
+    return np.gradient(v, grid.dr)
 
 
 def require_finite(x: float) -> float:
@@ -249,9 +254,10 @@ def grad_sq_of(w: np.ndarray, du: np.ndarray) -> float:
 
 def gradient_sq_norm(u: RadialField) -> float:
     """The squared L^2 norm of the gradient, int |d_r u|^2 over R^N."""
-    if len(u.grid) < 3:
+    g = u.grid
+    if len(g) < 3:
         raise ValueError("gradient needs a grid with at least 3 points")
-    return require_finite(grad_sq_of(u.grid.weights, radial_derivative(u)))
+    return require_finite(grad_sq_of(g.weights, radial_derivative(u.values, g)))
 
 
 def laplacian(u: RadialField, N: int | None = None) -> RadialField:

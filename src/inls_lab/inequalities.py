@@ -22,6 +22,7 @@ from .grids import (
     radial_derivative,
     sphere_area,
 )
+from .exponents import _gn_pair
 from .functionals import mass, potential, weinstein
 
 __all__ = [
@@ -103,10 +104,10 @@ def interpolation_theta(params: Params) -> float:
     2 + 2b/(N-1) and (2N+2b)/(N-2).
 
     Solves p+1 = (2 + 2b/(N-1)) theta + (2N+2b)/(N-2) (1-theta) and verifies
-    the two exponent identities
+    the two exponent identities for the Gagliardo-Nirenberg pair A, B
 
-        (b/(N-1)) theta + ((2N+2b)/(N-2)) (1-theta) = (N(p-1)-2b)/2,
-        (2 + b/(N-1)) theta = (4+2b-(N-2)(p-1))/2,
+        (b/(N-1)) theta + ((2N+2b)/(N-2)) (1-theta) = A,
+        (2 + b/(N-1)) theta = B,
 
     exactly in rational arithmetic.
     """
@@ -123,10 +124,8 @@ def interpolation_theta(params: Params) -> float:
         )
     theta = (high - (p + 1)) / (high - low)
     lhs1 = (b / (N - 1)) * theta + high * (1 - theta)
-    rhs1 = (N * (p - 1) - 2 * b) / 2
     lhs2 = (2 + b / (N - 1)) * theta
-    rhs2 = (4 + 2 * b - (N - 2) * (p - 1)) / 2
-    if lhs1 != rhs1 or lhs2 != rhs2:
+    if (lhs1, lhs2) != _gn_pair(N, b, p):
         raise AssertionError("exponent identities of the interpolation failed")
     return float(theta)
 
@@ -193,6 +192,6 @@ def hardy_ratio(f: RadialField, r_exp: float) -> float:
     num = integrate(num_int, g)
     if (N - 1.0) - r_exp == 0.0:
         num += 0.5 * g.dr * sphere_area(N) * av[0] ** r_exp
-    den_int = np.abs(radial_derivative(f)) ** r_exp
+    den_int = np.abs(radial_derivative(f.values, g)) ** r_exp
     den = integrate(den_int, g)
     return (num / den) ** (1.0 / r_exp)

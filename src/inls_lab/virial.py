@@ -417,7 +417,7 @@ def virial_rhs(u: RadialField, params: Params, cutoff: CutoffProfile,
               + 4/(p+1) int b r^{b-1} phi' |u|^{p+1}.
 
     With the quadratic weight this collapses to
-    8 ||grad u||^2 - (4N(p-1)-8b)/(p+1) potential(u), which equals 16 E(u)
+    8 ||grad u||^2 - 8A/(p+1) potential(u), which equals 16 E(u)
     exactly at mass-critical parameters.  linear_only drops the |u|^{p+1}
     terms (free flow).
     """
@@ -425,7 +425,7 @@ def virial_rhs(u: RadialField, params: Params, cutoff: CutoffProfile,
     g = u.grid
     b, p = params.b, params.p
     av2 = np.abs(u.values) ** 2
-    du2 = np.abs(radial_derivative(u)) ** 2
+    du2 = np.abs(radial_derivative(u.values, g)) ** 2
     out = -integrate(cutoff.bilap * av2, g) + 4.0 * integrate(cutoff.d2phi * du2, g)
     if not linear_only:
         avp1 = np.abs(u.values) ** (p + 1.0)
@@ -514,8 +514,7 @@ def _resolved_mask(E: np.ndarray) -> np.ndarray:
     drifts, the state (and any V'' stencil touching it) no longer represents
     the PDE solution and is excluded from envelope checks.
     """
-    drift = np.abs(E - E[0]) / (abs(E[0]) + 1.0)
-    return drift <= _DRIFT_TOL
+    return functionals.energy_drift(E, E[0]) <= _DRIFT_TOL
 
 
 def _envelope_terms(u: RadialField, params: Params, R: float, eps: float,
@@ -523,43 +522,41 @@ def _envelope_terms(u: RadialField, params: Params, R: float, eps: float,
     """The computable gradient tail of the mass-critical estimate:
     -2 int_{r>R} (2 psi_1 - N eps/(2N+4+2b) psi_2^{N/(2+b)}) |grad u|^2."""
     g = u.grid
-    du2 = np.abs(radial_derivative(u)) ** 2
+    du2 = np.abs(radial_derivative(u.values, g)) ** 2
     expr = _lemma53_form(psi1, psi2, params, eps)
     mask = g.r > R
     integrand = np.where(mask, expr * du2, 0.0)
     return -2.0 * integrate(integrand, g)
 
 
-def _remainder_scale(params: Params, R: float, eps: float, grad_sq: float) -> float:
-    """The R-decay profile multiplying the fitted absolute constant."""
-    kind = classify(params).kind
+def _remainder_scale(kind: RegimeKind, params: Params, R: float, eps: float,
+                     grad_sq: float) -> float:
+    """The R-decay profile multiplying the fitted absolute constant in the
+    envelope regime kind."""
     N, b, p = params.N, params.b, params.p
     if kind == RegimeKind.MASS_CRITICAL:
         kappa = (2.0 + b) / (2.0 * (N - 1) - b)
         return (1.0 + eps + eps ** (-kappa)) * R**-2
     if kind == RegimeKind.INTERCRITICAL:
         gamma = (N - 1) * (p - 1.0) / 2.0 - b
-    elif kind == RegimeKind.ENERGY_CRITICAL:
-        gamma = (2.0 + b) * (N - 1) / (N - 2.0) - b
     else:
-        raise ValueError(f"no blow-up envelope in regime {kind.value}")
+        gamma = (2.0 + b) * (N - 1) / (N - 2.0) - b
     if p == 5.0:
         return R**-2 + R ** (-(2.0 * (N - 1) - b)) * grad_sq
     return R**-2 + R**-gamma * (grad_sq + 1.0)
 
 
-def _leading_terms(u: RadialField, params: Params, E0: float, grad_sq: float,
-                   pot: float, R: float, eps: float, psi_pair) -> float:
+def _leading_terms(kind: RegimeKind, u: RadialField, params: Params, E0: float,
+                   grad_sq: float, pot: float, R: float, eps: float,
+                   psi_pair) -> float:
     """The leading terms of the bound at u, whose gradient norm and potential
-    are grad_sq and pot."""
-    kind = classify(params).kind
-    N, b, p = params.N, params.b, params.p
+    are grad_sq and pot, in the envelope regime kind."""
     if kind == RegimeKind.MASS_CRITICAL:
         psi1, psi2 = psi_pair
         return 16.0 * E0 + _envelope_terms(u, params, R, eps, psi1, psi2)
     lead = 8.0 * grad_sq
     if kind == RegimeKind.INTERCRITICAL:
-        lead -= (4.0 * N * (p - 1.0) - 8.0 * b) / (p + 1.0) * pot
+        lead -= 8.0 * params.A / (params.p + 1.0) * pot
     else:
         lead -= 8.0 * pot
     return lead
@@ -584,9 +581,9 @@ def _resolved_stencils(states, params: Params, R: float, eps: float):
     E = functionals.energy_of(grad_sq, pot, params.p)
     resolved = _resolved_mask(E)
     stencils = [
-        (i, t, _leading_terms(u, params, E[0], grad_sq[i + 1], pot[i + 1], R,
-                              eps, psi_pair),
-         _remainder_scale(params, R, eps, grad_sq[i + 1]))
+        (i, t, _leading_terms(kind, u, params, E[0], grad_sq[i + 1], pot[i + 1],
+                              R, eps, psi_pair),
+         _remainder_scale(kind, params, R, eps, grad_sq[i + 1]))
         for i, (t, u) in enumerate(states[1:-1])
         if resolved[i] and resolved[i + 1] and resolved[i + 2]
     ]
@@ -643,10 +640,10 @@ def blowup_bound_check(states, params: Params, R: float, eps: float,
 # ---------------------------------------------------------------------------
 
 def coercivity_gap_58(u: RadialField, params: Params, ground) -> float:
-    """H(u) = (1+eps) ||grad u||^2 - (N(p-1)-2b)/(2(p+1)) potential(u) with the
-    explicit blow-up constants; asserts H <= -nu and returns H.
+    """H(u) = (1+eps) ||grad u||^2 - A/(p+1) potential(u) with the explicit
+    blow-up constants; asserts H <= -nu and returns H.
 
-    Negative energy gives eps = (N(p-1)-4-2b)/4, nu = -(N(p-1)-2b)/2 E(u);
+    Negative energy gives eps = (A-2)/2, nu = -A E(u);
     otherwise the constants come from the threshold margin of the datum
     against Q (intercritical) or W (energy-critical).
     """
@@ -679,14 +676,13 @@ def coercivity_gap_58(u: RadialField, params: Params, ground) -> float:
                 "strict negativity needs intercritical or energy-critical "
                 "parameters unless E(u) < 0"
             )
+        A = params.A
+        c = (A - 2.0) / 2.0
         grad_sq = gradient_sq_norm(u)
-        H_base = grad_sq - (N * (p - 1.0) - 2.0 * b) / (2.0 * (p + 1.0)) * potential(
-            u, params
-        )
-        d_coef = N * (p - 1.0) - 4.0 - 2.0 * b
+        H_base = grad_sq - A / (p + 1.0) * potential(u, params)
         if E_u < 0:
-            eps = d_coef / 4.0
-            nu = -(N * (p - 1.0) - 2.0 * b) / 2.0 * E_u
+            eps = c
+            nu = -A * E_u
         else:
             report = functionals.threshold_report(u, params, ground)
             if report.verdict != functionals.Verdict.BLOWUP_BRANCH:
@@ -697,7 +693,7 @@ def coercivity_gap_58(u: RadialField, params: Params, ground) -> float:
             # 0.99 keeps a strict margin: the chain is an equality for data of
             # the form c Q, where the Gagliardo-Nirenberg inequality saturates
             eps, bracket = _margin_constants(
-                0.99 * (1.0 - report.me_product / report.me_Q), d_coef / 4.0, params)
+                0.99 * (1.0 - report.me_product / report.me_Q), c, params)
             mass_ratio = functionals.mass(Qf) / functionals.mass(u)
             nu = gradient_sq_norm(Qf) * mass_ratio**params.sigma_c * bracket
     H = H_base + eps * grad_sq

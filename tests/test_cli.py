@@ -142,6 +142,17 @@ class TestEvolveCommand:
             '  },'
         )
 
+    def test_summary_cfg_records_stepped_grid(self, tmp_path):
+        # --dr 0.15 does not divide --rmax 1: the grid has 8 nodes and
+        # dr = 1/7, and that spacing is recorded, not the flag
+        out = tmp_path / "run"
+        assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
+                    "--init", "gaussian:1.0", "--tend", "0.002",
+                    "--rmax", "1", "--dr", "0.15", "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text()
+        assert '    "dr": 0.14285714285714285,\n' in text
+        assert '    "r_max": 1.0,\n' in text
+
     def test_states_archive(self, tmp_path):
         out = tmp_path / "run"
         assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",

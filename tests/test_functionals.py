@@ -5,7 +5,6 @@ import pytest
 
 from inls_lab.grids import RadialField, gradient_sq_norm, make_grid
 from inls_lab.functionals import (
-    Exponents,
     Verdict,
     c_opt_closed_form,
     coercivity_F,
@@ -34,13 +33,12 @@ def gauss3():
 
 class TestExponents:
     def test_AB_sum(self):
-        ex = Exponents.from_params(P314)
-        assert ex.A == pytest.approx(3.5)
-        assert ex.B == pytest.approx(1.5)
-        assert ex.A + ex.B == pytest.approx(P314.p + 1)
+        assert P314.A == pytest.approx(3.5)
+        assert P314.B == pytest.approx(1.5)
+        assert P314.A + P314.B == pytest.approx(P314.p + 1)
 
     def test_sigma_infinite_at_mass_critical(self):
-        assert Exponents.from_params(P313).sigma_c == math.inf
+        assert P313.sigma_c == math.inf
 
 
 class TestBasicFunctionals:

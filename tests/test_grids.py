@@ -1,8 +1,11 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from inls_lab.exponents import table
 from inls_lab.grids import (
     NonFiniteError,
     Params,
@@ -36,6 +39,41 @@ class TestParams:
         assert pr.gamma_c == pytest.approx(0.5)
         assert pr.sigma_c == pytest.approx(1.0)
         assert Params(3, 1.0, 3.0).sigma_c == math.inf
+
+    @staticmethod
+    def _assert_matches_exact_table(N, b, p):
+        exact = table(N, b, p)
+        pr = Params(N, float(b), float(p))
+        assert pr.A == float(exact["A"])
+        assert pr.B == float(exact["B"])
+        sigma = math.inf if exact["sigma_c"] == "inf" else float(exact["sigma_c"])
+        assert pr.sigma_c == sigma
+
+    @pytest.mark.parametrize("N, b, p", [(3, 1, 4), (2, 1, 6), (3, 1, 3), (4, 2, 5),
+                                         (3, "1/2", "5/2")])
+    def test_exponents_match_exact_table(self, N, b, p):
+        self._assert_matches_exact_table(N, Fraction(b), Fraction(p))
+
+    def test_exponents_match_exact_table_seeded(self):
+        # dyadic b and p make float(b), float(p), A and B exact, so each float
+        # exponent is the correctly rounded exact one
+        rng = random.Random(5)
+        checked = 0
+        while checked < 200:
+            N = rng.randint(2, 6)
+            b = Fraction(rng.randint(1, 12), rng.choice((1, 2, 4, 8)))
+            p = 1 + Fraction(rng.randint(1, 30), rng.choice((1, 2, 4, 8)))
+            if p >= 1 + 2 * b / (N - 1):
+                self._assert_matches_exact_table(N, b, p)
+                checked += 1
+
+    @pytest.mark.parametrize("N, b", [(4, Fraction(2)), (5, Fraction(1, 3))])
+    def test_sigma_zero_at_energy_critical(self, N, b):
+        # at (5, 1/3, 23/9) the float B is 4e-16, not 0
+        p = (N + 2 + 2 * b) / (N - 2)
+        pr = Params(N, float(b), float(p))
+        assert classify(pr).kind == RegimeKind.ENERGY_CRITICAL
+        assert pr.sigma_c == 0.0
 
 
 class TestClassify:
@@ -233,6 +271,21 @@ class TestRadialField:
             RadialField(g, v)
         with pytest.raises(NonFiniteError):
             integrate(v, g)
+
+    def test_strided_complex_samples_checked(self):
+        # a strided complex array has no float view; it is checked part by part
+        g = make_grid(1.0, 1e-2, 3)
+        big = np.ones(2 * len(g), dtype=complex)
+        u = RadialField(g, big[::2])
+        assert np.all(u.values == 1.0)
+        assert integrate(big[::2], g) == integrate(np.ones(len(g)), g)
+        for bad in (complex(math.nan, 0.0), complex(1.0, math.inf)):
+            big[6] = bad
+            with pytest.raises(NonFiniteError):
+                RadialField(g, big[::2])
+            with pytest.raises(NonFiniteError):
+                integrate(big[::2], g)
+            big[6] = 1.0
 
     def test_scalar_multiply(self):
         g = make_grid(1.0, 1e-2, 3)

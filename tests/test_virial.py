@@ -212,11 +212,13 @@ class TestBlowupEnvelope:
             assert all(r.holds for r in rows), c
 
     def test_remainder_smaller_than_8E(self, blowup_runs_mc):
+        from inls_lab.grids import RegimeKind
         from inls_lab.virial import _remainder_scale
 
         C = fit_envelope_constant(blowup_runs_mc[1.6].states, P313, 32.0, 0.1)
         E0 = energy(blowup_runs_mc[1.2].states[0][1], P313)
-        remainder = C * _remainder_scale(P313, 32.0, 0.1, 0.0)
+        remainder = C * _remainder_scale(RegimeKind.MASS_CRITICAL, P313, 32.0, 0.1,
+                                         0.0)
         # the sign mechanism: remainder below |8 E(u0)| forces V'' <= 8E < 0
         assert remainder < abs(8.0 * E0)
         rows = blowup_bound_check(blowup_runs_mc[1.2].states, P313, 32.0,
