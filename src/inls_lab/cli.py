@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+import zipfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -190,6 +191,24 @@ def _bound_49_all_true(diag, params: Params, ground: gs.GroundState) -> bool | N
                for g, m, E in zip(diag.grad_sq, diag.mass, diag.energy))
 
 
+def _write_states(path: Path, states: list, r: np.ndarray) -> None:
+    """Write the saved (t, field) pairs as the bytes of
+    np.savez(path, t=..., r=r, states=np.stack(...)), without building the
+    stacked (k, n) array: the states member is one .npy header followed by
+    each saved row's bytes."""
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(complex)),
+              "fortran_order": False, "shape": (len(states), len(r))}
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        # numpy's member layout: name.npy, always zip64
+        for name, arr in (("t", np.array([t for t, _ in states])), ("r", r)):
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, arr)
+        with zf.open("states.npy", "w", force_zip64=True) as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            for _, u in states:
+                fh.write(np.ascontiguousarray(u.values, dtype=complex))
+
+
 def cmd_evolve(args) -> int:
     params = _params_from(args)
     cfg = StepperConfig(dt=args.dt, t_end=args.tend, save_every=args.save_every)
@@ -205,9 +224,7 @@ def cmd_evolve(args) -> int:
     diag_path = out / "diagnostics.csv"
     result.diagnostics.to_csv(diag_path)
     if result.states:
-        ts = np.array([t for t, _ in result.states])
-        mat = np.stack([u.values for _, u in result.states])
-        np.savez_compressed(out / "states.npz", t=ts, r=grid.r, states=mat)
+        _write_states(out / "states.npz", result.states, grid.r)
     bound_49 = None
     if ground is not None:
         bound_49 = _bound_49_all_true(result.diagnostics, params, ground)

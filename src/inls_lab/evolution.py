@@ -142,6 +142,10 @@ class _CrankNicolson:
     def __init__(self, grid: RadialGrid, dt: float):
         N, r, dr = grid.N, grid.r, grid.dr
         n = len(r)
+        if n < 5:
+            # zgttrf's wrapper takes no fewer than 3 unknowns
+            raise ValueError(f"the Crank-Nicolson step needs a grid of at least "
+                             f"5 nodes, got {n}")
         m = n - 2  # degrees of freedom: nodes 1 .. n-2
         # edge conductances (r_{i+1/2})^{N-1}/dr for edges i -- i+1, i=1..n-2;
         # the origin edge 0--1 carries zero flux (regularity closure)

@@ -131,6 +131,9 @@ def pohozaev_residuals(Q: RadialField, params: Params) -> tuple[float, float]:
     and to the potential term for solutions of the ground-state equation."""
     if Q.is_zero:
         raise ValueError("Pohozaev residuals are undefined for the zero field")
+    if params.sigma_c == 0.0:
+        raise ValueError("Pohozaev residuals are undefined in the energy-critical "
+                         "regime (B = 0): the mass identity has no ratio A/B")
     g = gradient_sq_norm(Q)
     m = mass(Q)
     pot = potential(Q, params)

@@ -1,9 +1,12 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
 from inls_lab.cli import main
+from inls_lab.evolution import StepperConfig, evolve
+from inls_lab.grids import Params, RadialField, make_grid
 
 
 def run(args):
@@ -160,6 +163,35 @@ class TestEvolveCommand:
                     "--save-every", "10", "--out", str(out)]) == 0
         with np.load(out / "states.npz") as data:
             assert data["states"].shape[0] == len(data["t"])
+        # the archive holds the in-memory run bit for bit, in the bytes that
+        # np.savez gives the stacked states
+        grid = make_grid(40.0, 5e-3, 3)
+        u0 = RadialField(grid, (0.5 * np.exp(-grid.r**2)).astype(complex))
+        states = evolve(u0, Params(3, 1.0, 3.0),
+                        StepperConfig(dt=1e-3, t_end=0.02, save_every=10)).states
+        t = np.array([s for s, _ in states])
+        mat = np.stack([u.values for _, u in states])
+        with np.load(out / "states.npz", allow_pickle=False) as data:
+            assert sorted(data.files) == ["r", "states", "t"]
+            assert data["states"].dtype == np.complex128
+            assert data["t"].tobytes() == t.tobytes()
+            assert data["r"].tobytes() == grid.r.tobytes()
+            assert data["states"].tobytes() == mat.tobytes()
+        buf = io.BytesIO()
+        np.savez(buf, t=t, r=grid.r, states=mat)
+        assert (out / "states.npz").read_bytes() == buf.getvalue()
+
+    def test_too_few_nodes_exit_2(self, tmp_path, capsys):
+        # --rmax 1 --dr 0.3 gives 4 nodes, 2 unknowns for the CN solve
+        assert run(["evolve", "--dim", "3", "--b", "1", "--p", "4",
+                    "--init", "gaussian:0.5", "--tend", "0.1", "--rmax", "1",
+                    "--dr", "0.3", "--out", str(tmp_path / "x")]) == 2
+        assert "at least 5 nodes, got 4" in capsys.readouterr().err
+
+    def test_five_nodes_run(self, tmp_path):
+        assert run(["evolve", "--dim", "3", "--b", "1", "--p", "4",
+                    "--init", "gaussian:0.5", "--tend", "0.1", "--rmax", "1",
+                    "--dr", "0.25", "--out", str(tmp_path / "x")]) == 0
 
     def test_determinism(self, tmp_path):
         outs = []
@@ -167,9 +199,10 @@ class TestEvolveCommand:
             out = tmp_path / name
             run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
                  "--init", "gaussian:1.0", "--tend", "0.02",
-                 "--out", str(out)])
+                 "--save-every", "5", "--out", str(out)])
             outs.append((out / "diagnostics.csv").read_bytes()
-                        + (out / "summary.json").read_bytes())
+                        + (out / "summary.json").read_bytes()
+                        + (out / "states.npz").read_bytes())
         assert outs[0] == outs[1]
 
 

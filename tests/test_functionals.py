@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from inls_lab.grids import RadialField, gradient_sq_norm, make_grid
+from inls_lab.grids import Params, RadialField, gradient_sq_norm, make_grid
 from inls_lab.functionals import (
     Verdict,
     c_opt_closed_form,
@@ -127,6 +127,14 @@ class TestPohozaev:
         z = RadialField(q314.profile.grid, np.zeros(len(q314.profile.grid)))
         with pytest.raises(ValueError):
             pohozaev_residuals(z, P314)
+
+    @pytest.mark.parametrize("N,b,p", [(4, 2.0, 5.0), (5, 1.0 / 3.0, 23.0 / 9.0)])
+    def test_energy_critical_rejected(self, N, b, p):
+        # B is 0 at (4,2,5) and 4.4e-16 in floats at (5,1/3,23/9); both are
+        # energy-critical as Params classifies them
+        g = make_grid(8.0, 1e-2, N)
+        with pytest.raises(ValueError, match="energy-critical"):
+            pohozaev_residuals(RadialField(g, np.exp(-g.r**2)), Params(N, b, p))
 
 
 class TestSharpConstant:
