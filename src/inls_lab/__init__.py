@@ -17,7 +17,6 @@ from .grids import (
     make_grid,
     integrate,
     gradient_sq_norm,
-    laplacian,
 )
 from .functionals import (
     ThresholdReport,
@@ -35,7 +34,7 @@ from .evolution import StepperConfig, RunStatus, evolve, step
 
 __all__ = [
     "Params", "RegimeKind", "RegimeClass", "RadialGrid", "RadialField",
-    "classify", "make_grid", "integrate", "gradient_sq_norm", "laplacian",
+    "classify", "make_grid", "integrate", "gradient_sq_norm",
     "ThresholdReport", "Verdict", "mass", "potential", "energy",
     "weinstein", "pohozaev_residuals", "c_opt_closed_form", "threshold_report",
     "GroundState", "shoot", "explicit_W", "uniqueness_conditions",

@@ -148,7 +148,10 @@ def _initial_state(spec: str, params: Params,
         path = Path(arg)
         if not path.exists():
             raise ValueError(f"initial-state file not found: {path}")
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] < 2:
+            raise ValueError(f"initial-state file {path} needs columns r, Re u "
+                             f"[, Im u]; got {data.shape[1]}")
         vals = np.interp(grid.r, data[:, 0], data[:, 1])
         if data.shape[1] > 2:
             vals = vals + 1j * np.interp(grid.r, data[:, 0], data[:, 2])

@@ -8,9 +8,12 @@ K (edge coefficients (r_{i+1/2})^{N-1}/dr) against the diagonal trapezoid
 mass matrix M, with a natural (zero-flux) origin closure and a Dirichlet
 wall at r_max.  Because K is exactly self-adjoint in the M inner product,
 the Cayley step conserves the recorded mass to solver roundoff, for every
-dimension N.  The tridiagonal matrix M + i dt/2 K is LU-factored once per
-(grid, dt), so a step costs one pair of triangular sweeps; ``step`` and
-``evolve`` share the factors of the last (grid, dt) stepped.
+dimension N.  The recorded |grad u|^2 is K itself (``grids.grad_sq_edges``),
+so the recorded energy is the one the scheme conserves: its drift measures
+the splitting and the resolution, not a mismatch between two stencils.
+The tridiagonal matrix M + i dt/2 K is LU-factored once per (grid, dt), so
+a step costs one pair of triangular sweeps; ``step`` and ``evolve`` share
+the factors of the last (grid, dt) stepped.
 Blow-up on a fixed grid can only be certified as
 "self-focusing beyond resolution": detection requires gradient growth AND
 energy drift together.
@@ -27,8 +30,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from . import functionals as fn
 from .grids import (NonFiniteError, Params, RadialField, RadialGrid, classify,
-                    grad_sq_of, radial_derivative, write_csv)
-from .virial import quadratic_cutoff
+                    grad_sq_edges, write_csv)
 
 __all__ = [
     "StepperConfig",
@@ -61,8 +63,9 @@ class StepperConfig:
     linear_only: bool = False      # drop the nonlinear phase (free flow)
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
+            raise ValueError(f"dt and t_end must be finite and positive, got "
+                             f"dt = {self.dt}, t_end = {self.t_end}")
         if self.save_every < 0:
             raise ValueError("save_every must be >= 0 (0 saves no states)")
 
@@ -140,16 +143,13 @@ class _CrankNicolson:
     one zgttrs solve, and the half-step phase coefficient 0.5j dt r^b."""
 
     def __init__(self, grid: RadialGrid, dt: float):
-        N, r, dr = grid.N, grid.r, grid.dr
+        N, r, dr, kappa = grid.N, grid.r, grid.dr, grid.kappa
         n = len(r)
         if n < 5:
             # zgttrf's wrapper takes no fewer than 3 unknowns
             raise ValueError(f"the Crank-Nicolson step needs a grid of at least "
                              f"5 nodes, got {n}")
         m = n - 2  # degrees of freedom: nodes 1 .. n-2
-        # edge conductances (r_{i+1/2})^{N-1}/dr for edges i -- i+1, i=1..n-2;
-        # the origin edge 0--1 carries zero flux (regularity closure)
-        kappa = (r[1:-1] + 0.5 * dr) ** (N - 1) / dr
         diag = np.zeros(m)
         diag[:-1] += kappa[:-1]      # edge to the right, interior
         diag[1:] += kappa[:-1]       # edge to the left
@@ -270,7 +270,7 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
     wall = len(g) - int(np.count_nonzero(g.r >= 0.9 * g.r_max))
     w = g.weights
     rb = g.r**params.b
-    weight = quadratic_cutoff(g)  # the unlocalized virial weight |x|^2
+    phi = g.r**2  # the unlocalized virial weight |x|^2
 
     def record(t, v):
         # overflow during violent focusing is data, not an error: the inf/nan
@@ -278,14 +278,13 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
         with np.errstate(over="ignore", invalid="ignore"):
             av = np.abs(v)
             av2 = av**2
-            du = radial_derivative(v, g)
-            grad_sq = grad_sq_of(w, du)
+            grad_sq = float(np.sum(grad_sq_edges(v, g)))
             pot = fn.potential_of(w, rb, av, params.p)
             m = fn.mass_of(w, av2)
             E = fn.energy_of(grad_sq, pot, params.p)
             local = [fn.mass_of(w[:k], av2[:k]) for k in ends]
-            V = fn.virial_V_of(w, weight.phi, av2)
-            Vp = fn.virial_Vprime_of(w, weight.dphi, du, v)
+            V = fn.virial_V_of(w, phi, av2)
+            Vp = fn.virial_Vprime_of(g, phi, v)
         diag.append(t, m, E, grad_sq, pot, local, V, Vp)
         return m, E, grad_sq, av2
 

@@ -22,10 +22,12 @@ import numpy as np
 from .grids import (
     Params,
     RadialField,
+    RadialGrid,
     RegimeKind,
     classify,
     gradient_sq_norm,
     require_finite,
+    sphere_area,
 )
 
 __all__ = [
@@ -50,7 +52,7 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # the diagnostics kernel: each formula once, on raw arrays (quadrature
-# weights w, samples v, |v|, |v|^2 and d_r v), shared by the public functions
+# weights w, samples v, |v| and |v|^2), shared by the public functions
 # and by the stepper's per-step record, which neither scans nor wraps its
 # state
 # ---------------------------------------------------------------------------
@@ -80,10 +82,12 @@ def virial_V_of(w: np.ndarray, phi: np.ndarray, av2: np.ndarray) -> float:
     return float(np.dot(w, phi * av2))
 
 
-def virial_Vprime_of(w: np.ndarray, dphi: np.ndarray, du: np.ndarray,
-                     v: np.ndarray) -> float:
-    """V'_phi = 2 Im int phi' (d_r u) conj(u)."""
-    return 2.0 * float(np.dot(w, dphi * np.imag(du * np.conj(v))))
+def virial_Vprime_of(grid: RadialGrid, phi: np.ndarray, v: np.ndarray) -> float:
+    """V'_phi = 2 Im int phi' (d_r u) conj(u) as the scheme's own dV_phi/dt,
+    2 sum omega_{N-1} kappa_i (phi_{i+1} - phi_i) Im(conj(u_i) u_{i+1})."""
+    flux = np.imag(np.conj(v[1:-1]) * v[2:])
+    return 2.0 * sphere_area(grid.N) * float(np.dot(grid.kappa * np.diff(phi[1:]),
+                                                    flux))
 
 
 def mass(u: RadialField) -> float:

@@ -1,10 +1,13 @@
-"""Radial grids, quadrature, and differential operators.
+"""Radial grids, quadrature, and the one discrete gradient.
 
 Everything downstream works with radial profiles u(r) sampled on a uniform
 grid over [0, r_max].  The quadrature weights carry the full N-dimensional
 surface measure, so ``integrate`` realizes integrals over R^N of radial
 integrands: sum(w_i * f(r_i)) with w_i = omega_{N-1} r_i^{N-1} dr times the
-trapezoid end coefficients.  ``write_csv`` holds the one number format
+trapezoid end coefficients.  Every |grad u|^2 is the Crank-Nicolson edge
+form: ``grad_sq_edges`` gives its per-edge terms
+omega_{N-1} kappa_i |u_{i+1} - u_i|^2 with the grid's edge conductances
+kappa_i = (r_i + dr/2)^{N-1}/dr.  ``write_csv`` holds the one number format
 (%.12e) of every CSV file the package writes.
 """
 
@@ -27,9 +30,8 @@ __all__ = [
     "make_grid",
     "integrate",
     "gradient_sq_norm",
-    "grad_sq_of",
+    "grad_sq_edges",
     "require_finite",
-    "laplacian",
     "sphere_area",
     "write_csv",
 ]
@@ -142,13 +144,17 @@ def classify(params: Params) -> RegimeClass:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid on [0, r_max] with N-dimensional quadrature weights."""
+    """Uniform radial grid on [0, r_max] with N-dimensional quadrature weights
+    and the edge conductances of the Dirichlet form."""
 
     N: int
     r: np.ndarray = field(repr=False)
     dr: float
     r_max: float
     weights: np.ndarray = field(repr=False)
+    # (r_i + dr/2)^{N-1}/dr for the edges i -- i+1, i = 1..n-2; the origin
+    # edge 0 -- 1 carries no flux (the regularity closure)
+    kappa: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.r)
@@ -159,8 +165,9 @@ def make_grid(r_max: float, dr: float, N: int) -> RadialGrid:
 
     weights[0] is zero for N >= 2 (the r^{N-1} measure vanishes at the origin).
     """
-    if r_max <= 0 or dr <= 0:
-        raise ValueError("r_max and dr must be positive")
+    if not (0 < r_max < math.inf and 0 < dr < math.inf):
+        raise ValueError(f"r_max and dr must be finite and positive, got "
+                         f"r_max = {r_max}, dr = {dr}")
     if N < 2:
         raise ValueError("N must be >= 2")
     n = int(round(r_max / dr)) + 1
@@ -171,9 +178,11 @@ def make_grid(r_max: float, dr: float, N: int) -> RadialGrid:
     coeff = np.ones(n)
     coeff[0] = coeff[-1] = 0.5
     weights = sphere_area(N) * r ** (N - 1) * coeff * dr_actual
-    r.setflags(write=False)
-    weights.setflags(write=False)
-    return RadialGrid(N=N, r=r, dr=dr_actual, r_max=r_max, weights=weights)
+    kappa = (r[1:-1] + 0.5 * dr_actual) ** (N - 1) / dr_actual
+    for a in (r, weights, kappa):
+        a.setflags(write=False)
+    return RadialGrid(N=N, r=r, dr=dr_actual, r_max=r_max, weights=weights,
+                      kappa=kappa)
 
 
 class NonFiniteError(ValueError):
@@ -235,7 +244,8 @@ def integrate(v, grid: RadialGrid) -> float:
 
 def radial_derivative(v: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """d/dr of the samples v by centered differences, second-order one-sided
-    at the endpoints."""
+    at the endpoints; for derivatives that are not |grad u|^2 integrals,
+    which grad_sq_edges owns."""
     return np.gradient(v, grid.dr)
 
 
@@ -247,44 +257,18 @@ def require_finite(x: float) -> float:
     return x
 
 
-def grad_sq_of(w: np.ndarray, du: np.ndarray) -> float:
-    """int |d_r u|^2 from the quadrature weights and du = d_r u."""
-    return float(np.real(np.dot(w, np.abs(du) ** 2)))
+def grad_sq_edges(v: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """The per-edge terms omega_{N-1} kappa_i |v_{i+1} - v_i|^2, i = 1..n-2,
+    of the Dirichlet form the Crank-Nicolson step conserves; their sum is
+    int |d_r v|^2 over R^N, their node-weighted sums int f |d_r v|^2."""
+    d = v[2:] - v[1:-1]
+    return sphere_area(grid.N) * grid.kappa * np.abs(d) ** 2
 
 
 def gradient_sq_norm(u: RadialField) -> float:
-    """The squared L^2 norm of the gradient, int |d_r u|^2 over R^N."""
-    g = u.grid
-    if len(g) < 3:
-        raise ValueError("gradient needs a grid with at least 3 points")
-    return require_finite(grad_sq_of(g.weights, radial_derivative(u.values, g)))
-
-
-def laplacian(u: RadialField, N: int | None = None) -> RadialField:
-    """Radial Laplacian d_rr + (N-1)/r d_r, second-order stencil.
-
-    At r = 0 the removable singularity is handled by the limit
-    lap u(0) = N u''(0); a homogeneous Dirichlet ghost closes the stencil
-    at r_max.
-    """
-    g = u.grid
-    if N is None:
-        N = g.N
-    v = u.values
-    dr = g.dr
-    n = len(v)
-    out = np.zeros(n, dtype=v.dtype)
-    # interior
-    vm, v0, vp = v[:-2], v[1:-1], v[2:]
-    r_int = g.r[1:-1]
-    out[1:-1] = (vp - 2.0 * v0 + vm) / dr**2 + (N - 1) / r_int * (vp - vm) / (2.0 * dr)
-    # origin: u'(0) = 0 gives u''(0) ~ 2 (u_1 - u_0)/dr^2
-    out[0] = N * 2.0 * (v[1] - v[0]) / dr**2
-    # r_max: Dirichlet ghost value 0
-    out[-1] = (0.0 - 2.0 * v[-1] + v[-2]) / dr**2 + (N - 1) / g.r[-1] * (0.0 - v[-2]) / (
-        2.0 * dr
-    )
-    return RadialField(g, out)
+    """The squared L^2 norm of the gradient, int |d_r u|^2 over R^N, as the
+    edge sum of grad_sq_edges."""
+    return require_finite(float(np.sum(grad_sq_edges(u.values, u.grid))))
 
 
 def write_csv(path, columns, rows) -> None:

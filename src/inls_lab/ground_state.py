@@ -191,6 +191,8 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
     c r^{-(N-1)/2} e^{-r} is grafted in place of the bisection-noise tail.
     """
     N, b, p = params.N, params.b, params.p
+    if not 0 < tol < math.inf:
+        raise ValueError(f"bisection tolerance must be finite and positive, got {tol}")
     regime = classify(params)
     if regime.kind in (RegimeKind.ENERGY_SUPERCRITICAL, RegimeKind.ENERGY_CRITICAL):
         raise ValueError(
@@ -229,6 +231,8 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
     lo, hi = bracket  # lo undershoots, hi overshoots
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # the bracket is as tight as floats allow
         fate, _, _ = _shoot_trajectory(mid, N, b, p, dr, r_max)
         if fate == _OVERSHOOT:
             hi = mid

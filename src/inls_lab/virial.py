@@ -27,6 +27,7 @@ from .grids import (
     RadialGrid,
     RegimeKind,
     classify,
+    grad_sq_edges,
     gradient_sq_norm,
     integrate,
     make_grid,
@@ -408,6 +409,13 @@ def _check_grid(u: RadialField, cutoff: CutoffProfile):
         raise ValueError("cutoff is tabulated on a different grid than the field")
 
 
+def _edge_weighted_grad_sq(u: RadialField, f: np.ndarray) -> float:
+    """int f |d_r u|^2 as the edge sum of grad_sq_edges, each edge weighted
+    by the average (f_i + f_{i+1})/2 of its node weights."""
+    return require_finite(float(np.dot(0.5 * (f[1:-1] + f[2:]),
+                                       grad_sq_edges(u.values, u.grid))))
+
+
 def virial_rhs(u: RadialField, params: Params, cutoff: CutoffProfile,
                linear_only: bool = False) -> float:
     """The virial identity's right-hand side for radial fields:
@@ -425,8 +433,8 @@ def virial_rhs(u: RadialField, params: Params, cutoff: CutoffProfile,
     g = u.grid
     b, p = params.b, params.p
     av2 = np.abs(u.values) ** 2
-    du2 = np.abs(radial_derivative(u.values, g)) ** 2
-    out = -integrate(cutoff.bilap * av2, g) + 4.0 * integrate(cutoff.d2phi * du2, g)
+    out = (-integrate(cutoff.bilap * av2, g)
+           + 4.0 * _edge_weighted_grad_sq(u, cutoff.d2phi))
     if not linear_only:
         avp1 = np.abs(u.values) ** (p + 1.0)
         rb = g.r**b
@@ -521,12 +529,8 @@ def _envelope_terms(u: RadialField, params: Params, R: float, eps: float,
                     psi1: np.ndarray, psi2: np.ndarray) -> float:
     """The computable gradient tail of the mass-critical estimate:
     -2 int_{r>R} (2 psi_1 - N eps/(2N+4+2b) psi_2^{N/(2+b)}) |grad u|^2."""
-    g = u.grid
-    du2 = np.abs(radial_derivative(u.values, g)) ** 2
     expr = _lemma53_form(psi1, psi2, params, eps)
-    mask = g.r > R
-    integrand = np.where(mask, expr * du2, 0.0)
-    return -2.0 * integrate(integrand, g)
+    return -2.0 * _edge_weighted_grad_sq(u, np.where(u.grid.r > R, expr, 0.0))
 
 
 def _remainder_scale(kind: RegimeKind, params: Params, R: float, eps: float,

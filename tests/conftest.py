@@ -48,6 +48,19 @@ def evo_grid():
     return make_grid(40.0, 5e-3, 3)
 
 
+def lumped_laplacian(v, grid):
+    """-M^{-1} K v at the interior nodes 1..n-2 (zero elsewhere): the
+    generator of the Crank-Nicolson free flow, from the grid's edge
+    conductances and the trapezoid mass, with the origin edge carrying no
+    flux and the wall sample v[-1] as given."""
+    flux = grid.kappa * np.diff(v[1:])  # kappa_i (v_{i+1} - v_i), i = 1..n-2
+    out = np.zeros_like(v)
+    out[1:-1] = flux
+    out[2:-1] -= flux[:-1]
+    out[1:-1] /= grid.r[1:-1] ** (grid.N - 1) * grid.dr
+    return out
+
+
 def _scaled(ground, grid, c):
     return RadialField(grid, (c * ground.resample(grid).values).astype(complex))
 

@@ -16,7 +16,6 @@ from inls_lab.grids import (
     RadialField,
     gradient_sq_norm,
     integrate,
-    laplacian,
     make_grid,
 )
 from inls_lab.functionals import (
@@ -33,7 +32,7 @@ from inls_lab import virial as vir
 from inls_lab.evolution import RunStatus, StepperConfig, evolve, step
 from inls_lab.ground_state import W_prime, W_value, explicit_W, uniqueness_conditions
 
-from conftest import P214, P313, P314, P425
+from conftest import P214, P313, P314, P425, lumped_laplacian
 
 
 def _report(num: int, description: str, passed: bool):
@@ -79,7 +78,7 @@ def test_criterion_2_sharp_constant(q314):
 def test_criterion_3_energy_critical_closed_forms():
     g = make_grid(12.0, 1e-3, 4)
     W = explicit_W(P425, g)
-    lap = laplacian(W).values.real
+    lap = lumped_laplacian(W.values.real, g)
     resid = np.abs(lap + g.r**2 * np.real(W.values) ** 5)
     window = (g.r >= 0.1) & (g.r <= 10.0)
     ok = resid[window].max() < 1e-5

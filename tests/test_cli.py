@@ -80,6 +80,12 @@ class TestGroundStateCommand:
         assert code == 2
         assert "Thm 2.1" in capsys.readouterr().err
 
+    def test_zero_tol_exit_2(self, tmp_path, capsys):
+        # no bisection reaches hi - lo <= 0; the tolerance is rejected up front
+        assert run(["ground-state", "--dim", "2", "--b", "1", "--p", "4",
+                    "--dr", "1e-2", "--tol", "0", "--out", str(tmp_path / "x")]) == 2
+        assert "finite and positive" in capsys.readouterr().err
+
     def test_energy_critical_W_path(self, tmp_path, capsys):
         out = tmp_path / "gsW"
         assert run(["ground-state", "--dim", "4", "--b", "2", "--p", "5",
@@ -106,6 +112,22 @@ class TestEvolveCommand:
         assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
                     "--init", "file:missing.csv", "--tend", "0.1",
                     "--out", str(tmp_path / "x")]) == 2
+
+    def test_one_row_file_init(self, tmp_path):
+        # np.loadtxt reads a single data row as a 1-D array unless ndmin=2
+        path = tmp_path / "u0.csv"
+        path.write_text("r,u\n0.0,0.5\n")
+        assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
+                    "--init", f"file:{path}", "--tend", "0.01", "--rmax", "2",
+                    "--dr", "0.1", "--out", str(tmp_path / "x")]) == 0
+
+    def test_one_column_file_init_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "u0.csv"
+        path.write_text("r\n0.0\n1.0\n")
+        assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
+                    "--init", f"file:{path}", "--tend", "0.01", "--rmax", "2",
+                    "--dr", "0.1", "--out", str(tmp_path / "x")]) == 2
+        assert "needs columns" in capsys.readouterr().err
 
     def test_bad_init_spec_exit_2(self, tmp_path):
         assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
@@ -204,6 +226,28 @@ class TestEvolveCommand:
                         + (out / "summary.json").read_bytes()
                         + (out / "states.npz").read_bytes())
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("evolve", "--rmax", "inf"), ("evolve", "--tend", "inf"),
+    ("evolve", "--dt", "nan"), ("evolve", "--rmax", "nan"),
+    ("evolve", "--dr", "nan"), ("evolve", "--dt", "inf"),
+    ("sweep", "--rmax", "inf"), ("sweep", "--tend", "inf"),
+    ("sweep", "--dt", "nan"), ("sweep", "--dr", "nan"),
+])
+def test_non_finite_grid_and_time_flags_exit_2(tmp_path, capsys, command, flag,
+                                               value):
+    # rejected before any shooting or stepping, as usage errors, not tracebacks
+    argv = [command, "--dim", "3", "--b", "1", "--p", "4", flag, value,
+            "--out", str(tmp_path / "x")]
+    if command == "evolve":
+        argv += ["--init", "gaussian:0.5"]
+        if flag != "--tend":
+            argv += ["--tend", "0.1"]
+    else:
+        argv += ["--amplitudes", "0.5"]
+    assert run(argv) == 2
+    assert "finite and positive" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -152,6 +152,33 @@ class TestEvolve:
         assert "e" in lines[1].split(",")[1]
 
 
+class TestConservedEnergy:
+    """The recorded grad_sq is the Dirichlet form the Crank-Nicolson step
+    conserves, and virial_Vp is the scheme's own derivative of virial_V."""
+
+    def test_free_flow_keeps_grad_sq(self, gauss_state):
+        res = evolve(gauss_state, P313,
+                     StepperConfig(dt=1e-3, t_end=1.0, linear_only=True))
+        g = np.asarray(res.diagnostics.grad_sq)
+        assert len(g) == 1001
+        assert np.max(np.abs(g - g[0])) / g[0] < 1e-12
+
+    def test_half_q_energy_drift(self, global_runs):
+        # the splitting alone moves the energy: at most 1e-6 over t = 2
+        assert global_runs[0.5].outcome.energy_drift_max <= 1e-6
+
+    def test_virial_Vp_is_the_derivative_of_V(self, evo_grid):
+        # a chirped Gaussian has V' != 0; the central difference of V meets
+        # the edge-sum V' to O(dt^2), with no stencil floor under it
+        u0 = RadialField(evo_grid, np.exp(-evo_grid.r**2 + 0.5j * evo_grid.r**2))
+        dt = 1e-4
+        d = evolve(u0, P313, StepperConfig(dt=dt, t_end=0.05,
+                                            linear_only=True)).diagnostics
+        V, Vp = np.asarray(d.virial_V), np.asarray(d.virial_Vp)
+        central = (V[2:] - V[:-2]) / (2.0 * dt)
+        assert np.max(np.abs(Vp[1:-1] - central)) / np.max(np.abs(Vp)) < 1e-6
+
+
 class TestDichotomy:
     def test_global_branch_runs(self, global_runs, q314):
         gq = math.sqrt(gradient_sq_norm(q314.profile))

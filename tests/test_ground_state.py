@@ -7,7 +7,6 @@ from inls_lab.grids import (
     Params,
     gradient_sq_norm,
     integrate,
-    laplacian,
     make_grid,
 )
 from inls_lab.functionals import energy, mass, pohozaev_residuals, potential
@@ -21,7 +20,7 @@ from inls_lab.ground_state import (
     uniqueness_conditions,
 )
 
-from conftest import P214, P313, P314, P425
+from conftest import P214, P313, P314, P425, lumped_laplacian
 
 
 class TestShoot:
@@ -58,6 +57,17 @@ class TestShoot:
     def test_energy_critical_rejected(self):
         with pytest.raises(ValueError):
             shoot(P425)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            shoot(P214, tol=tol)
+
+    def test_tol_below_float_spacing_returns(self):
+        # the bisection ends when its midpoint rounds onto the bracket
+        tiny = shoot(P214, tol=1e-300, dr=1e-2)
+        ref = shoot(P214, dr=1e-2)
+        assert tiny.shoot_value == pytest.approx(ref.shoot_value, rel=1e-11)
 
     def test_positivity_and_single_peak(self, q314):
         q = np.real(q314.profile.values)
@@ -109,7 +119,7 @@ class TestExplicitW:
     def test_equation_residual(self):
         g = make_grid(12.0, 1e-3, 4)
         W = explicit_W(P425, g)
-        lap = laplacian(W).values.real
+        lap = lumped_laplacian(W.values.real, g)
         resid = np.abs(lap + g.r**2 * np.real(W.values) ** 5)
         mask = (g.r >= 0.1) & (g.r <= 10.0)
         assert resid[mask].max() < 1e-5
