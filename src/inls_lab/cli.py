@@ -91,6 +91,10 @@ def cmd_ground_state(args) -> int:
     print(f"Q(0) = {ground.shoot_value:.12e}  ode residual {ground.ode_residual:.3e}"
           f"  decay rate {ground.decay_rate:.4f}")
     print(f"Pohozaev residuals (2.7): {res1:.3e}, {res2:.3e}")
+    lo, hi = ground.bracket
+    print(f"shooting: {ground.trajectories} trajectories, "
+          f"{ground.bisection_steps} bisection steps, "
+          f"final bracket [{lo:.15e}, {hi:.15e}] (width {hi - lo:.3e})")
     if math.isfinite(params.sigma_c):
         w = fn.weinstein(ground.profile, params)
         c = fn.c_opt_closed_form(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -152,12 +153,18 @@ class RadialGrid:
     dr: float
     r_max: float
     weights: np.ndarray = field(repr=False)
-    # (r_i + dr/2)^{N-1}/dr for the edges i -- i+1, i = 1..n-2; the origin
-    # edge 0 -- 1 carries no flux (the regularity closure)
-    kappa: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.r)
+
+    @cached_property
+    def kappa(self) -> np.ndarray:
+        """(r_i + dr/2)^{N-1}/dr for the edges i -- i+1, i = 1..n-2; the
+        origin edge 0 -- 1 carries no flux (the regularity closure).  Built
+        on first use, read-only: quadrature-only grids never need it."""
+        kappa = (self.r[1:-1] + 0.5 * self.dr) ** (self.N - 1) / self.dr
+        kappa.setflags(write=False)
+        return kappa
 
 
 def make_grid(r_max: float, dr: float, N: int) -> RadialGrid:
@@ -178,11 +185,9 @@ def make_grid(r_max: float, dr: float, N: int) -> RadialGrid:
     coeff = np.ones(n)
     coeff[0] = coeff[-1] = 0.5
     weights = sphere_area(N) * r ** (N - 1) * coeff * dr_actual
-    kappa = (r[1:-1] + 0.5 * dr_actual) ** (N - 1) / dr_actual
-    for a in (r, weights, kappa):
+    for a in (r, weights):
         a.setflags(write=False)
-    return RadialGrid(N=N, r=r, dr=dr_actual, r_max=r_max, weights=weights,
-                      kappa=kappa)
+    return RadialGrid(N=N, r=r, dr=dr_actual, r_max=r_max, weights=weights)
 
 
 class NonFiniteError(ValueError):

@@ -8,11 +8,19 @@ that turn back upward while still positive (undershoot).  Because the
 nonlinear coefficient r^b vanishes at the origin, the profile initially
 *rises* from Q(0) -- its maximum sits at some r* > 0 -- before decaying
 exponentially.
+
+Every trajectory of a shoot visits the same radii, so the radius terms r^b
+and (N-1)/r are tabulated once per (N, b, dr, r_max) (``_radii``, which
+keeps only the last table) and the RK4 loop is written out flat over that
+table.  The sweep and the bisection keep the trajectory of the current
+undershoot end of the bracket, and the converged profile is that
+trajectory: it is not integrated a second time.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,6 +66,9 @@ class GroundState:
     decay_rate: float      # fitted C in Q ~ e^{-C r}
     params: Params
     r_match: float         # radius where the asymptotic tail was grafted
+    trajectories: int      # RK4 trajectories integrated: sweep plus bisection
+    bisection_steps: int
+    bracket: tuple[float, float]  # final (undershoot, overshoot) Q(0) bracket
 
     def resample(self, grid: RadialGrid) -> RadialField:
         """Profile on another grid: interpolated inside, analytic tail beyond."""
@@ -79,6 +90,51 @@ def _tail(r, c, N):
     return c * r ** (-(N - 1) / 2.0) * np.exp(-r)
 
 
+# the (N-1)/r term makes the first nodes stiff: the first _REFINED_NODES
+# steps past the series start take _SUBSTEPS RK4 substeps each
+_REFINED_NODES = 16
+_SUBSTEPS = 16
+
+_last_radii: tuple | None = None  # (key, table) of the last (N, b, dr, r_max) shot
+
+
+def _radii(N: int, b: float, dr: float, r_max: float) -> tuple:
+    """The radius terms r^b and (N-1)/r of every RK4 step on (N, b, dr, r_max).
+
+    They do not depend on the trajectory, so one table serves every
+    trajectory of a shoot.  The radii are accumulated exactly as the steps
+    advance, r -> r + h with h = dr/16 on the refined nodes and h = dr after
+    them, and the terms are taken with Python's ** (numpy's power does not
+    round like libm's pow).  The table is (dr^b, (N-1)/dr, segments): per
+    segment, h, the steps per sampled node, and r^b and (N-1)/r at each
+    step's midpoint r + h/2 and end r + h; a step's end is the next step's
+    start.  Only the last table is kept, and shoot releases it when its
+    bisection ends.
+    """
+    global _last_radii
+    key = (N, b, dr, r_max)
+    if _last_radii is None or _last_radii[0] != key:
+        n = int(round(r_max / dr)) + 1
+        refined = min(_REFINED_NODES, n - 2)  # nodes after the series start
+        nm1 = N - 1.0
+        r = dr
+        segments = []
+        for h, per_node, steps in ((dr / _SUBSTEPS, _SUBSTEPS, _SUBSTEPS * refined),
+                                   (dr, 1, n - 2 - refined)):
+            hh = 0.5 * h
+            mid_b, mid_c, end_b, end_c = (array("d") for _ in range(4))
+            for _ in range(steps):
+                rh = r + hh
+                r = r + h
+                mid_b.append(rh**b)
+                mid_c.append(nm1 / rh)
+                end_b.append(r**b)
+                end_c.append(nm1 / r)
+            segments.append((h, per_node, mid_b, mid_c, end_b, end_c))
+        _last_radii = (key, (dr**b, nm1 / dr, segments))
+    return _last_radii[1]
+
+
 def _shoot_trajectory(a: float, N: int, b: float, p: float, dr: float, r_max: float):
     """Fixed-step RK4 integration of Q'' = Q - r^b |Q|^{p-1} Q - (N-1)/r Q'.
 
@@ -86,73 +142,57 @@ def _shoot_trajectory(a: float, N: int, b: float, p: float, dr: float, r_max: fl
     zero), UNDERSHOOT (Q' turned positive past the maximum while Q > 0), or
     0 when the trajectory reached r_max without either event.  samples and
     dsamples hold Q and Q' at the grid nodes 0, dr, 2 dr, ... up to the
-    stopping point.
+    stopping point.  The stages are written out in one flat loop over the
+    radius table of _radii, with k1q = v, k2q = v2, k3q = v3 and k4q = v4.
     """
-    n = int(round(r_max / dr)) + 1
-    qs = np.empty(n)
-    vs = np.empty(n)
-    qs[0] = a
-    vs[0] = 0.0
+    rb, nr, segments = _radii(N, b, dr, r_max)
     # series start: Q = a + a r^2/(2N) - a^p r^{2+b}/((2+b)(N+b)) + O(r^4)
     r = dr
     q = a + a * r * r / (2.0 * N) - a**p * r ** (2.0 + b) / ((2.0 + b) * (N + b))
     v = a * r / N - a**p * r ** (1.0 + b) / (N + b)
-    qs[1] = q
-    vs[1] = v
-    nm1 = N - 1.0
+    qs = array("d", (a, q))
+    vs = array("d", (0.0, v))
     pm1 = p - 1.0
-
-    def rk4(q, v, r, h):
-        k1q = v
-        k1v = q - r**b * abs(q) ** pm1 * q - nm1 / r * v
-        rh = r + 0.5 * h
-        q2 = q + 0.5 * h * k1q
-        v2 = v + 0.5 * h * k1v
-        k2q = v2
-        k2v = q2 - rh**b * abs(q2) ** pm1 * q2 - nm1 / rh * v2
-        q3 = q + 0.5 * h * k2q
-        v3 = v + 0.5 * h * k2v
-        k3q = v3
-        k3v = q3 - rh**b * abs(q3) ** pm1 * q3 - nm1 / rh * v3
-        rf = r + h
-        q4 = q + h * k3q
-        v4 = v + h * k3v
-        k4q = v4
-        k4v = q4 - rf**b * abs(q4) ** pm1 * q4 - nm1 / rf * v4
-        return (
-            q + h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0,
-            v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0,
-            rf,
-        )
-
+    runaway = 50.0 * a
     turned = False
     fate = 0
-    i_stop = n - 1
-    for i in range(2, n):
-        if i <= 17:
-            # the (N-1)/r term makes the first nodes stiff: refine substeps
-            for _ in range(16):
-                q, v, r = rk4(q, v, r, dr / 16.0)
-        else:
-            q, v, r = rk4(q, v, r, dr)
-        qs[i] = q
-        vs[i] = v
-        if q <= 0.0:
-            fate = _OVERSHOOT
-            i_stop = i
+    for h, per_node, mid_b, mid_c, end_b, end_c in segments:
+        hh = 0.5 * h
+        left = per_node
+        for rbh, nrh, rb1, nr1 in zip(mid_b, mid_c, end_b, end_c):
+            k1v = q - rb * abs(q) ** pm1 * q - nr * v
+            q2 = q + hh * v
+            v2 = v + hh * k1v
+            k2v = q2 - rbh * abs(q2) ** pm1 * q2 - nrh * v2
+            q3 = q + hh * v2
+            v3 = v + hh * k2v
+            k3v = q3 - rbh * abs(q3) ** pm1 * q3 - nrh * v3
+            q4 = q + h * v3
+            v4 = v + h * k3v
+            k4v = q4 - rb1 * abs(q4) ** pm1 * q4 - nr1 * v4
+            q = q + h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
+            v = v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+            rb = rb1
+            nr = nr1
+            left -= 1
+            if left:
+                continue
+            left = per_node
+            qs.append(q)
+            vs.append(v)
+            if q <= 0.0:
+                fate = _OVERSHOOT
+                break
+            if v < 0.0:
+                turned = True
+            elif v > 0.0 and (turned or q > runaway):
+                # past the maximum, or runaway growth before ever turning
+                # over: both are undershoots
+                fate = _UNDERSHOOT
+                break
+        if fate:
             break
-        if v < 0.0:
-            turned = True
-        elif turned and v > 0.0:
-            fate = _UNDERSHOOT
-            i_stop = i
-            break
-        if q > 50.0 * a and v > 0.0 and not turned:
-            # runaway growth before ever turning over: classify as undershoot
-            fate = _UNDERSHOOT
-            i_stop = i
-            break
-    return fate, qs[: i_stop + 1], vs[: i_stop + 1]
+    return fate, np.frombuffer(qs), np.frombuffer(vs)
 
 
 def _d4(y: np.ndarray, dr: float) -> np.ndarray:
@@ -206,46 +246,50 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
             f"got p = {p:.6g}"
         )
 
-    # geometric sweep for an (undershoot, overshoot) bracket
-    fates = {}
-    bracket = None
-    prev_k = None
+    grid = make_grid(r_max, dr, N)  # rejects a grid of fewer than 3 nodes
+
+    # geometric sweep for an (undershoot, overshoot) bracket; lo_run keeps
+    # the trajectory of the bracket's undershoot side, so the converged
+    # profile is the last lo's samples and is never integrated twice
+    prev = None
     for k in range(-10, 11):
-        a = 2.0**k
-        fates[k], _, _ = _shoot_trajectory(a, N, b, p, dr, r_max)
-        if prev_k is not None:
-            if fates[prev_k] == _UNDERSHOOT and fates[k] == _OVERSHOOT:
-                bracket = (2.0**prev_k, a)
+        run = _shoot_trajectory(2.0**k, N, b, p, dr, r_max)
+        if prev is not None:
+            if prev[0] == _UNDERSHOOT and run[0] == _OVERSHOOT:
                 break
-            if fates[prev_k] == _OVERSHOOT and fates[k] == _UNDERSHOOT:
+            if prev[0] == _OVERSHOOT and run[0] == _UNDERSHOOT:
                 raise RuntimeError(
                     "shooting fates are not monotone in Q(0) on the sweep"
                 )
-        prev_k = k
-    if bracket is None:
+        prev = run
+    else:
         raise RuntimeError(
             f"no undershoot/overshoot bracket found for Q(0) in [2^-10, 2^10] "
             f"at (N, b, p) = ({N}, {b}, {p})"
         )
+    sweep = k + 11  # the sweep integrated 2^-10 .. 2^k
+    lo, hi = 2.0 ** (k - 1), 2.0**k  # lo undershoots, hi overshoots
+    lo_run = prev
 
-    lo, hi = bracket  # lo undershoots, hi overshoots
+    bisections = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # the bracket is as tight as floats allow
-        fate, _, _ = _shoot_trajectory(mid, N, b, p, dr, r_max)
-        if fate == _OVERSHOOT:
+        run = _shoot_trajectory(mid, N, b, p, dr, r_max)
+        bisections += 1
+        if run[0] == _OVERSHOOT:
             hi = mid
-        elif fate == _UNDERSHOOT:
-            lo = mid
         else:
-            # reached r_max cleanly: treat the final sign of the trajectory
-            # as decayed-from-above; tighten from the undershoot side
-            lo = mid
+            # an undershoot, or r_max reached cleanly: treat the latter as
+            # decayed-from-above and tighten from the undershoot side
+            lo, lo_run = mid, run
     a = lo  # undershoot side stays positive everywhere
+    _, qs, vs = lo_run
+    # the radius table (32 B per node) is not read again: release it
+    global _last_radii
+    _last_radii = None
 
-    fate, qs, vs = _shoot_trajectory(a, N, b, p, dr, r_max)
-    grid = make_grid(r_max, dr, N)
     n = len(grid)
     q_full = np.zeros(n)
     q_full[: len(qs)] = qs
@@ -286,6 +330,9 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
         decay_rate=decay_rate,
         params=params,
         r_match=float(r_match),
+        trajectories=sweep + bisections,
+        bisection_steps=bisections,
+        bracket=(lo, hi),
     )
 
 

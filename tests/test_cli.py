@@ -68,6 +68,7 @@ class TestGroundStateCommand:
                     "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "Pohozaev" in printed
+        assert "shooting: 54 trajectories, 41 bisection steps, final bracket" in printed
         fixture = json.loads((out / "ground_state.json").read_text())
         assert set(fixture) == {"params", "shoot_value", "mass", "grad_sq",
                                 "potential"}
@@ -85,6 +86,12 @@ class TestGroundStateCommand:
         assert run(["ground-state", "--dim", "2", "--b", "1", "--p", "4",
                     "--dr", "1e-2", "--tol", "0", "--out", str(tmp_path / "x")]) == 2
         assert "finite and positive" in capsys.readouterr().err
+
+    def test_too_few_nodes_exit_2(self, tmp_path, capsys):
+        assert run(["ground-state", "--dim", "2", "--b", "1", "--p", "4",
+                    "--rmax", "0.004", "--dr", "0.01",
+                    "--out", str(tmp_path / "x")]) == 2
+        assert "at least 3 points" in capsys.readouterr().err
 
     def test_energy_critical_W_path(self, tmp_path, capsys):
         out = tmp_path / "gsW"

@@ -157,6 +157,13 @@ class TestGradient:
         v[0] += 1.0
         assert gradient_sq_norm(RadialField(u.grid, v)) == gradient_sq_norm(u)
 
+    def test_kappa_built_on_first_use(self):
+        g = make_grid(2.0, 1e-2, 4)
+        assert "kappa" not in vars(g)
+        kappa = g.kappa
+        assert np.array_equal(kappa, (g.r[1:-1] + 0.5 * g.dr) ** 3 / g.dr)
+        assert g.kappa is kappa and not kappa.flags.writeable
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             make_grid(1.0, 0.9, 3)

@@ -10,9 +10,12 @@ from inls_lab.grids import (
     make_grid,
 )
 from inls_lab.functionals import energy, mass, pohozaev_residuals, potential
+from inls_lab import ground_state
 from inls_lab.ground_state import (
+    W_identities,
     W_prime,
     W_value,
+    _shoot_trajectory,
     explicit_W,
     ground_state_fixture,
     sharp_sobolev_constant,
@@ -63,6 +66,10 @@ class TestShoot:
         with pytest.raises(ValueError, match="finite and positive"):
             shoot(P214, tol=tol)
 
+    def test_too_few_nodes_rejected(self):
+        with pytest.raises(ValueError, match="at least 3 points"):
+            shoot(P214, r_max=0.01, dr=1e-2)
+
     def test_tol_below_float_spacing_returns(self):
         # the bisection ends when its midpoint rounds onto the bracket
         tiny = shoot(P214, tol=1e-300, dr=1e-2)
@@ -104,6 +111,133 @@ class TestShoot:
         assert gradient_sq_norm(u) == pytest.approx(
             gradient_sq_norm(q314.profile), rel=1e-3
         )
+
+
+def _reference_trajectory(a, N, b, p, dr, r_max):
+    """The shooting trajectory as a closure-per-step RK4 loop that takes its
+    radius terms at each step and stores its samples into numpy arrays."""
+    n = int(round(r_max / dr)) + 1
+    qs = np.empty(n)
+    vs = np.empty(n)
+    qs[0] = a
+    vs[0] = 0.0
+    r = dr
+    q = a + a * r * r / (2.0 * N) - a**p * r ** (2.0 + b) / ((2.0 + b) * (N + b))
+    v = a * r / N - a**p * r ** (1.0 + b) / (N + b)
+    qs[1] = q
+    vs[1] = v
+    nm1 = N - 1.0
+    pm1 = p - 1.0
+
+    def rk4(q, v, r, h):
+        k1q = v
+        k1v = q - r**b * abs(q) ** pm1 * q - nm1 / r * v
+        rh = r + 0.5 * h
+        q2 = q + 0.5 * h * k1q
+        v2 = v + 0.5 * h * k1v
+        k2q = v2
+        k2v = q2 - rh**b * abs(q2) ** pm1 * q2 - nm1 / rh * v2
+        q3 = q + 0.5 * h * k2q
+        v3 = v + 0.5 * h * k2v
+        k3q = v3
+        k3v = q3 - rh**b * abs(q3) ** pm1 * q3 - nm1 / rh * v3
+        rf = r + h
+        q4 = q + h * k3q
+        v4 = v + h * k3v
+        k4q = v4
+        k4v = q4 - rf**b * abs(q4) ** pm1 * q4 - nm1 / rf * v4
+        return (
+            q + h * (k1q + 2.0 * k2q + 2.0 * k3q + k4q) / 6.0,
+            v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0,
+            rf,
+        )
+
+    turned = False
+    fate = 0
+    i_stop = n - 1
+    for i in range(2, n):
+        if i <= 17:
+            for _ in range(16):
+                q, v, r = rk4(q, v, r, dr / 16.0)
+        else:
+            q, v, r = rk4(q, v, r, dr)
+        qs[i] = q
+        vs[i] = v
+        if q <= 0.0:
+            fate = 1
+            i_stop = i
+            break
+        if v < 0.0:
+            turned = True
+        elif turned and v > 0.0:
+            fate = -1
+            i_stop = i
+            break
+        if q > 50.0 * a and v > 0.0 and not turned:
+            fate = -1
+            i_stop = i
+            break
+    return fate, qs[: i_stop + 1], vs[: i_stop + 1]
+
+
+# Q(0) shot at dr = 1e-2, r_max = 20
+_NEAR_CONVERGED = {P314: 3.0686303742977543, P313: 2.1798581136254143,
+                   P214: 1.6721923293443979}
+
+
+def _assert_same_trajectory(a, P, dr, r_max):
+    fate, qs, vs = _shoot_trajectory(a, P.N, P.b, P.p, dr, r_max)
+    ref_fate, ref_qs, ref_vs = _reference_trajectory(a, P.N, P.b, P.p, dr, r_max)
+    assert fate == ref_fate
+    assert np.array_equal(qs, ref_qs) and np.array_equal(vs, ref_vs)
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("P", [P314, P313, P214])
+    def test_matches_reference_loop(self, P):
+        a0 = _NEAR_CONVERGED[P]
+        near = [a0, math.nextafter(a0, math.inf), math.nextafter(a0, 0.0),
+                a0 * (1 + 1e-9), a0 * (1 - 1e-9)]
+        for a in [2.0**k for k in range(-10, 5)] + near:
+            _assert_same_trajectory(a, P, 1e-2, 20.0)
+
+    @pytest.mark.parametrize("r_max", [0.1, 0.17, 0.2])
+    def test_grids_shorter_than_the_refined_nodes(self, r_max):
+        # 11, 18 and 21 nodes: fewer, as many as and more than the 16
+        # refined nodes after the series start
+        for a in (0.5, 2.0, 2.0**-10):
+            _assert_same_trajectory(a, P314, 1e-2, r_max)
+            _, qs, _ = _shoot_trajectory(a, 3, 1.0, 4.0, 1e-2, r_max)
+            assert len(qs) == int(round(r_max / 1e-2)) + 1
+
+    def test_one_radius_table_kept(self):
+        for r_max in (0.2, 0.3, 0.4):
+            _shoot_trajectory(1.0, 3, 1.0, 4.0, 1e-2, r_max)
+        key, table = ground_state._last_radii
+        assert key == (3, 1.0, 1e-2, 0.4)
+        _shoot_trajectory(2.0, 3, 1.0, 4.0, 1e-2, 0.4)
+        assert ground_state._last_radii[1] is table
+        shoot(P214, dr=1e-2)
+        assert ground_state._last_radii is None
+
+    def test_shoot_value_pinned(self):
+        assert shoot(P214, dr=1e-2).shoot_value == 1.6721923293443979
+
+    def test_shoot_reports_its_work(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return _shoot_trajectory(*args)
+
+        monkeypatch.setattr(ground_state, "_shoot_trajectory", counted)
+        gs = shoot(P214, dr=1e-2)
+        lo, hi = gs.bracket
+        # the sweep reaches 2^1 and the converged lo is not integrated again
+        assert gs.trajectories == len(calls) == 52
+        assert gs.bisection_steps == 40
+        assert calls[:12] == [2.0**k for k in range(-10, 2)]
+        assert lo == gs.shoot_value in calls and 0 < hi - lo <= 1e-12
 
 
 class TestExplicitW:
@@ -168,6 +302,12 @@ class TestSharpSobolev:
     def test_non_critical_rejected(self):
         with pytest.raises(ValueError):
             sharp_sobolev_constant(P314, _big_grid())
+
+    def test_W_identities_leave_grid_without_kappa(self):
+        # a quadrature-only probe grid never builds the edge conductances
+        g = make_grid(2000.0, 2e-2, 4)
+        W_identities(P425, g)
+        assert "kappa" not in vars(g)
 
 
 class TestUniqueness:
