@@ -9,6 +9,7 @@ keys, %.12e numeric formatting, no timestamps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -165,14 +166,7 @@ def _initial_state(spec: str, params: Params,
 
 
 def _outcome_json(outcome) -> dict:
-    return {
-        "status": outcome.status.value,
-        "t_final": outcome.t_final,
-        "blowup_time_estimate": outcome.blowup_time_estimate,
-        "gradient_growth": outcome.gradient_growth,
-        "energy_drift_max": outcome.energy_drift_max,
-        "boundary_flagged": outcome.boundary_flagged,
-    }
+    return {**dataclasses.asdict(outcome), "status": outcome.status.value}
 
 
 def _cfg_json(cfg: StepperConfig, grid) -> dict:

@@ -11,9 +11,10 @@ the Cayley step conserves the recorded mass to solver roundoff, for every
 dimension N.  The recorded |grad u|^2 is K itself (``grids.grad_sq_edges``),
 so the recorded energy is the one the scheme conserves: its drift measures
 the splitting and the resolution, not a mismatch between two stencils.
-The tridiagonal matrix M + i dt/2 K is LU-factored once per (grid, dt), so
-a step costs one pair of triangular sweeps; ``step`` and ``evolve`` share
-the factors of the last (grid, dt) stepped.
+The tridiagonal matrix M + i dt/2 K is LU-factored once per (grid, b, dt),
+so a step costs one pair of triangular sweeps; ``step`` and ``evolve``
+share the factors and the phase coefficient of the last (grid, b, dt)
+stepped.
 Blow-up on a fixed grid can only be certified as
 "self-focusing beyond resolution": detection requires gradient growth AND
 energy drift together.
@@ -138,11 +139,11 @@ class DiagnosticsSeries:
 # ---------------------------------------------------------------------------
 
 class _CrankNicolson:
-    """The step plan for one (grid, dt): (M + i dt/2 K) u+ = (M - i dt/2 K) u-
+    """The step plan for one (grid, b, dt): (M + i dt/2 K) u+ = (M - i dt/2 K) u-
     with M + i dt/2 K factored once by LAPACK zgttrf, so that each step is
-    one zgttrs solve, and the half-step phase coefficient 0.5j dt r^b."""
+    one zgttrs solve, and the half-step phase coefficient h = 0.5j dt r^b."""
 
-    def __init__(self, grid: RadialGrid, dt: float):
+    def __init__(self, grid: RadialGrid, b: float, dt: float):
         N, r, dr, kappa = grid.N, grid.r, grid.dr, grid.kappa
         n = len(r)
         if n < 5:
@@ -160,16 +161,10 @@ class _CrankNicolson:
         *self.lu, info = zgttrf(z * off, Mw + z * diag, z * off)
         if info != 0:
             raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-        self.n, self.r, self.dt = n, r, dt
+        self.n, self.dt = n, dt
         self.b_diag = Mw - z * diag
         self.b_off = -z * off
-        self._b = self._h = None
-
-    def phase(self, b: float) -> np.ndarray:
-        """The half-step phase coefficient 0.5j dt r^b, kept for the last b."""
-        if b != self._b:
-            self._b, self._h = b, 0.5j * self.dt * self.r**b
-        return self._h
+        self.h = 0.5j * dt * r**b
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         u = values[1:-1]
@@ -182,16 +177,16 @@ class _CrankNicolson:
         return out
 
 
-_last_plan: tuple | None = None  # (key, plan) of the last (grid, dt) stepped
+_last_plan: tuple | None = None  # (key, plan) of the last (grid, b, dt) stepped
 
 
-def _plan(grid: RadialGrid, dt: float) -> _CrankNicolson:
-    """The step plan for (grid, dt).  Only the last plan is kept, and it is
-    rebuilt when the grid or dt changes: a run steps one grid with one dt."""
+def _plan(grid: RadialGrid, b: float, dt: float) -> _CrankNicolson:
+    """The step plan for (grid, b, dt).  Only the last plan is kept, and it is
+    rebuilt when any of them changes: a run steps one grid, b and dt."""
     global _last_plan
-    key = (grid.N, len(grid), grid.dr, grid.r_max, dt)
+    key = (grid.N, len(grid), grid.dr, grid.r_max, b, dt)
     if _last_plan is None or _last_plan[0] != key:
-        _last_plan = (key, _CrankNicolson(grid, dt))
+        _last_plan = (key, _CrankNicolson(grid, b, dt))
     return _last_plan[1]
 
 
@@ -206,10 +201,10 @@ def step(u: RadialField, params: Params, dt: float,
     finiteness check: a non-finite state raises NonFiniteError.
     """
     g = u.grid
-    plan = _plan(g, dt)
+    plan = _plan(g, params.b, dt)
+    h = plan.h
     v = u.values
     if not linear_only:
-        h = plan.phase(params.b)
         v = v * np.exp(h * np.abs(v) ** (params.p - 1.0))
     v = plan.apply(v)
     if not linear_only:

@@ -194,18 +194,6 @@ class NonFiniteError(ValueError):
     """A field or an integral over it holds a non-finite value."""
 
 
-def _all_finite(v: np.ndarray) -> bool:
-    """Whether every sample is finite.  Complex samples are checked as their
-    real and imaginary parts through a view of the component dtype, which is
-    cheaper than np.isfinite on the complex array; a strided array, which
-    has no such view, is checked part by part."""
-    if np.iscomplexobj(v):
-        if not v.flags.c_contiguous:
-            return _all_finite(v.real) and _all_finite(v.imag)
-        v = v.view(v.real.dtype)
-    return bool(np.all(np.isfinite(v)))
-
-
 @dataclass(frozen=True)
 class RadialField:
     """Complex-valued radial profile sampled on a RadialGrid."""
@@ -219,7 +207,7 @@ class RadialField:
             raise ValueError(
                 f"field has {v.shape} samples, grid has {len(self.grid)} nodes"
             )
-        if not _all_finite(v):
+        if not np.isfinite(v).all():
             raise NonFiniteError("field contains non-finite samples")
         object.__setattr__(self, "values", v)
 
@@ -242,7 +230,7 @@ def integrate(v, grid: RadialGrid) -> float:
     v = np.asarray(v)
     if len(v) != len(grid):
         raise ValueError("sample count does not match grid")
-    if not _all_finite(v):
+    if not np.isfinite(v).all():
         raise NonFiniteError("non-finite sample in integrand")
     return float(np.real(np.dot(grid.weights, v)))
 

@@ -152,6 +152,9 @@ def _shoot_trajectory(a: float, N: int, b: float, p: float, dr: float, r_max: fl
     v = a * r / N - a**p * r ** (1.0 + b) / (N + b)
     qs = array("d", (a, q))
     vs = array("d", (0.0, v))
+    if q <= 0.0:
+        # the series start has already crossed zero
+        return _OVERSHOOT, np.frombuffer(qs), np.frombuffer(vs)
     pm1 = p - 1.0
     runaway = 50.0 * a
     turned = False

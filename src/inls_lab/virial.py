@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from . import functionals
 from .functionals import energy, potential
 
 __all__ = [
-    "CutoffKind",
     "CutoffProfile",
     "build_zeta_theta_phi",
     "build_vartheta_psi",
@@ -59,19 +57,14 @@ __all__ = [
 ]
 
 _R1 = 1.0 + 5.0 ** (-0.25)  # end of the quintic piece of vartheta
+# slack of the grid checks of the cutoff inequalities
+_INVARIANT_TOL = 1e-9
 # relative energy drift past which a saved state counts as under-resolved
 _DRIFT_TOL = 1e-5
 
 
-class CutoffKind(Enum):
-    PHI_R = "PhiR"
-    PSI_R = "PsiR"
-    QUADRATIC = "Quadratic"
-
-
 @dataclass(frozen=True)
 class CutoffProfile:
-    kind: CutoffKind
     R: float
     grid: RadialGrid
     phi: np.ndarray = field(repr=False)
@@ -141,7 +134,7 @@ def _zeta_family(rho):
     return zeta, dzeta, ddzeta, zeta1, theta
 
 
-def _assemble(kind, R, grid, f, df, ddf, f1, theta, tol=1e-9):
+def _assemble(R, grid, f, df, ddf, f1, theta):
     """Build a CutoffProfile from the generator profile f = phi''(rho)."""
     N = grid.N
     rho = grid.r / R
@@ -160,33 +153,8 @@ def _assemble(kind, R, grid, f, df, ddf, f1, theta, tol=1e-9):
     gpp = ddf[1:] + (N - 1) * (df[1:] * rr**2 - 2 * f[1:] * rr + 2 * f1[1:]) / rr**3
     bilap = np.zeros(n)
     bilap[1:] = (gpp + (N - 1) * gp / rr) / R**2
-
-    prof = CutoffProfile(kind=kind, R=R, grid=grid, phi=phi, dphi=dphi,
-                         d2phi=d2phi, lap=lap, bilap=bilap)
-    _check_invariants(prof, tol)
-    return prof
-
-
-def _check_invariants(prof: CutoffProfile, tol: float):
-    N = prof.grid.N
-    por = prof.phi_over_r()
-    if prof.kind == CutoffKind.PHI_R:
-        bad = (
-            np.any(prof.d2phi > 2.0 + tol)
-            or np.any(prof.d2phi < -tol)
-            or np.any(2.0 - por < -tol)
-            or np.any(2.0 * N - prof.lap < -tol)
-        )
-    elif prof.kind == CutoffKind.PSI_R:
-        bad = (
-            np.any(prof.d2phi > 2.0 + tol)
-            or np.any(por > 2.0 + tol)
-            or np.any(prof.lap > 2.0 * N + tol)
-        )
-    else:
-        bad = False
-    if bad:
-        raise AssertionError(f"cutoff invariants violated for {prof.kind.value}")
+    return CutoffProfile(R=R, grid=grid, phi=phi, dphi=dphi, d2phi=d2phi,
+                         lap=lap, bilap=bilap)
 
 
 def build_zeta_theta_phi(R: float, grid: RadialGrid) -> CutoffProfile:
@@ -194,9 +162,13 @@ def build_zeta_theta_phi(R: float, grid: RadialGrid) -> CutoffProfile:
     beyond 2R, with 0 <= phi'' <= 2 throughout."""
     if R <= 0:
         raise ValueError("R must be positive")
-    rho = grid.r / R
-    zeta, dzeta, ddzeta, zeta1, theta = _zeta_family(rho)
-    return _assemble(CutoffKind.PHI_R, R, grid, zeta, dzeta, ddzeta, zeta1, theta)
+    prof = _assemble(R, grid, *_zeta_family(grid.r / R))
+    tol = _INVARIANT_TOL
+    if (np.any(prof.d2phi > 2.0 + tol) or np.any(prof.d2phi < -tol)
+            or np.any(2.0 - prof.phi_over_r() < -tol)
+            or np.any(2.0 * grid.N - prof.lap < -tol)):
+        raise AssertionError("cutoff invariants violated for PhiR")
+    return prof
 
 
 # ---------------------------------------------------------------------------
@@ -209,34 +181,17 @@ def vartheta(rho):
     return _vartheta_family(rho)[0]
 
 
-def _bridge_value() -> float:
-    # vartheta at the start of the bridge
-    return 2.0 * (_R1 - (_R1 - 1.0) ** 5)
-
-
-def _bridge_h(rho):
+def _bridge(rho):
+    """The cubic Hermite bridge h of vartheta from rho = _R1 down to 0 at
+    rho = 2: h, h', h'', h''' and the integral of h from _R1, at rho."""
     L = 2.0 - _R1
+    h0 = 2.0 * (_R1 - (_R1 - 1.0) ** 5)  # vartheta at the start of the bridge
     s = (rho - _R1) / L
-    return _bridge_value() * (2.0 * s**3 - 3.0 * s**2 + 1.0)
-
-
-def _bridge_h_d(rho):
-    L = 2.0 - _R1
-    s = (rho - _R1) / L
-    return _bridge_value() * (6.0 * s**2 - 6.0 * s) / L
-
-
-def _bridge_h_dd(rho):
-    L = 2.0 - _R1
-    s = (rho - _R1) / L
-    return _bridge_value() * (12.0 * s - 6.0) / L**2
-
-
-def _bridge_h_i(rho):
-    # integral of the bridge from _R1
-    L = 2.0 - _R1
-    s = (rho - _R1) / L
-    return _bridge_value() * L * (0.5 * s**4 - s**3 + s)
+    return (h0 * (2.0 * s**3 - 3.0 * s**2 + 1.0),
+            h0 * (6.0 * s**2 - 6.0 * s) / L,
+            h0 * (12.0 * s - 6.0) / L**2,
+            h0 * 12.0 / L**3,
+            h0 * L * (0.5 * s**4 - s**3 + s))
 
 
 def _vartheta_family(rho):
@@ -246,30 +201,31 @@ def _vartheta_family(rho):
     bridge = (rho > _R1) & (rho < 2.0)
     hi = rho >= 2.0
     x = rho - 1.0
+    h, dh, ddh, dddh, ih = _bridge(rho[bridge])
 
     v = 2.0 * rho
     v[quint] = 2.0 * (rho[quint] - x[quint] ** 5)
-    v[bridge] = _bridge_h(rho[bridge])
+    v[bridge] = h
     v[hi] = 0.0
 
     dv = np.full_like(rho, 2.0)
     dv[quint] = 2.0 * (1.0 - 5.0 * x[quint] ** 4)
-    dv[bridge] = _bridge_h_d(rho[bridge])
+    dv[bridge] = dh
     dv[hi] = 0.0
 
     ddv = np.zeros_like(rho)
     ddv[quint] = -40.0 * x[quint] ** 3
-    ddv[bridge] = _bridge_h_dd(rho[bridge])
+    ddv[bridge] = ddh
 
     dddv = np.zeros_like(rho)
     dddv[quint] = -120.0 * x[quint] ** 2
-    dddv[bridge] = _bridge_value() * 12.0 / (2.0 - _R1) ** 3
+    dddv[bridge] = dddh
 
     th = rho**2
     th[quint] = rho[quint] ** 2 - x[quint] ** 6 / 3.0
     th_r1 = _R1**2 - (_R1 - 1.0) ** 6 / 3.0
-    th[bridge] = th_r1 + _bridge_h_i(rho[bridge])
-    th[hi] = th_r1 + _bridge_h_i(np.asarray(2.0))
+    th[bridge] = th_r1 + ih
+    th[hi] = th_r1 + _bridge(2.0)[4]
     return v, dv, ddv, dddv, th
 
 
@@ -277,21 +233,24 @@ def build_vartheta_psi(R: float, grid: RadialGrid) -> CutoffProfile:
     """The quintic cutoff psi_R with psi'' <= 2, psi'/r <= 2, lap psi <= 2N."""
     if R <= 0:
         raise ValueError("R must be positive")
-    rho = grid.r / R
-    v, dv, ddv, dddv, th = _vartheta_family(rho)
+    v, dv, ddv, dddv, th = _vartheta_family(grid.r / R)
     # bridge monotonicity is structural for the cubic Hermite; verify anyway
     br = np.linspace(_R1 + 1e-9, 2.0 - 1e-9, 1001)
-    if np.any(_bridge_h_d(br) >= 0.0):
+    if np.any(_bridge(br)[1] >= 0.0):
         raise AssertionError("bridge of vartheta failed to be decreasing")
     # psi'' = vartheta'(rho): generator profile is dv, its derivative ddv
-    return _assemble(CutoffKind.PSI_R, R, grid, dv, ddv, dddv, v, th)
+    prof = _assemble(R, grid, dv, ddv, dddv, v, th)
+    tol = _INVARIANT_TOL
+    if (np.any(prof.d2phi > 2.0 + tol) or np.any(prof.phi_over_r() > 2.0 + tol)
+            or np.any(prof.lap > 2.0 * grid.N + tol)):
+        raise AssertionError("cutoff invariants violated for PsiR")
+    return prof
 
 
 def quadratic_cutoff(grid: RadialGrid) -> CutoffProfile:
     """The unlocalized weight |x|^2 (virial identity without remainder)."""
     r = grid.r
     return CutoffProfile(
-        kind=CutoffKind.QUADRATIC,
         R=math.inf,
         grid=grid,
         phi=r**2,
@@ -525,18 +484,10 @@ def _resolved_mask(E: np.ndarray) -> np.ndarray:
     return functionals.energy_drift(E, E[0]) <= _DRIFT_TOL
 
 
-def _envelope_terms(u: RadialField, params: Params, R: float, eps: float,
-                    psi1: np.ndarray, psi2: np.ndarray) -> float:
-    """The computable gradient tail of the mass-critical estimate:
-    -2 int_{r>R} (2 psi_1 - N eps/(2N+4+2b) psi_2^{N/(2+b)}) |grad u|^2."""
-    expr = _lemma53_form(psi1, psi2, params, eps)
-    return -2.0 * _edge_weighted_grad_sq(u, np.where(u.grid.r > R, expr, 0.0))
-
-
 def _remainder_scale(kind: RegimeKind, params: Params, R: float, eps: float,
-                     grad_sq: float) -> float:
+                     grad_sq: float | np.ndarray) -> float | np.ndarray:
     """The R-decay profile multiplying the fitted absolute constant in the
-    envelope regime kind."""
+    envelope regime kind, at gradient norm(s) grad_sq."""
     N, b, p = params.N, params.b, params.p
     if kind == RegimeKind.MASS_CRITICAL:
         kappa = (2.0 + b) / (2.0 * (N - 1) - b)
@@ -550,33 +501,33 @@ def _remainder_scale(kind: RegimeKind, params: Params, R: float, eps: float,
     return R**-2 + R**-gamma * (grad_sq + 1.0)
 
 
-def _leading_terms(kind: RegimeKind, u: RadialField, params: Params, E0: float,
-                   grad_sq: float, pot: float, R: float, eps: float,
-                   psi_pair) -> float:
-    """The leading terms of the bound at u, whose gradient norm and potential
-    are grad_sq and pot, in the envelope regime kind."""
+def _leading_terms(kind: RegimeKind, fields, params: Params, E0: float,
+                   grad_sq: np.ndarray, pot: np.ndarray, cutoff: CutoffProfile,
+                   eps: float) -> np.ndarray:
+    """The leading terms of the bound at each of fields, whose gradient norms
+    and potentials are grad_sq and pot, in the envelope regime kind."""
     if kind == RegimeKind.MASS_CRITICAL:
-        psi1, psi2 = psi_pair
-        return 16.0 * E0 + _envelope_terms(u, params, R, eps, psi1, psi2)
-    lead = 8.0 * grad_sq
+        # 16 E0 plus the computable gradient tail of the mass-critical estimate,
+        # -2 int_{r>R} (2 psi_1 - N eps/(2N+4+2b) psi_2^{N/(2+b)}) |grad u|^2
+        form = _lemma53_form(*_psi12_of(cutoff, params), params, eps)
+        tail = np.where(cutoff.grid.r > cutoff.R, form, 0.0)
+        return np.array([16.0 * E0 - 2.0 * _edge_weighted_grad_sq(u, tail)
+                         for u in fields])
     if kind == RegimeKind.INTERCRITICAL:
-        lead -= 8.0 * params.A / (params.p + 1.0) * pot
-    else:
-        lead -= 8.0 * pot
-    return lead
+        return 8.0 * grad_sq - 8.0 * params.A / (params.p + 1.0) * pot
+    return 8.0 * grad_sq - 8.0 * pot
 
 
 def _resolved_stencils(states, params: Params, R: float, eps: float):
     """The measured series of V = int psi_R |u|^2 and, for each V'' stencil
     lying entirely inside the resolved window, (i, t, leading terms,
-    remainder scale) at its centre state."""
+    remainder scale) at its centre state i + 1."""
     grid = states[0][1].grid
     kind = classify(params).kind
     if kind not in (RegimeKind.MASS_CRITICAL, RegimeKind.INTERCRITICAL,
                     RegimeKind.ENERGY_CRITICAL):
         raise ValueError(f"no blow-up envelope in regime {kind.value}")
     cutoff = build_vartheta_psi(R, grid)
-    psi_pair = _psi12_of(cutoff, params) if kind == RegimeKind.MASS_CRITICAL else None
     series = _measured_series(states, cutoff)
     # each state's gradient norm and potential, once: its energy, E0 and
     # the remainder scale all derive from them
@@ -584,14 +535,14 @@ def _resolved_stencils(states, params: Params, R: float, eps: float):
     pot = np.array([potential(u, params) for _, u in states])
     E = functionals.energy_of(grad_sq, pot, params.p)
     resolved = _resolved_mask(E)
-    stencils = [
-        (i, t, _leading_terms(kind, u, params, E[0], grad_sq[i + 1], pot[i + 1],
-                              R, eps, psi_pair),
-         _remainder_scale(kind, params, R, eps, grad_sq[i + 1]))
-        for i, (t, u) in enumerate(states[1:-1])
-        if resolved[i] and resolved[i + 1] and resolved[i + 2]
-    ]
-    return series, stencils
+    # stencil i spans states i, i+1, i+2
+    centre = np.flatnonzero(resolved[:-2] & resolved[1:-1] & resolved[2:]) + 1
+    lead = _leading_terms(kind, [states[j][1] for j in centre], params, E[0],
+                          grad_sq[centre], pot[centre], cutoff, eps)
+    scale = np.broadcast_to(
+        _remainder_scale(kind, params, R, eps, grad_sq[centre]), centre.shape)
+    return series, list(zip((centre - 1).tolist(), series[0][centre],
+                            lead.tolist(), scale.tolist()))
 
 
 def fit_envelope_constant(states, params: Params, R: float, eps: float) -> float:

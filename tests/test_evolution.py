@@ -96,7 +96,7 @@ class TestSolver:
         assert np.array_equal(out.values, _banded_cn_step(u, dt))
 
     def test_plan_cache_bounded(self):
-        # one plan is kept: the last (grid, dt), reused until either changes
+        # one plan is kept: the last (grid, b, dt), reused until one changes
         g = make_grid(2.0, 1e-2, 3)
         u = RadialField(g, np.exp(-g.r**2).astype(complex))
         for k in range(20):

@@ -221,7 +221,7 @@ class TestRadialField:
     @pytest.mark.parametrize("bad", [complex(math.nan, 0.0),
                                      complex(1.0, math.inf)])
     def test_non_finite_single_precision_rejected(self, bad):
-        # complex64 samples are checked as float32 parts, not as float64 pairs
+        # a NaN or an imaginary inf in complex64 samples is caught
         g = make_grid(1.0, 1e-2, 3)
         v = np.ones(len(g), dtype=np.complex64)
         v[3] = bad
@@ -231,7 +231,7 @@ class TestRadialField:
             integrate(v, g)
 
     def test_strided_complex_samples_checked(self):
-        # a strided complex array has no float view; it is checked part by part
+        # a strided complex array is checked sample by sample too
         g = make_grid(1.0, 1e-2, 3)
         big = np.ones(2 * len(g), dtype=complex)
         u = RadialField(g, big[::2])

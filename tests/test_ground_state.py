@@ -210,6 +210,16 @@ class TestTrajectory:
             _, qs, _ = _shoot_trajectory(a, 3, 1.0, 4.0, 1e-2, r_max)
             assert len(qs) == int(round(r_max / 1e-2)) + 1
 
+    @pytest.mark.parametrize("k", range(5, 11))
+    def test_series_start_past_zero_is_overshoot(self, k):
+        # at (2,1,6) with dr = 1e-2 the series start Q(dr) is already
+        # negative for a >= 2^5: that is an overshoot, not a float overflow
+        # in the RK4 loop or a run of NaN samples to r_max
+        fate, qs, dqs = _shoot_trajectory(2.0**k, 2, 1.0, 6.0, 1e-2, 15.0)
+        assert fate == ground_state._OVERSHOOT
+        assert len(qs) == len(dqs) == 2
+        assert qs[1] <= 0.0
+
     def test_one_radius_table_kept(self):
         for r_max in (0.2, 0.3, 0.4):
             _shoot_trajectory(1.0, 3, 1.0, 4.0, 1e-2, r_max)

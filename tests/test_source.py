@@ -55,3 +55,47 @@ def test_one_discrete_gradient():
                 derivative_callers.add((path.name, owner))
     assert gradient_uses == {_GRADIENT_OWNER}
     assert derivative_callers <= _RADIAL_DERIVATIVE_CALLERS
+
+
+def _private_top_level_names(tree):
+    """Names starting with one underscore that the module binds at its top
+    level: functions, classes and assigned constants."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree):
+    """(top-level statement, name) for each name the module loads, each
+    attribute it reads and each name it imports."""
+    found = set()
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                found.add((owner, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                found.update((owner, alias.name) for alias in node.names)
+    return found
+
+
+def test_private_names_are_used():
+    # a helper that a consolidation left behind is referenced by no code in
+    # src/ other than its own definition
+    defined, used = set(), set()
+    for path in SRC:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined.update((path.name, n) for n in _private_top_level_names(tree))
+        used.update((path.name, owner, name) for owner, name in _references(tree))
+    unused = sorted(
+        (module, name) for module, name in defined
+        if not any(n == name and (m, o) != (module, name) for m, o, n in used)
+    )
+    assert unused == []

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from inls_lab import virial
 from inls_lab.grids import Params, RadialField, gradient_sq_norm, make_grid
 from inls_lab.functionals import energy, potential
 from inls_lab.virial import (
@@ -70,6 +73,32 @@ class TestCutoffPsi:
         assert np.all(prof.d2phi <= 2.0 + 1e-12)
         assert np.all(prof.phi_over_r() <= 2.0 + 1e-12)
         assert np.all(prof.lap <= 2.0 * g.N + 1e-12)
+
+
+class TestBuildersCheckInvariants:
+    # each builder raises, naming its family, when its generator profile
+    # breaks one of the family's inequalities
+
+    @pytest.mark.parametrize("scale", [1.5, -1.0])  # phi'' > 2, phi'' < 0
+    def test_phi_family(self, monkeypatch, scale):
+        family = virial._zeta_family
+        monkeypatch.setattr(virial, "_zeta_family", lambda rho: (
+            scale * family(rho)[0], *family(rho)[1:]))
+        with pytest.raises(AssertionError, match="violated for PhiR"):
+            build_zeta_theta_phi(2.0, make_grid(8.0, 1e-2, 3))
+
+    @pytest.mark.parametrize("slot", [0, 1])  # psi'/r > 2, psi'' > 2
+    def test_psi_family(self, monkeypatch, slot):
+        family = virial._vartheta_family
+
+        def broken(rho):
+            out = list(family(rho))
+            out[slot] = 1.5 * out[slot]
+            return tuple(out)
+
+        monkeypatch.setattr(virial, "_vartheta_family", broken)
+        with pytest.raises(AssertionError, match="violated for PsiR"):
+            build_vartheta_psi(2.0, make_grid(8.0, 1e-2, 3))
 
 
 class TestPsi12:
@@ -210,6 +239,17 @@ class TestBlowupEnvelope:
                                       0.1, C)
             assert len(rows) > 10, c
             assert all(r.holds for r in rows), c
+
+    def test_mass_critical_envelope_pinned(self, blowup_runs_mc, tmp_path):
+        # the calibrated constant and the 1.2 run's rows, byte for byte
+        C = fit_envelope_constant(blowup_runs_mc[1.6].states, P313, 32.0, 0.1)
+        assert C == 10.69640249768398
+        rows = blowup_bound_check(blowup_runs_mc[1.2].states, P313, 32.0,
+                                  0.1, C)
+        virial.bound_rows_to_csv(rows, tmp_path / "bounds.csv")
+        digest = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
+        assert digest == ("04d5a282f458b257f806ff123e90ffc2"
+                          "0eb56a47db6746181ba46220a0fd01c7")
 
     def test_remainder_smaller_than_8E(self, blowup_runs_mc):
         from inls_lab.grids import RegimeKind
