@@ -15,6 +15,16 @@ The tridiagonal matrix M + i dt/2 K is LU-factored once per (grid, b, dt),
 so a step costs one pair of triangular sweeps; ``step`` and ``evolve``
 share the factors and the phase coefficient of the last (grid, b, dt)
 stepped.
+The half-phase multiplies by exp(x), x = h |u|^{p-1} with h purely
+imaginary, and takes np.exp only on the prefix of nodes that ends at the
+last one with |theta| = |Im x| not below 2^-27 (a NaN or inf fails that
+test, so it stays on the prefix).  Below 2^-27, theta^2/2 is under half an
+ulp of 1 and theta^3/6 under half an ulp of theta, so the correctly rounded
+cos(theta) is exactly 1.0 and sin(theta) exactly theta: the tail factor is
+written as 1 + i theta, bit for bit what np.exp gives.  The test is on
+|theta| because a negative dt makes theta <= 0, and the tail keeps Im x
+itself rather than adding 1.0 to x, which would turn a theta of -0.0 into
++0.0.  Decaying states keep most nodes in that tail.
 Blow-up on a fixed grid can only be certified as
 "self-focusing beyond resolution": detection requires gradient growth AND
 energy drift together.
@@ -190,6 +200,23 @@ def _plan(grid: RadialGrid, b: float, dt: float) -> _CrankNicolson:
     return _last_plan[1]
 
 
+# below this |theta|, cos(theta) rounds to 1.0 and sin(theta) to theta
+_EXACT_PHASE = 2.0**-27
+
+
+def _phase(v: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
+    """v exp(x) for x = h |v|^{p-1}, bit for bit, with the transcendental
+    taken only on the prefix of nodes up to the last one whose |Im x| is not
+    below _EXACT_PHASE; past it the factor is written as 1 + i Im x."""
+    x = h * np.abs(v) ** (p - 1.0)
+    # NaN and inf fail the comparison, so they stay on the np.exp prefix
+    active = np.flatnonzero(~(np.abs(x.imag) < _EXACT_PHASE))
+    k = active[-1] + 1 if active.size else 0
+    np.exp(x[:k], out=x[:k])
+    x.real[k:] = 1.0  # Im x[k:] already holds theta, its signed zeros too
+    return np.multiply(v, x, out=x)
+
+
 def step(u: RadialField, params: Params, dt: float,
          linear_only: bool = False) -> RadialField:
     """One Strang step: half nonlinear phase, CN free flow, half phase.
@@ -202,13 +229,12 @@ def step(u: RadialField, params: Params, dt: float,
     """
     g = u.grid
     plan = _plan(g, params.b, dt)
-    h = plan.h
     v = u.values
     if not linear_only:
-        v = v * np.exp(h * np.abs(v) ** (params.p - 1.0))
+        v = _phase(v, plan.h, params.p)
     v = plan.apply(v)
     if not linear_only:
-        v = v * np.exp(h * np.abs(v) ** (params.p - 1.0))
+        v = _phase(v, plan.h, params.p)
     v[0] = (4.0 * v[1] - v[2]) / 3.0
     return RadialField(g, v)
 
@@ -266,6 +292,7 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
     w = g.weights
     rb = g.r**params.b
     phi = g.r**2  # the unlocalized virial weight |x|^2
+    kdphi = g.kappa * np.diff(phi[1:])
 
     def record(t, v):
         # overflow during violent focusing is data, not an error: the inf/nan
@@ -279,7 +306,7 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
             E = fn.energy_of(grad_sq, pot, params.p)
             local = [fn.mass_of(w[:k], av2[:k]) for k in ends]
             V = fn.virial_V_of(w, phi, av2)
-            Vp = fn.virial_Vprime_of(g, phi, v)
+            Vp = fn.virial_Vprime_of(g.N, kdphi, v)
         diag.append(t, m, E, grad_sq, pot, local, V, Vp)
         return m, E, grad_sq, av2
 

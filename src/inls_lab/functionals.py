@@ -22,7 +22,6 @@ import numpy as np
 from .grids import (
     Params,
     RadialField,
-    RadialGrid,
     RegimeKind,
     classify,
     gradient_sq_norm,
@@ -82,12 +81,12 @@ def virial_V_of(w: np.ndarray, phi: np.ndarray, av2: np.ndarray) -> float:
     return float(np.dot(w, phi * av2))
 
 
-def virial_Vprime_of(grid: RadialGrid, phi: np.ndarray, v: np.ndarray) -> float:
+def virial_Vprime_of(N: int, kdphi: np.ndarray, v: np.ndarray) -> float:
     """V'_phi = 2 Im int phi' (d_r u) conj(u) as the scheme's own dV_phi/dt,
-    2 sum omega_{N-1} kappa_i (phi_{i+1} - phi_i) Im(conj(u_i) u_{i+1})."""
+    2 sum omega_{N-1} kappa_i (phi_{i+1} - phi_i) Im(conj(u_i) u_{i+1}), from
+    the edge weights kdphi = kappa * diff(phi[1:])."""
     flux = np.imag(np.conj(v[1:-1]) * v[2:])
-    return 2.0 * sphere_area(grid.N) * float(np.dot(grid.kappa * np.diff(phi[1:]),
-                                                    flux))
+    return 2.0 * sphere_area(N) * float(np.dot(kdphi, flux))
 
 
 def mass(u: RadialField) -> float:

@@ -166,6 +166,13 @@ class RadialGrid:
         kappa.setflags(write=False)
         return kappa
 
+    @cached_property
+    def area_kappa(self) -> np.ndarray:
+        """omega_{N-1} kappa: the edge weights of the Dirichlet form."""
+        w = sphere_area(self.N) * self.kappa
+        w.setflags(write=False)
+        return w
+
 
 def make_grid(r_max: float, dr: float, N: int) -> RadialGrid:
     """Build the uniform grid; weights = omega_{N-1} r^{N-1} x trapezoid coeffs.
@@ -255,7 +262,7 @@ def grad_sq_edges(v: np.ndarray, grid: RadialGrid) -> np.ndarray:
     of the Dirichlet form the Crank-Nicolson step conserves; their sum is
     int |d_r v|^2 over R^N, their node-weighted sums int f |d_r v|^2."""
     d = v[2:] - v[1:-1]
-    return sphere_area(grid.N) * grid.kappa * np.abs(d) ** 2
+    return grid.area_kappa * np.abs(d) ** 2
 
 
 def gradient_sq_norm(u: RadialField) -> float:

@@ -195,8 +195,11 @@ def _bridge(rho):
 
 
 def _vartheta_family(rho):
-    """vartheta, vartheta', vartheta'', vartheta''', theta = int vartheta."""
+    """vartheta, vartheta', vartheta'', vartheta''', theta = int vartheta;
+    scalars for a scalar rho."""
     rho = np.asarray(rho, dtype=float)
+    if rho.ndim == 0:
+        return tuple(a[0] for a in _vartheta_family(rho[None]))
     quint = (rho > 1.0) & (rho <= _R1)
     bridge = (rho > _R1) & (rho < 2.0)
     hi = rho >= 2.0

@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import solve_banded
 
 from inls_lab import evolution
-from inls_lab.grids import Params, RadialField, gradient_sq_norm, make_grid
+from inls_lab.grids import (NonFiniteError, Params, RadialField, gradient_sq_norm,
+                            make_grid)
 from inls_lab.functionals import mass
 from inls_lab.evolution import (
     RunStatus,
@@ -105,6 +106,90 @@ class TestSolver:
         assert key[-1] == plan.dt == 2e-3
         step(u, P313, 2e-3)
         assert evolution._last_plan[1] is plan
+
+
+def _reference_phase(v, h, p):
+    return v * np.exp(h * np.abs(v) ** (p - 1.0))
+
+
+def _reference_step(u, params, dt):
+    """The Strang step with np.exp taken on every node."""
+    plan = evolution._plan(u.grid, params.b, dt)
+    v = _reference_phase(u.values, plan.h, params.p)
+    v = _reference_phase(plan.apply(v), plan.h, params.p)
+    v[0] = (4.0 * v[1] - v[2]) / 3.0
+    return v
+
+
+def _phase_test_state(g, far_bump):
+    """A decaying chirped profile with exact zeros, negative zeros and
+    subnormals, past its core and (with far_bump) on either side of a bump
+    at r = 15, so that the nodes needing exp are not a prefix."""
+    v = np.exp(-g.r + 0.3j * g.r)
+    if far_bump:
+        v += 0.5 * np.exp(-4.0 * (g.r - 15.0) ** 2 + 1j * g.r)
+    special = [0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 5e-324,
+               complex(-5e-324, 1e-310), complex(2.2e-308, -4e-320)]
+    for r0 in (12.0, 18.0):
+        i = int(r0 / g.dr)
+        v[i:i + len(special)] = special
+    return v
+
+
+class TestExactTailPhase:
+    """The half-phase takes np.exp only on the prefix of nodes whose phase
+    |theta| reaches 2^-27, and is bit-identical to np.exp on every node."""
+
+    @pytest.mark.parametrize("far_bump", [False, True])
+    @pytest.mark.parametrize("p", [3.0, 4.0, 3.7])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("dt", [1e-3, -1e-3])
+    def test_bit_identical_to_exp_everywhere(self, dt, N, p, far_bump):
+        g = make_grid(20.0, 5e-3, N)
+        v = _phase_test_state(g, far_bump)
+        params = Params(N, 1.0, p)
+        h = evolution._plan(g, params.b, dt).h
+        theta = np.abs((h * np.abs(v) ** (p - 1.0)).imag)
+        # both sides of the cut are exercised
+        assert theta.max() >= 2.0**-27 and theta[-100:].max() < 2.0**-27
+        assert (evolution._phase(v, h, p).tobytes()
+                == _reference_phase(v, h, p).tobytes())
+        out = step(RadialField(g, v), params, dt)
+        assert out.values.tobytes() == _reference_step(RadialField(g, v),
+                                                       params, dt).tobytes()
+
+    def test_exp_is_exact_below_the_cut(self):
+        # the platform property the exact tail rests on: for |theta| < 2^-27
+        # the correctly rounded exp(+-0 + i theta) is 1 + i theta, bit for bit
+        rng = np.random.default_rng(7)
+        cut = 2.0**-27
+        theta = np.concatenate([
+            [0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+             np.nextafter(cut, 0.0)],
+            np.logspace(-300, math.log10(cut), 2000, endpoint=False),
+            rng.uniform(0.0, cut, 2000),
+        ])
+        theta = np.concatenate([theta, -theta])
+        for re in (0.0, -0.0):
+            x = np.empty(len(theta), dtype=complex)
+            x.real, x.imag = re, theta
+            exact = np.empty_like(x)
+            exact.real, exact.imag = 1.0, theta
+            assert np.exp(x).tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_node_raises(self, evo_grid, bad):
+        # a non-finite node past the core fails |theta| < 2^-27 and so stays
+        # on the np.exp prefix; the step still rejects the state
+        v = np.exp(-evo_grid.r).astype(complex)
+        u = RadialField(evo_grid, v)
+        v[len(v) // 2] = bad  # u holds it too: the field keeps v
+        h = evolution._plan(evo_grid, P313.b, 1e-3).h
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (evolution._phase(v, h, P313.p).tobytes()
+                    == _reference_phase(v, h, P313.p).tobytes())
+            with pytest.raises(NonFiniteError):
+                step(u, P313, 1e-3)
 
 
 class TestEvolve:

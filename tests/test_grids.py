@@ -12,10 +12,12 @@ from inls_lab.grids import (
     RadialField,
     RegimeKind,
     classify,
+    grad_sq_edges,
     gradient_sq_norm,
     integrate,
     make_grid,
     require_finite,
+    sphere_area,
 )
 
 
@@ -163,6 +165,16 @@ class TestGradient:
         kappa = g.kappa
         assert np.array_equal(kappa, (g.r[1:-1] + 0.5 * g.dr) ** 3 / g.dr)
         assert g.kappa is kappa and not kappa.flags.writeable
+
+    def test_edge_terms_match_unfactored_form(self):
+        # the cached omega_{N-1} kappa is the left-to-right product of the
+        # unfactored expression, so the edge terms agree bit for bit
+        g = make_grid(4.0, 1e-2, 4)
+        v = np.exp(-g.r**2 + 0.3j * g.r)
+        d = v[2:] - v[1:-1]
+        ref = sphere_area(g.N) * g.kappa * np.abs(d) ** 2
+        assert grad_sq_edges(v, g).tobytes() == ref.tobytes()
+        assert not g.area_kappa.flags.writeable
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):

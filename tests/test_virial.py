@@ -66,6 +66,17 @@ class TestCutoffPsi:
         assert vartheta(np.array([_R1]))[0] == pytest.approx(ref, abs=1e-12)
         assert ref == pytest.approx(3.0700, abs=1e-4)
 
+    # below 1, in the quintic, in the bridge, at and past 2
+    @pytest.mark.parametrize("rho", [0.5, 1.5, 1.8, 2.0, 2.5])
+    def test_scalar_rho(self, rho):
+        family = virial._vartheta_family(rho)
+        as_array = virial._vartheta_family(np.array([rho]))
+        for got, ref in zip(family, as_array, strict=True):
+            assert np.ndim(got) == 0 and got == ref[0]
+        assert vartheta(rho) == family[0]
+        if rho == 1.5:
+            assert vartheta(rho) == 2.9375
+
     @pytest.mark.parametrize("R", [1.0, 2.0, 4.0, 8.0])
     def test_invariants_on_dense_grids(self, R):
         g = make_grid(4.0 * R, 4.0 * R / 99999, 3)
