@@ -12,9 +12,17 @@ exponentially.
 Every trajectory of a shoot visits the same radii, so the radius terms r^b
 and (N-1)/r are tabulated once per (N, b, dr, r_max) (``_radii``, which
 keeps only the last table) and the RK4 loop is written out flat over that
-table.  The sweep and the bisection keep the trajectory of the current
-undershoot end of the bracket, and the converged profile is that
-trajectory: it is not integrated a second time.
+table.
+
+The bisection's result depends only on which side of the threshold a*
+each dyadic midpoint falls, so it is found by search, then replay.  The
+search (``_search``) tightens the sweep's bracket to a clean (U, O) with
+few trajectories: at distance d = |a - a*| a trajectory decides its fate
+at a radius r_d with log d + 2 r_d nearly constant, so two overshoots
+place a*.  The replay runs the bisection loop unchanged, except that a
+midpoint <= U is an undershoot and one >= O an overshoot without being
+integrated.  The converged profile is the trajectory of the final
+undershoot end, integrated once.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ class GroundState:
     decay_rate: float      # fitted C in Q ~ e^{-C r}
     params: Params
     r_match: float         # radius where the asymptotic tail was grafted
-    trajectories: int      # RK4 trajectories integrated: sweep plus bisection
+    trajectories: int      # RK4 trajectories integrated: sweep, search and bisection
     bisection_steps: int
     bracket: tuple[float, float]  # final (undershoot, overshoot) Q(0) bracket
 
@@ -163,16 +171,16 @@ def _shoot_trajectory(a: float, N: int, b: float, p: float, dr: float, r_max: fl
         hh = 0.5 * h
         left = per_node
         for rbh, nrh, rb1, nr1 in zip(mid_b, mid_c, end_b, end_c):
-            k1v = q - rb * abs(q) ** pm1 * q - nr * v
+            k1v = q - rb * (q if q > 0.0 else -q) ** pm1 * q - nr * v
             q2 = q + hh * v
             v2 = v + hh * k1v
-            k2v = q2 - rbh * abs(q2) ** pm1 * q2 - nrh * v2
+            k2v = q2 - rbh * (q2 if q2 > 0.0 else -q2) ** pm1 * q2 - nrh * v2
             q3 = q + hh * v2
             v3 = v + hh * k2v
-            k3v = q3 - rbh * abs(q3) ** pm1 * q3 - nrh * v3
+            k3v = q3 - rbh * (q3 if q3 > 0.0 else -q3) ** pm1 * q3 - nrh * v3
             q4 = q + h * v3
             v4 = v + h * k3v
-            k4v = q4 - rb1 * abs(q4) ** pm1 * q4 - nr1 * v4
+            k4v = q4 - rb1 * (q4 if q4 > 0.0 else -q4) ** pm1 * q4 - nr1 * v4
             q = q + h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
             v = v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
             rb = rb1
@@ -223,13 +231,79 @@ def _ode_residual(q: np.ndarray, v: np.ndarray, r: np.ndarray, dr: float,
     return float(resid[window].max())
 
 
+# Fates turn to noise within about 1e-14 Q(0) of the threshold.  The search
+# stops once its bracket is within 4 max(tol, _CLEAN Q(0)) and shoots no
+# closer than _CLEAN Q(0) to its estimate of a*, so that U and O, whose
+# sides the replay extends to every midpoint beyond them, stay about a
+# hundred times farther out than that.  Being far above the float spacing,
+# it also makes every pass of the search shoot a point strictly inside
+# (U, O), so the search ends.
+_CLEAN = 1e-12
+
+
+def _search(lo, lo_run, hi, hi_run, N: int, b: float, p: float, dr: float,
+            r_max: float, tol: float):
+    """Tighten the sweep's bracket (lo, hi) to a clean (U, O) around a*.
+
+    A trajectory decides its fate at r_d = (len(samples) - 1) dr.  From the
+    last two overshoots O1 > O, at r_d values r1 < r, rho = e^{2 (r - r1)}
+    estimates a* = (O1 - rho O)/(1 - rho), and the search shoots a* - s,
+    then a* + s, with s = max(0.01 (O - a*), clean) and clean =
+    max(tol, _CLEAN O).  Without an estimate strictly inside (U, O) it
+    shoots the midpoint.  Only points strictly inside (U, O) are shot, so U
+    stays an undershoot (or a run that reached r_max cleanly) and O an
+    overshoot.  The search stops while both are clean: when
+    O - U <= 4 clean; when an overshoot decides no later than O, which
+    outside the noise it would not (it is dropped); or when a shot reaches
+    r_max, past which r_d says nothing.
+
+    Returns (U, U's trajectory, O, trajectories integrated).
+    """
+    U, U_run, O = lo, lo_run, hi
+    r_O = (len(hi_run[1]) - 1) * dr
+    O1 = r_O1 = None  # the overshoot before O
+    shots = 0
+    while True:
+        clean = max(tol, _CLEAN * O)
+        if O - U <= 4.0 * clean:
+            break
+        star = O
+        if O1 is not None:
+            rho = math.exp(2.0 * (r_O - r_O1))
+            if rho != 1.0:
+                star = (O1 - rho * O) / (1.0 - rho)
+        if U < star < O:
+            s = max(0.01 * (O - star), clean)
+            targets = (star - s, star + s)
+        else:
+            targets = (0.5 * (U + O),)
+        for a in targets:
+            if not U < a < O:
+                continue
+            run = _shoot_trajectory(a, N, b, p, dr, r_max)
+            shots += 1
+            if run[0] == _OVERSHOOT:
+                r_a = (len(run[1]) - 1) * dr
+                if r_a <= r_O:
+                    return U, U_run, O, shots
+                O1, r_O1, O, r_O = O, r_O, a, r_a
+            else:
+                U, U_run = a, run
+                if not run[0]:
+                    return U, U_run, O, shots
+    return U, U_run, O, shots
+
+
 def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
           dr: float = 1e-3) -> GroundState:
     """Compute the positive radial ground state by bisection on Q(0).
 
     The bracket is found by a geometric sweep a = 2^k, k = -10..10; raising
     Q(0) moves trajectories from undershoot toward overshoot, and the
-    bisection keeps that ordering as an invariant.  Beyond the radius where
+    bisection keeps that ordering as an invariant.  The bisection is
+    searched, then replayed (see the module docstring); its lo, hi and step
+    count are those of integrating every midpoint, as long as fates are
+    monotone in Q(0) outside the search's bracket.  Beyond the radius where
     the profile has decayed below 1e-8 Q(0), the linearized tail
     c r^{-(N-1)/2} e^{-r} is grafted in place of the bisection-noise tail.
     """
@@ -252,8 +326,8 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
     grid = make_grid(r_max, dr, N)  # rejects a grid of fewer than 3 nodes
 
     # geometric sweep for an (undershoot, overshoot) bracket; lo_run keeps
-    # the trajectory of the bracket's undershoot side, so the converged
-    # profile is the last lo's samples and is never integrated twice
+    # the trajectory of the bracket's undershoot side, whose samples are the
+    # converged profile
     prev = None
     for k in range(-10, 11):
         run = _shoot_trajectory(2.0**k, N, b, p, dr, r_max)
@@ -270,23 +344,39 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
             f"no undershoot/overshoot bracket found for Q(0) in [2^-10, 2^10] "
             f"at (N, b, p) = ({N}, {b}, {p})"
         )
-    sweep = k + 11  # the sweep integrated 2^-10 .. 2^k
     lo, hi = 2.0 ** (k - 1), 2.0**k  # lo undershoots, hi overshoots
     lo_run = prev
+    U, U_run, O, shots = _search(lo, lo_run, hi, run, N, b, p, dr, r_max, tol)
+    trajectories = k + 11 + shots  # the sweep integrated 2^-10 .. 2^k
 
+    # replay: lo_run is the trajectory of lo, or None for a midpoint <= U
     bisections = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # the bracket is as tight as floats allow
-        run = _shoot_trajectory(mid, N, b, p, dr, r_max)
         bisections += 1
-        if run[0] == _OVERSHOOT:
+        if mid >= O:
             hi = mid
+        elif mid <= U:
+            lo, lo_run = mid, (U_run if mid == U else None)
         else:
-            # an undershoot, or r_max reached cleanly: treat the latter as
-            # decayed-from-above and tighten from the undershoot side
-            lo, lo_run = mid, run
+            run = _shoot_trajectory(mid, N, b, p, dr, r_max)
+            trajectories += 1
+            if run[0] == _OVERSHOOT:
+                hi = mid
+            else:
+                # an undershoot, or r_max reached cleanly: treat the latter
+                # as decayed-from-above and tighten from the undershoot side
+                lo, lo_run = mid, run
+    if lo_run is None:
+        lo_run = _shoot_trajectory(lo, N, b, p, dr, r_max)
+        trajectories += 1
+        if lo_run[0] == _OVERSHOOT:
+            raise RuntimeError(
+                f"shooting fates are not monotone in Q(0): {lo!r} overshoots "
+                f"below the undershoot {U!r}"
+            )
     a = lo  # undershoot side stays positive everywhere
     _, qs, vs = lo_run
     # the radius table (32 B per node) is not read again: release it
@@ -333,7 +423,7 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
         decay_rate=decay_rate,
         params=params,
         r_match=float(r_match),
-        trajectories=sweep + bisections,
+        trajectories=trajectories,
         bisection_steps=bisections,
         bracket=(lo, hi),
     )

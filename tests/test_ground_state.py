@@ -243,11 +243,146 @@ class TestTrajectory:
         monkeypatch.setattr(ground_state, "_shoot_trajectory", counted)
         gs = shoot(P214, dr=1e-2)
         lo, hi = gs.bracket
-        # the sweep reaches 2^1 and the converged lo is not integrated again
-        assert gs.trajectories == len(calls) == 52
+        # the sweep reaches 2^1; the search and the replay integrate 13 more
+        assert gs.trajectories == len(calls) == 25
         assert gs.bisection_steps == 40
         assert calls[:12] == [2.0**k for k in range(-10, 2)]
         assert lo == gs.shoot_value in calls and 0 < hi - lo <= 1e-12
+
+
+def _reference_shoot(P, r_max, tol, dr):
+    """shoot with a plain bisection that integrates every midpoint: the
+    sweep, the bisection loop and the profile built from the final lo."""
+    N, b, p = P.N, P.b, P.p
+    grid = make_grid(r_max, dr, N)
+    prev = None
+    for k in range(-10, 11):
+        run = _shoot_trajectory(2.0**k, N, b, p, dr, r_max)
+        if prev is not None and prev[0] == -1 and run[0] == 1:
+            break
+        prev = run
+    sweep = k + 11
+    lo, hi = 2.0 ** (k - 1), 2.0**k
+    lo_run = prev
+    bisections = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        run = _shoot_trajectory(mid, N, b, p, dr, r_max)
+        bisections += 1
+        if run[0] == 1:
+            hi = mid
+        else:
+            lo, lo_run = mid, run
+    _, qs, vs = lo_run
+    q_full = np.zeros(len(grid))
+    q_full[: len(qs)] = qs
+    i_peak = int(np.argmax(qs))
+    below = np.nonzero(qs[i_peak:] < 1e-8 * lo)[0]
+    if len(below):
+        i_match = i_peak + int(below[0])
+    else:
+        i_match = max(i_peak + 1, len(qs) - 1 - int(round(1.0 / dr)))
+    r_match = grid.r[i_match]
+    c_tail = qs[i_match] / ground_state._tail(r_match, 1.0, N)
+    q_full[i_match:] = ground_state._tail(grid.r[i_match:], c_tail, N)
+    fit = (grid.r >= r_match / 2.0) & (grid.r <= r_match)
+    slope = np.polyfit(grid.r[fit], np.log(q_full[fit]), 1)[0]
+    return ground_state.GroundState(
+        profile=ground_state.RadialField(grid, q_full),
+        shoot_value=lo,
+        ode_residual=ground_state._ode_residual(
+            qs, vs, grid.r[: len(qs)], dr, P, r_match),
+        decay_rate=-float(slope),
+        params=P,
+        r_match=float(r_match),
+        trajectories=sweep + bisections,
+        bisection_steps=bisections,
+        bracket=(lo, hi),
+    )
+
+
+# (params, r_max, tol, dr): the reference triples and the r_max = 15 set at
+# dr = 1e-2, two other step sizes, tolerances below float spacing, and
+# tolerances whose final lo is the search's U (0.2) or a midpoint below U
+# that the replay skipped (1e-8, 1e-5)
+_ORACLE_CASES = [
+    (P314, 20.0, 1e-12, 1e-2), (P313, 20.0, 1e-12, 1e-2),
+    (P214, 20.0, 1e-12, 1e-2), (Params(2, 1.0, 6.0), 15.0, 1e-12, 1e-2),
+    (Params(3, 0.5, 2.5), 15.0, 1e-12, 1e-2),
+    (Params(4, 1.0, 2.2), 15.0, 1e-12, 1e-2),
+    (Params(3, 0.3, 3.7), 15.0, 1e-12, 1e-2), (P314, 15.0, 1e-12, 1e-2),
+    (P214, 20.0, 1e-12, 2e-2), (P314, 20.0, 1e-12, 5e-3),
+    (P214, 20.0, 1e-300, 1e-2), (P314, 20.0, 1e-300, 1e-2),
+    (P314, 20.0, 0.2, 1e-2), (P314, 20.0, 1e-8, 1e-2),
+    (P214, 20.0, 1e-5, 1e-2),
+]
+
+
+def _record_shoot(monkeypatch, P, r_max, tol, dr):
+    """shoot, with the points it integrates and the bracket _search returns."""
+    calls, searched = [], []
+    real_search = ground_state._search
+
+    def counted(*args):
+        calls.append(args[0])
+        return _shoot_trajectory(*args)
+
+    def search(*args):
+        U, U_run, O, shots = real_search(*args)
+        searched.append((U, O, len(calls)))
+        return U, U_run, O, shots
+
+    with monkeypatch.context() as m:
+        m.setattr(ground_state, "_shoot_trajectory", counted)
+        m.setattr(ground_state, "_search", search)
+        gs = shoot(P, r_max=r_max, tol=tol, dr=dr)
+    return gs, calls, searched[0]
+
+
+class TestReplayedBisection:
+    @pytest.mark.parametrize("P,r_max,tol,dr", _ORACLE_CASES)
+    def test_matches_reference_bisection(self, P, r_max, tol, dr):
+        gs = shoot(P, r_max=r_max, tol=tol, dr=dr)
+        ref = _reference_shoot(P, r_max, tol, dr)
+        assert gs.bracket == ref.bracket
+        assert gs.bisection_steps == ref.bisection_steps
+        assert gs.shoot_value == ref.shoot_value
+        assert gs.ode_residual == ref.ode_residual
+        assert gs.decay_rate == ref.decay_rate
+        assert gs.r_match == ref.r_match
+        assert gs.profile.values.tobytes() == ref.profile.values.tobytes()
+        assert gs.trajectories <= ref.trajectories
+
+    @pytest.mark.parametrize("P,r_max,tol,dr", _ORACLE_CASES)
+    def test_integrates_only_inside_the_search_bracket(self, monkeypatch, P,
+                                                       r_max, tol, dr):
+        gs, calls, (U, O, searched) = _record_shoot(monkeypatch, P, r_max,
+                                                    tol, dr)
+        assert gs.trajectories == len(calls)
+        replayed = calls[searched:]
+        if replayed and not U < replayed[-1] < O:
+            # the final lo, a midpoint the replay took as an undershoot
+            assert replayed.pop() == gs.shoot_value <= U
+        assert all(U < a < O for a in replayed)
+        # each integrated midpoint is one bisection step
+        assert len(replayed) <= gs.bisection_steps
+
+    def test_final_lo_overshooting_is_not_monotone(self, monkeypatch):
+        # at (3,1,4), tol 1e-8 the final lo is a midpoint below U that the
+        # replay skipped; an overshoot there breaks the replay's premise
+        gs, calls, (U, _, _) = _record_shoot(monkeypatch, P314, 20.0, 1e-8,
+                                             1e-2)
+        assert calls[-1] == gs.shoot_value < U
+
+        def flipped(a, *args):
+            fate, qs, vs = _shoot_trajectory(a, *args)
+            return (ground_state._OVERSHOOT if a == calls[-1] else fate), qs, vs
+
+        monkeypatch.setattr(ground_state, "_shoot_trajectory", flipped)
+        with pytest.raises(RuntimeError, match="not monotone"):
+            shoot(P314, tol=1e-8, dr=1e-2)
 
 
 class TestExplicitW:
