@@ -18,7 +18,7 @@ for N, b, p in [(3, F(1), F(4)), (2, F(1), F(6)), (4, F(1), F(3))]:
     params = Params(N, float(b), float(p))
     print(f"--- (N, b, p) = ({N}, {b}, {p}) ---")
     try:
-        alpha, beta = morawetz_beta(params, "N-1")
+        alpha, beta = morawetz_beta(params)
     except ValueError as e:
         print(f"  no Morawetz data: {e}\n")
         continue

@@ -79,11 +79,7 @@ def cmd_ground_state(args) -> int:
         print(f"E(W) = (b+2)/(2N+2b) grad_sq (5.12): rel dev {ids['dev_512']:.3e}")
         return 0 if max(ids["dev_511"], ids["dev_512"]) < 1e-5 else CHECK_FAILURE
 
-    try:
-        ground = gs.shoot(params, r_max=args.rmax, tol=args.tol, dr=args.dr)
-    except (ValueError, RuntimeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+    ground = gs.shoot(params, r_max=args.rmax, tol=args.tol, dr=args.dr)
     res1, res2 = fn.pohozaev_residuals(ground.profile, params)
     _write_profile_csv(out / "profile.csv", ground.profile.grid.r,
                        np.real(ground.profile.values))
@@ -116,11 +112,7 @@ def _write_profile_csv(path: Path, r, q) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    try:
-        report = ver.run_suites(args.suite)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+    report = ver.run_suites(args.suite)
     payload = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(payload + "\n")
@@ -216,12 +208,8 @@ def cmd_evolve(args) -> int:
     grid = make_grid(args.rmax, args.dr, params.N)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        u0, ground = _initial_state(args.init, params, grid)
-        result = evolve(u0, params, cfg)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+    u0, ground = _initial_state(args.init, params, grid)
+    result = evolve(u0, params, cfg)
     diag_path = out / "diagnostics.csv"
     result.diagnostics.to_csv(diag_path)
     if result.states:
@@ -365,7 +353,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -396,7 +396,7 @@ def scattering_diagnostics(diag: DiagnosticsSeries, params: Params,
     for frac in (0.5, 1.0):
         mask = ts <= frac * T + 1e-12
         sums.append((frac * T, float(np.sum(pot[mask]) * dt)))
-    _, beta = morawetz_beta(params, "N-1")
+    _, beta = morawetz_beta(params)
     beta = float(beta)
     (l1, s1), (l2, s2) = sums
     sublinear_ok = bool(s1 == 0.0 or s2 <= (l2 / l1) ** beta * s1 * 1.5)

@@ -123,36 +123,17 @@ def auxiliary_exponents(alpha: Fraction, N: int) -> tuple[Fraction, Fraction]:
     return l, delta
 
 
-def morawetz_beta(params: Params, mode="N-1") -> tuple[Fraction, Fraction]:
-    """Morawetz decay data (alpha, beta).
-
-    mode selects which radial Sobolev exponent defines alpha:
-    "N-1" gives alpha = p - 1 - 2b/(N-1), "N-2" gives p - 1 - 2b/(N-2),
-    and a Fraction s in [1/2, 1] gives p - 1 - 2b/(N-2s).
-    beta = max(1/3, 2/((N-1) alpha + 2)) < 1 always.
-    """
-    N = params.N
-    b, p = Fraction(params.b), Fraction(params.p)
-    if mode == "N-1":
-        denom = Fraction(N - 1)
-    elif mode == "N-2":
-        if N < 3:
-            raise ValueError('mode "N-2" requires N >= 3')
-        denom = Fraction(N - 2)
-    else:
-        s = Fraction(mode)
-        if not Fraction(1, 2) <= s <= 1:
-            raise ValueError("s must lie in [1/2, 1]")
-        denom = Fraction(N) - 2 * s
-    return _alpha_beta(N, b, p, denom)
+def morawetz_beta(params: Params) -> tuple[Fraction, Fraction]:
+    """Morawetz decay data (alpha, beta): alpha = p - 1 - 2b/(N-1) and
+    beta = max(1/3, 2/((N-1) alpha + 2)) < 1 always."""
+    return _alpha_beta(params.N, Fraction(params.b), Fraction(params.p))
 
 
-def _alpha_beta(N: int, b: Fraction, p: Fraction,
-                denom: Fraction) -> tuple[Fraction, Fraction]:
-    """alpha = p - 1 - 2b/denom and beta = max(1/3, 2/((N-1) alpha + 2))."""
-    alpha = p - 1 - 2 * b / denom
+def _alpha_beta(N: int, b: Fraction, p: Fraction) -> tuple[Fraction, Fraction]:
+    """alpha = p - 1 - 2b/(N-1) and beta = max(1/3, 2/((N-1) alpha + 2))."""
+    alpha = p - 1 - 2 * b / (N - 1)
     if alpha <= 0:
-        raise ValueError(f"alpha = {alpha} must be positive for this weight mode")
+        raise ValueError(f"alpha = p - 1 - 2b/(N-1) = {alpha} must be positive")
     beta = max(Fraction(1, 3), Fraction(2) / ((N - 1) * alpha + 2))
     _require(Fraction(0) < beta < Fraction(1), "0 < beta < 1")
     return alpha, beta
@@ -238,7 +219,7 @@ def table(N: int, b: Fraction, p: Fraction) -> dict[str, Fraction | int | str]:
         "regime": classify(Params(N, float(b), float(p))).kind.value,
     }
     try:
-        alpha, beta = _alpha_beta(N, b, p, Fraction(N - 1))
+        alpha, beta = _alpha_beta(N, b, p)
     except ValueError:
         rows.update(alpha_N_minus_1="n/a", beta="n/a")
         return rows

@@ -38,10 +38,6 @@ __all__ = [
     "weinstein",
     "pohozaev_residuals",
     "c_opt_closed_form",
-    "coercivity_F",
-    "coercivity_G",
-    "coercivity_delta",
-    "coercivity_gap",
     "threshold_report",
     "energy_drift",
     "grad_mass_energy",
@@ -163,71 +159,9 @@ def c_opt_closed_form(q_stats: tuple[float, float], params: Params) -> float:
     return (params.p + 1.0) / A * (grad_norm * mass_norm**params.sigma_c) ** (2.0 - A)
 
 
-def coercivity_F(lam: float, params: Params, c_opt: float) -> float:
-    """F(lambda) = lambda^2/2 - C_opt/(p+1) lambda^A."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    return 0.5 * lam**2 - c_opt / (params.p + 1.0) * lam**params.A
-
-
-def coercivity_G(lam: float, params: Params) -> float:
-    """G(lambda) = [2A lambda^2 - 4 lambda^A] / (2A - 4).
-
-    Normalized so G(1) = 1; strictly increasing on (0, 1), decreasing past its
-    maximum.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be > 0")
-    A = params.A
-    denom = 2.0 * A - 4.0
-    if abs(denom) < 1e-14:
-        raise ValueError("G degenerates at mass-critical parameters (denominator 0)")
-    return (2.0 * A * lam**2 - 4.0 * lam**A) / denom
-
-
-def coercivity_delta(rho: float, params: Params) -> float:
-    """The explicit coercivity-gap constant
-
-        delta(rho) = A (1 - (1-rho)^{A-2}) / ((p+1) (1-rho)^{A-2}),
-
-    valid below the (1-rho)-shrunk gradient threshold.
-    """
-    if not 0 < rho < 1:
-        raise ValueError("rho must lie in (0, 1)")
-    A = params.A
-    shr = (1.0 - rho) ** (A - 2.0)
-    return A * (1.0 - shr) / ((params.p + 1.0) * shr)
-
-
 def ground_profile(ground) -> RadialField:
     """The profile of a GroundState, or the field itself."""
     return ground.profile if hasattr(ground, "profile") else ground
-
-
-def coercivity_gap(f: RadialField, params: Params, ground, rho: float) -> float:
-    """K(f) = ||grad f||^2 - A/(p+1) potential(f).
-
-    Requires the gradient product of f to sit strictly below (1-rho) times the
-    ground state's; asserts K(f) >= delta(rho) * potential(f) and returns K(f).
-    """
-    Q = ground_profile(ground)
-    sc = params.sigma_c
-    if not math.isfinite(sc):
-        raise ValueError("coercivity gap needs intercritical parameters")
-    _, gQ = dichotomy_products(*grad_mass_energy(Q, params), sc)
-    g = gradient_sq_norm(f)
-    pot = potential(f, params)
-    _, gp = dichotomy_products(g, mass(f), energy_of(g, pot, params.p), sc)
-    if not gp < (1.0 - rho) * gQ:
-        raise ValueError(
-            "precondition (4.16) violated: "
-            f"||grad f|| ||f||^sigma_c = {gp:.6g} is not below "
-            f"(1-rho) ||grad Q|| ||Q||^sigma_c = {(1.0 - rho) * gQ:.6g}"
-        )
-    K = g - params.A / (params.p + 1.0) * pot
-    if K < coercivity_delta(rho, params) * pot - 1e-12:
-        raise AssertionError("coercivity gap fell below the closed-form delta(rho)")
-    return K
 
 
 class Verdict(Enum):

@@ -390,6 +390,11 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
     i_peak = int(np.argmax(qs))
     if np.any(qs[: i_peak + 1] <= 0):
         raise RuntimeError("converged profile changed sign before its maximum")
+    if i_peak == len(qs) - 1:
+        raise RuntimeError(
+            f"converged profile never decayed: it peaks at its last sample "
+            f"at (N, b, p) = ({N}, {b}, {p})"
+        )
 
     # matching radius: first node past the peak where Q < 1e-8 Q(0); if the
     # trajectory misbehaves first, back off one length unit from the stop

@@ -92,16 +92,16 @@ def suite_exponents() -> list[CheckRow]:
                      float(failures), 0.0, ok=failures == 0))
 
     rows.append(_exact("morawetz_(3,1,4)", "Eq. (4.18); Eq. (4.22)",
-                       expo.morawetz_beta(Params(3, 1, 4), "N-1")
+                       expo.morawetz_beta(Params(3, 1, 4))
                        == (Fraction(2), Fraction(1, 3))))
     rows.append(_exact("morawetz_(2,1,6)", "Eq. (4.18)",
-                       expo.morawetz_beta(Params(2, 1, 6), "N-1")
+                       expo.morawetz_beta(Params(2, 1, 6))
                        == (Fraction(3), Fraction(2, 5))))
     beta_ok = True
     for i in range(1, 40):
         pp = 10 / 3 + i * 0.4
         try:
-            _, bb = expo.morawetz_beta(Params(3, 1, pp), "N-1")
+            _, bb = expo.morawetz_beta(Params(3, 1, pp))
             beta_ok = beta_ok and Fraction(0) < bb < Fraction(1)
         except ValueError:
             pass

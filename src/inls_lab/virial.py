@@ -35,7 +35,7 @@ from .grids import (
     write_csv,
 )
 from . import functionals
-from .functionals import energy, potential
+from .functionals import potential
 
 __all__ = [
     "CutoffProfile",
@@ -52,7 +52,6 @@ __all__ = [
     "fit_envelope_constant",
     "blowup_bound_check",
     "bound_rows_to_csv",
-    "coercivity_gap_58",
     "BoundRow",
 ]
 
@@ -591,84 +590,3 @@ def blowup_bound_check(states, params: Params, R: float, eps: float,
             )
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# strict negativity of the localized virial quadratic form
-# ---------------------------------------------------------------------------
-
-def coercivity_gap_58(u: RadialField, params: Params, ground) -> float:
-    """H(u) = (1+eps) ||grad u||^2 - A/(p+1) potential(u) with the explicit
-    blow-up constants; asserts H <= -nu and returns H.
-
-    Negative energy gives eps = (A-2)/2, nu = -A E(u);
-    otherwise the constants come from the threshold margin of the datum
-    against Q (intercritical) or W (energy-critical).
-    """
-    kind = classify(params).kind
-    N, b, p = params.N, params.b, params.p
-    E_u = energy(u, params)
-    Qf = functionals.ground_profile(ground)
-
-    if kind == RegimeKind.ENERGY_CRITICAL:
-        grad_sq = gradient_sq_norm(u)
-        H_base = grad_sq - potential(u, params)
-        if E_u < 0:
-            eps = (2.0 + b) / (2.0 * (N - 2.0))
-            # H + eps grad^2 = (2N+2b)/(N-2) E - ((2+b)/(N-2) - eps) grad^2
-            nu = -((2.0 * N + 2.0 * b) / (N - 2.0)) * E_u / 2.0
-        else:
-            EW = energy(Qf, params)
-            gW = gradient_sq_norm(Qf)
-            if not (E_u < EW and grad_sq > gW):
-                raise ValueError(
-                    "precondition failed: needs E(u) < E(W) and ||grad u|| > ||grad W||"
-                )
-            # 0.99 keeps a strict margin: the chain is tight for dilated-W data
-            eps, bracket = _margin_constants(0.99 * (1.0 - E_u / EW),
-                                             (2.0 + b) / (N - 2.0), params)
-            nu = bracket * gW
-    else:
-        if kind != RegimeKind.INTERCRITICAL and E_u >= 0:
-            raise ValueError(
-                "strict negativity needs intercritical or energy-critical "
-                "parameters unless E(u) < 0"
-            )
-        A = params.A
-        c = (A - 2.0) / 2.0
-        grad_sq = gradient_sq_norm(u)
-        H_base = grad_sq - A / (p + 1.0) * potential(u, params)
-        if E_u < 0:
-            eps = c
-            nu = -A * E_u
-        else:
-            report = functionals.threshold_report(u, params, ground)
-            if report.verdict != functionals.Verdict.BLOWUP_BRANCH:
-                raise ValueError(
-                    f"strict negativity requires the blow-up branch; verdict is "
-                    f"{report.verdict.value}"
-                )
-            # 0.99 keeps a strict margin: the chain is an equality for data of
-            # the form c Q, where the Gagliardo-Nirenberg inequality saturates
-            eps, bracket = _margin_constants(
-                0.99 * (1.0 - report.me_product / report.me_Q), c, params)
-            mass_ratio = functionals.mass(Qf) / functionals.mass(u)
-            nu = gradient_sq_norm(Qf) * mass_ratio**params.sigma_c * bracket
-    H = H_base + eps * grad_sq
-    if H > -nu + 1e-8 * (1.0 + abs(H)):
-        raise AssertionError("localized virial form failed strict negativity")
-    return H
-
-
-def _margin_constants(vart: float, c: float, params: Params) -> tuple[float, float]:
-    """eps and the bracket c (vart + 2 rho + rho^2) - eps (1+rho)^2 that nu
-    scales, where 1 + rho > 1 solves G(1 + rho) = 1 - vart for the
-    coercivity function G, and eps is half of its ceiling
-    c (vart + 2 rho + rho^2) / (1+rho)^2."""
-    from scipy.optimize import brentq
-
-    lam_star = brentq(lambda lam: functionals.coercivity_G(lam, params) - (1.0 - vart),
-                      1.0 + 1e-14, 1e6)
-    rho = lam_star - 1.0
-    eps = 0.5 * (c * (vart + 2 * rho + rho**2) / (1 + rho) ** 2)
-    return eps, c * (vart + 2 * rho + rho**2) - eps * (1 + rho) ** 2

@@ -257,6 +257,25 @@ def test_non_finite_grid_and_time_flags_exit_2(tmp_path, capsys, command, flag,
     assert "finite and positive" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("command", ["ground-state", "sweep", "evolve"])
+@pytest.mark.parametrize("dim, p, message", [
+    ("5", "1.51", "no undershoot/overshoot bracket"),
+    ("4", "1.67", "never decayed"),
+], ids=["5-1-1.51", "4-1-1.67"])
+def test_shooting_failure_exit_2(tmp_path, capsys, command, dim, p, message):
+    # shoot's RuntimeError reaches the user as one error line, not a traceback
+    argv = [command, "--dim", dim, "--b", "1", "--p", p,
+            "--out", str(tmp_path / "x")]
+    if command == "sweep":
+        argv += ["--amplitudes", "0.5"]
+    elif command == "evolve":
+        argv += ["--init", "cQ:0.5", "--tend", "0.01"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
 class TestSweepCommand:
     def test_degenerate_single_amplitude(self, tmp_path):
         out = tmp_path / "sw"

@@ -83,31 +83,23 @@ class TestAuxiliary:
 
 class TestMorawetz:
     def test_314(self):
-        assert morawetz_beta(Params(3, 1, 4), "N-1") == (F(2), F(1, 3))
+        assert morawetz_beta(Params(3, 1, 4)) == (F(2), F(1, 3))
 
     def test_216(self):
-        assert morawetz_beta(Params(2, 1, 6), "N-1") == (F(3), F(2, 5))
+        assert morawetz_beta(Params(2, 1, 6)) == (F(3), F(2, 5))
 
     def test_beta_always_below_one(self):
         for i in range(1, 60):
             p = 10 / 3 + 0.2 * i
             try:
-                _, beta = morawetz_beta(Params(3, 1.0, p), "N-1")
+                _, beta = morawetz_beta(Params(3, 1.0, p))
             except ValueError:
                 continue
             assert F(0) < beta < F(1)
 
-    def test_modes(self):
-        a1, _ = morawetz_beta(Params(3, 1, 4), "N-1")
-        a2, _ = morawetz_beta(Params(3, 1, 4), "N-2")
-        a3, _ = morawetz_beta(Params(3, 1, 4), F(1, 2))
-        assert a1 == F(2)
-        assert a2 == F(1)
-        assert a3 == F(2)  # s = 1/2 gives N - 2s = 2 = N - 1 at N = 3
-
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ValueError):
-            morawetz_beta(Params(3, 3.0, 2.0), "N-2")
+            morawetz_beta(Params(3, 3.0, 2.0))
 
 
 class TestDispersive:

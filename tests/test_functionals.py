@@ -7,10 +7,6 @@ from inls_lab.grids import Params, RadialField, gradient_sq_norm, make_grid
 from inls_lab.functionals import (
     Verdict,
     c_opt_closed_form,
-    coercivity_F,
-    coercivity_G,
-    coercivity_delta,
-    coercivity_gap,
     energy,
     mass,
     pohozaev_residuals,
@@ -157,74 +153,6 @@ class TestSharpConstant:
     def test_mass_critical_rejected(self):
         with pytest.raises(ValueError):
             c_opt_closed_form((1.0, 1.0), P313)
-
-
-class TestCoercivityFunctions:
-    def test_F_zero(self):
-        assert coercivity_F(0.0, P314, 1.0) == 0.0
-
-    def test_F_identity_at_ground_state(self, q314):
-        gq = math.sqrt(gradient_sq_norm(q314.profile))
-        mq = math.sqrt(mass(q314.profile))
-        c = c_opt_closed_form((gq, mq), P314)
-        lam = gq * mq**P314.sigma_c
-        left = coercivity_F(lam, P314, c)
-        right = energy(q314.profile, P314) * mass(q314.profile) ** P314.sigma_c
-        assert left == pytest.approx(right, rel=1e-4)
-
-    def test_F_maximizer_matches_stationarity(self):
-        # golden-section argmax against the closed-form root of F'
-        c_opt = 0.3
-        a_exp = (P314.N * (P314.p - 1) - 2 * P314.b) / 2.0  # 3.5
-        lam_star = (2 * (P314.p + 1) / (a_exp * 2 * c_opt)) ** (
-            1.0 / (a_exp - 2.0)
-        )
-        lo, hi = 0.0, 10.0 * lam_star
-        phi = (math.sqrt(5) - 1) / 2
-        for _ in range(200):
-            x1 = hi - phi * (hi - lo)
-            x2 = lo + phi * (hi - lo)
-            if coercivity_F(x1, P314, c_opt) > coercivity_F(x2, P314, c_opt):
-                hi = x2
-            else:
-                lo = x1
-        assert 0.5 * (lo + hi) == pytest.approx(lam_star, abs=1e-8)
-
-    def test_G_normalization(self):
-        assert abs(coercivity_G(1.0, P314) - 1.0) < 1e-12
-
-    def test_G_small_lambda(self):
-        assert coercivity_G(1e-9, P314) == pytest.approx(0.0, abs=1e-7)
-
-    def test_G_monotone_shape(self):
-        lams = np.linspace(1e-4, 3.0, 10000)
-        vals = np.array([coercivity_G(l, P314) for l in lams])
-        i_max = int(np.argmax(vals))
-        assert np.all(np.diff(vals[: i_max + 1]) > 0)
-        assert np.all(np.diff(vals[i_max:]) < 0)
-
-    def test_G_mass_critical_rejected(self):
-        with pytest.raises(ValueError):
-            coercivity_G(0.5, P313)
-
-
-class TestCoercivityGap:
-    def test_half_ground_state(self, q314):
-        f = 0.5 * q314.profile
-        # realized shrink factor: grad product scales by 0.5^{1+sigma_c} = 1/4
-        rho = 0.74
-        K = coercivity_gap(f, P314, q314, rho)
-        assert K > 0
-        assert K / potential(f, P314) >= coercivity_delta(rho, P314)
-
-    def test_ground_state_rejected(self, q314):
-        with pytest.raises(ValueError, match=r"\(4\.16\)"):
-            coercivity_gap(q314.profile, P314, q314, 0.1)
-
-    def test_zero_field_vacuous(self, q314):
-        z = RadialField(q314.profile.grid,
-                        np.zeros(len(q314.profile.grid)))
-        assert coercivity_gap(z, P314, q314, 0.5) == 0.0
 
 
 class TestThresholdReport:

@@ -61,6 +61,12 @@ class TestShoot:
         with pytest.raises(ValueError):
             shoot(P425)
 
+    def test_runaway_undershoots_near_lower_bound(self):
+        # just above p = 5/3 every undershoot runs away before it turns over,
+        # so the converged trajectory peaks at its last sample
+        with pytest.raises(RuntimeError, match=r"never decayed.*\(4, 1.0, 1.67\)"):
+            shoot(Params(4, 1.0, 1.67), dr=1e-2)
+
     @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
     def test_bad_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="finite and positive"):

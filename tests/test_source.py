@@ -99,3 +99,39 @@ def test_private_names_are_used():
         if not any(n == name and (m, o) != (module, name) for m, o, n in used)
     )
     assert unused == []
+
+
+def _imported_names(tree):
+    """(line, bound name) for each name an import statement binds anywhere in
+    the module, lazy imports inside functions included."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0])
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    return bound
+
+
+def _exported_names(tree):
+    """The string entries of the module's __all__, if it has one."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {e.value for e in node.value.elts}
+    return set()
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_imported_names_are_used(path):
+    # an import that a deletion left behind is loaded by no code in its
+    # module; an __all__ entry counts as a use, for re-exports
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    used |= _exported_names(tree)
+    unused = [(line, name) for line, name in _imported_names(tree)
+              if name not in used]
+    assert unused == [], f"{path.name}: unused imports {unused}"

@@ -10,7 +10,6 @@ from inls_lab.virial import (
     blowup_bound_check,
     build_vartheta_psi,
     build_zeta_theta_phi,
-    coercivity_gap_58,
     fit_envelope_constant,
     lemma52_check,
     lemma53_check,
@@ -295,42 +294,6 @@ class TestBlowupEnvelope:
         with pytest.raises(ValueError):
             blowup_bound_check(blowup_runs_mc[1.2].states,
                                Params(3, 1.0, 2.5), 32.0, 0.1, 1.0)
-
-
-class TestCoercivityGap58:
-    def test_negative_energy_constants(self, q314):
-        u = 1.5 * RadialField(q314.profile.grid,
-                              np.real(q314.profile.values))
-        E = energy(u, P314)
-        assert E < 0
-        H = coercivity_gap_58(u, P314, q314)
-        # H equals (N(p-1)-2b)/2 E exactly through the identity
-        assert H == pytest.approx(3.5 * E, rel=1e-10)
-
-    def test_positive_energy_blowup_branch(self, q314):
-        u = 1.05 * RadialField(q314.profile.grid,
-                               np.real(q314.profile.values))
-        assert energy(u, P314) > 0
-        H = coercivity_gap_58(u, P314, q314)
-        assert H < 0
-
-    def test_energy_critical_negative_energy(self):
-        from inls_lab.ground_state import W_value
-
-        g = make_grid(60.0, 5e-3, 4)
-        lam = 1.3
-        vals = 1.2 * W_value(g.r / lam, 4, 2.0)
-        u = RadialField(g, vals)
-        assert energy(u, P425) < 0
-        W = RadialField(g, W_value(g.r, 4, 2.0))
-        H = coercivity_gap_58(u, P425, W)
-        assert H < 0
-
-    def test_global_branch_rejected(self, q314):
-        u = 0.5 * RadialField(q314.profile.grid,
-                              np.real(q314.profile.values))
-        with pytest.raises(ValueError):
-            coercivity_gap_58(u, P314, q314)
 
 
 class TestBoundCSV:
