@@ -206,9 +206,9 @@ def cmd_evolve(args) -> int:
     params = _params_from(args)
     cfg = StepperConfig(dt=args.dt, t_end=args.tend, save_every=args.save_every)
     grid = make_grid(args.rmax, args.dr, params.N)
+    u0, ground = _initial_state(args.init, params, grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    u0, ground = _initial_state(args.init, params, grid)
     result = evolve(u0, params, cfg)
     diag_path = out / "diagnostics.csv"
     result.diagnostics.to_csv(diag_path)

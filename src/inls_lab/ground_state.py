@@ -17,12 +17,18 @@ table.
 The bisection's result depends only on which side of the threshold a*
 each dyadic midpoint falls, so it is found by search, then replay.  The
 search (``_search``) tightens the sweep's bracket to a clean (U, O) with
-few trajectories: at distance d = |a - a*| a trajectory decides its fate
-at a radius r_d with log d + 2 r_d nearly constant, so two overshoots
-place a*.  The replay runs the bisection loop unchanged, except that a
-midpoint <= U is an undershoot and one >= O an overshoot without being
-integrated.  The converged profile is the trajectory of the final
-undershoot end, integrated once.
+few trajectories: an overshoot at d = a - a* crosses zero at a radius r_d
+with log d + 2 r_d - (4 nu^2 - 1)/(4 r_d), nu = (N-2)/2, nearly constant,
+so two overshoots place a*.  It shoots only midpoints of the bisection's
+own path, walked with the estimate standing in for the fates it has not
+integrated.  The replay runs the bisection loop unchanged (``_bisect``
+serves both), except that a midpoint <= U is an undershoot and one >= O
+an overshoot without being read.  The sweep's lo and every trajectory
+after the sweep go into one table keyed by Q(0), which the replay and the
+final lo read before they integrate, so no Q(0) is integrated twice; the
+table keeps an undershoot's samples and an overshoot's fate, and goes when
+shoot returns.
+The converged profile is the trajectory of the final undershoot end.
 """
 
 from __future__ import annotations
@@ -233,65 +239,134 @@ def _ode_residual(q: np.ndarray, v: np.ndarray, r: np.ndarray, dr: float,
 
 # Fates turn to noise within about 1e-14 Q(0) of the threshold.  The search
 # stops once its bracket is within 4 max(tol, _CLEAN Q(0)) and shoots no
-# closer than _CLEAN Q(0) to its estimate of a*, so that U and O, whose
-# sides the replay extends to every midpoint beyond them, stay about a
-# hundred times farther out than that.  Being far above the float spacing,
-# it also makes every pass of the search shoot a point strictly inside
-# (U, O), so the search ends.
+# closer than _CLEAN Q(0) to its estimate of the threshold, so that U and O,
+# whose sides the replay extends to every midpoint beyond them, stay about a
+# hundred times farther out than that.
 _CLEAN = 1e-12
+# the search aims at _AIM (O - estimate) either side of its estimate
+_AIM = 3e-4
+
+_OVERSHOT = (_OVERSHOOT, None, None)  # an overshoot's entry in a shoot's table
 
 
-def _search(lo, lo_run, hi, hi_run, N: int, b: float, p: float, dr: float,
-            r_max: float, tol: float):
-    """Tighten the sweep's bracket (lo, hi) to a clean (U, O) around a*.
+def _trajectory(a: float, table: dict, N: int, b: float, p: float, dr: float,
+                r_max: float):
+    """The trajectory of Q(0) = a from the shoot's table, integrated and
+    entered on a miss.  The table keeps an undershoot whole and an
+    overshoot as its fate alone; a fresh integration is returned whole."""
+    run = table.get(a)
+    if run is None:
+        run = _shoot_trajectory(a, N, b, p, dr, r_max)
+        table[a] = _OVERSHOT if run[0] == _OVERSHOOT else run
+    return run
 
-    A trajectory decides its fate at r_d = (len(samples) - 1) dr.  From the
-    last two overshoots O1 > O, at r_d values r1 < r, rho = e^{2 (r - r1)}
-    estimates a* = (O1 - rho O)/(1 - rho), and the search shoots a* - s,
-    then a* + s, with s = max(0.01 (O - a*), clean) and clean =
-    max(tol, _CLEAN O).  Without an estimate strictly inside (U, O) it
-    shoots the midpoint.  Only points strictly inside (U, O) are shot, so U
-    stays an undershoot (or a run that reached r_max cleanly) and O an
-    overshoot.  The search stops while both are clean: when
-    O - U <= 4 clean; when an overshoot decides no later than O, which
-    outside the noise it would not (it is dropped); or when a shot reaches
-    r_max, past which r_d says nothing.
 
-    Returns (U, U's trajectory, O, trajectories integrated).
+def _crossing(qs: np.ndarray, dr: float) -> float:
+    """The radius where an overshoot crosses zero, linear between its last
+    two samples."""
+    return (len(qs) - 1 + qs[-1] / (qs[-2] - qs[-1])) * dr
+
+
+def _law(r: float, N: int) -> float:
+    """w(r) = 2 r - (4 nu^2 - 1)/(4 r), nu = (N - 2)/2: an overshoot at
+    distance d above a* crosses zero at the r_d where log d + w(r_d) is
+    nearly constant, the ratio of the Bessel tails K_nu/I_nu of Q and of the
+    growing mode."""
+    return 2.0 * r - ((N - 2.0) ** 2 - 1.0) / (4.0 * r)
+
+
+def _bisect(lo: float, hi: float, tol: float, low) -> tuple[float, float, int]:
+    """The bisection of (lo, hi) down to width tol, or as tight as floats
+    allow, in which low(mid) says whether a midpoint replaces lo or hi.
+    Returns (lo, hi, steps)."""
+    steps = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        steps += 1
+        if low(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, steps
+
+
+def _search(lo, hi, hi_run, table: dict, N: int, b: float, p: float,
+            dr: float, r_max: float, tol: float):
+    """Tighten the sweep's bracket (lo, hi) to a clean (U, O) around the
+    bisection's threshold, shooting only midpoints of the bisection's path.
+
+    Two overshoots O1 > O, crossing zero at r1 < r (_crossing), place
+    a* = (O1 - rho O)/(1 - rho) with rho = e^{w(r) - w(r1)} (_law).  Once a
+    shot has reached r_max without a fate, the threshold is the smallest
+    Q(0) that overshoots before r_max, T = a* + (O - a*) e^{w(r) - w(r_max)},
+    and the estimate moves there.  Each pass walks the bisection from
+    (lo, hi) (_bisect), sending every midpoint strictly inside (U, O) to
+    its side of the estimate, and shoots the walk's midpoints nearest the
+    estimate -+ s, s = max(_AIM (O - estimate), clean), among those at
+    least clean = max(tol, _CLEAN O) below and above it.  Without an
+    estimate inside (U, O) it shoots the walk's first midpoint inside.
+    While the estimate puts the walk's midpoints on their true sides, the
+    shots are midpoints the replay visits, read back from table, and U and
+    O lie on the bisection's path, past which the replay's extension of
+    their sides is exact.
+    Only points strictly inside (U, O) are shot, so U stays an undershoot
+    (or a run that reached r_max) and O an overshoot.  The search stops
+    while both are clean: when O - U <= 4 clean, when an overshoot crosses
+    no later than O, which outside the noise it would not, or when no
+    midpoint is left to shoot.  Every trajectory goes into table.
+
+    Returns (U, O).
     """
-    U, U_run, O = lo, lo_run, hi
-    r_O = (len(hi_run[1]) - 1) * dr
-    O1 = r_O1 = None  # the overshoot before O
-    shots = 0
+    U, O = lo, hi
+    r_O = _crossing(hi_run[1], dr)
+    est = None    # a* by the law, from O and the overshoot before it
+    w_top = None  # the law at r_max, once a shot has reached it
     while True:
         clean = max(tol, _CLEAN * O)
         if O - U <= 4.0 * clean:
-            break
-        star = O
-        if O1 is not None:
-            rho = math.exp(2.0 * (r_O - r_O1))
-            if rho != 1.0:
-                star = (O1 - rho * O) / (1.0 - rho)
-        if U < star < O:
-            s = max(0.01 * (O - star), clean)
-            targets = (star - s, star + s)
-        else:
-            targets = (0.5 * (U + O),)
+            return U, O
+        star = est
+        if star is not None and w_top is not None:
+            star += (O - star) * math.exp(_law(r_O, N) - w_top)
+        if star is not None and not U < star < O:
+            star = None
+        # the bisection's path if fates fall as U, O and the estimate say
+        inside = []
+
+        def low(mid):
+            if not U < mid < O:
+                return mid <= U
+            inside.append(mid)
+            return star is not None and mid < star
+
+        _bisect(lo, hi, tol, low)
+        targets = inside[:1]
+        if star is not None:
+            s = max(_AIM * (O - star), clean)
+            targets = []
+            for side in (-1.0, 1.0):
+                near = [m for m in inside if side * (m - star) >= clean]
+                if near:
+                    targets.append(min(near, key=lambda m: abs(m - star - side * s)))
+        if not targets:
+            return U, O
         for a in targets:
             if not U < a < O:
                 continue
-            run = _shoot_trajectory(a, N, b, p, dr, r_max)
-            shots += 1
+            run = _trajectory(a, table, N, b, p, dr, r_max)
             if run[0] == _OVERSHOOT:
-                r_a = (len(run[1]) - 1) * dr
+                r_a = _crossing(run[1], dr)
                 if r_a <= r_O:
-                    return U, U_run, O, shots
-                O1, r_O1, O, r_O = O, r_O, a, r_a
+                    return U, O
+                rho = math.exp(_law(r_a, N) - _law(r_O, N))
+                est = (O - rho * a) / (1.0 - rho) if rho > 1.0 else None
+                O, r_O = a, r_a
             else:
-                U, U_run = a, run
+                U = a
                 if not run[0]:
-                    return U, U_run, O, shots
-    return U, U_run, O, shots
+                    w_top = _law((len(run[1]) - 1) * dr, N)
 
 
 def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
@@ -303,7 +378,9 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
     bisection keeps that ordering as an invariant.  The bisection is
     searched, then replayed (see the module docstring); its lo, hi and step
     count are those of integrating every midpoint, as long as fates are
-    monotone in Q(0) outside the search's bracket.  Beyond the radius where
+    monotone in Q(0) outside the search's bracket.  The search, the replay
+    and the final lo share one table of trajectories, so no Q(0) is
+    integrated twice.  Beyond the radius where
     the profile has decayed below 1e-8 Q(0), the linearized tail
     c r^{-(N-1)/2} e^{-r} is grafted in place of the bisection-noise tail.
     """
@@ -325,9 +402,7 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
 
     grid = make_grid(r_max, dr, N)  # rejects a grid of fewer than 3 nodes
 
-    # geometric sweep for an (undershoot, overshoot) bracket; lo_run keeps
-    # the trajectory of the bracket's undershoot side, whose samples are the
-    # converged profile
+    # geometric sweep for an (undershoot, overshoot) bracket
     prev = None
     for k in range(-10, 11):
         run = _shoot_trajectory(2.0**k, N, b, p, dr, r_max)
@@ -345,40 +420,27 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
             f"at (N, b, p) = ({N}, {b}, {p})"
         )
     lo, hi = 2.0 ** (k - 1), 2.0**k  # lo undershoots, hi overshoots
-    lo_run = prev
-    U, U_run, O, shots = _search(lo, lo_run, hi, run, N, b, p, dr, r_max, tol)
-    trajectories = k + 11 + shots  # the sweep integrated 2^-10 .. 2^k
+    # every later read is of a Q(0) in [lo, hi): the table starts from lo
+    table = {lo: prev}
+    U, O = _search(lo, hi, run, table, N, b, p, dr, r_max, tol)
 
-    # replay: lo_run is the trajectory of lo, or None for a midpoint <= U
-    bisections = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # the bracket is as tight as floats allow
-        bisections += 1
-        if mid >= O:
-            hi = mid
-        elif mid <= U:
-            lo, lo_run = mid, (U_run if mid == U else None)
-        else:
-            run = _shoot_trajectory(mid, N, b, p, dr, r_max)
-            trajectories += 1
-            if run[0] == _OVERSHOOT:
-                hi = mid
-            else:
-                # an undershoot, or r_max reached cleanly: treat the latter
-                # as decayed-from-above and tighten from the undershoot side
-                lo, lo_run = mid, run
-    if lo_run is None:
-        lo_run = _shoot_trajectory(lo, N, b, p, dr, r_max)
-        trajectories += 1
-        if lo_run[0] == _OVERSHOOT:
-            raise RuntimeError(
-                f"shooting fates are not monotone in Q(0): {lo!r} overshoots "
-                f"below the undershoot {U!r}"
-            )
+    def low(mid):
+        # replay: a midpoint <= U goes low and one >= O high unread; inside,
+        # an undershoot or a run that reached r_max cleanly (taken as
+        # decayed from above) goes low
+        if not U < mid < O:
+            return mid <= U
+        return _trajectory(mid, table, N, b, p, dr, r_max)[0] != _OVERSHOOT
+
+    lo, hi, bisections = _bisect(lo, hi, tol, low)
+    fate, qs, vs = _trajectory(lo, table, N, b, p, dr, r_max)
+    if fate == _OVERSHOOT:
+        raise RuntimeError(
+            f"shooting fates are not monotone in Q(0): {lo!r} overshoots "
+            f"below the undershoot {U!r}"
+        )
     a = lo  # undershoot side stays positive everywhere
-    _, qs, vs = lo_run
+    trajectories = k + 10 + len(table)  # the sweep integrated 2^-10 .. 2^k
     # the radius table (32 B per node) is not read again: release it
     global _last_radii
     _last_radii = None

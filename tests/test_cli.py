@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -68,7 +69,7 @@ class TestGroundStateCommand:
                     "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "Pohozaev" in printed
-        assert "shooting: 31 trajectories, 41 bisection steps, final bracket" in printed
+        assert "shooting: 25 trajectories, 41 bisection steps, final bracket" in printed
         fixture = json.loads((out / "ground_state.json").read_text())
         assert set(fixture) == {"params", "shoot_value", "mass", "grad_sq",
                                 "potential"}
@@ -140,6 +141,16 @@ class TestEvolveCommand:
         assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
                     "--init", "wavelet:1", "--tend", "0.1",
                     "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("dim, p, init", [
+        ("5", "1.51", "cQ:0.5"), ("3", "3", "wavelet:1"),
+        ("3", "3", "file:missing.csv"),
+    ], ids=["no-ground-state", "bad-spec", "missing-file"])
+    def test_failed_initial_state_leaves_no_out_dir(self, tmp_path, dim, p, init):
+        out = tmp_path / "x"
+        assert run(["evolve", "--dim", dim, "--b", "1", "--p", p,
+                    "--init", init, "--tend", "0.01", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_negative_save_every_exit_2(self, tmp_path):
         out = tmp_path / "x"
@@ -293,6 +304,12 @@ class TestSweepCommand:
 
 
 class TestVerifyDeterminism:
+    def test_all_suites_report_pinned(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--suite", "all", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "34c16461b012c3a747a15c268ac781e1dff40b1784a94d53f59837f414991044")
+
     def test_byte_identical_reports(self, tmp_path):
         payloads = []
         for name in ("r1.json", "r2.json"):

@@ -249,8 +249,8 @@ class TestTrajectory:
         monkeypatch.setattr(ground_state, "_shoot_trajectory", counted)
         gs = shoot(P214, dr=1e-2)
         lo, hi = gs.bracket
-        # the sweep reaches 2^1; the search and the replay integrate 13 more
-        assert gs.trajectories == len(calls) == 25
+        # the sweep reaches 2^1; the search and the replay integrate 12 more
+        assert gs.trajectories == len(calls) == 24
         assert gs.bisection_steps == 40
         assert calls[:12] == [2.0**k for k in range(-10, 2)]
         assert lo == gs.shoot_value in calls and 0 < hi - lo <= 1e-12
@@ -326,19 +326,31 @@ _ORACLE_CASES = [
 ]
 
 
-def _record_shoot(monkeypatch, P, r_max, tol, dr):
-    """shoot, with the points it integrates and the bracket _search returns."""
+# RK4 node budgets, in _ORACLE_CASES order: what each case takes with a
+# search that shoots a* -+ 0.01 (O - a*) off the bisection's path and a
+# replay that integrates its midpoints again.  Walking the path and reading
+# the table must never cost more
+_NODE_BUDGETS = [25443, 28746, 20385, 22107, 32565, 37271, 25069, 29402,
+                 11968, 52240, 42393, 45225, 8657, 18436, 12211]
+
+
+def _record_shoot(monkeypatch, P, r_max, tol, dr, nodes=None):
+    """shoot, with the points it integrates and the bracket _search returns;
+    nodes, a list, gets the RK4 nodes of each trajectory."""
     calls, searched = [], []
     real_search = ground_state._search
 
     def counted(*args):
         calls.append(args[0])
-        return _shoot_trajectory(*args)
+        run = _shoot_trajectory(*args)
+        if nodes is not None:
+            nodes.append(len(run[1]) - 1)
+        return run
 
     def search(*args):
-        U, U_run, O, shots = real_search(*args)
+        U, O = real_search(*args)
         searched.append((U, O, len(calls)))
-        return U, U_run, O, shots
+        return U, O
 
     with monkeypatch.context() as m:
         m.setattr(ground_state, "_shoot_trajectory", counted)
@@ -375,20 +387,64 @@ class TestReplayedBisection:
         # each integrated midpoint is one bisection step
         assert len(replayed) <= gs.bisection_steps
 
+    @pytest.mark.parametrize("P,r_max,tol,dr", _ORACLE_CASES)
+    def test_integrates_each_point_once(self, monkeypatch, P, r_max, tol, dr):
+        # the search, the replay and the final lo share one table, which
+        # starts from the sweep's lo
+        gs, calls, _ = _record_shoot(monkeypatch, P, r_max, tol, dr)
+        assert len(set(calls)) == len(calls) == gs.trajectories
+
+    @pytest.mark.parametrize("P,r_max,tol,dr,budget",
+                             [c + (n,) for c, n in zip(_ORACLE_CASES,
+                                                       _NODE_BUDGETS)])
+    def test_within_node_budget(self, monkeypatch, P, r_max, tol, dr, budget):
+        nodes = []
+        _record_shoot(monkeypatch, P, r_max, tol, dr, nodes)
+        assert sum(nodes) <= budget
+
+    def test_aims_at_the_r_max_threshold(self, monkeypatch):
+        # at r_max 15 the bisection converges on the smallest Q(0) that
+        # overshoots before r_max; aiming there once a shot has reached
+        # r_max, rather than at a*, takes (4,1,2.2) from 35,821 to 26,078
+        nodes = []
+        _record_shoot(monkeypatch, Params(4, 1.0, 2.2), 15.0, 1e-12, 1e-2,
+                      nodes)
+        assert sum(nodes) <= 30000
+
     def test_final_lo_overshooting_is_not_monotone(self, monkeypatch):
-        # at (3,1,4), tol 1e-8 the final lo is a midpoint below U that the
-        # replay skipped; an overshoot there breaks the replay's premise
-        gs, calls, (U, _, _) = _record_shoot(monkeypatch, P314, 20.0, 1e-8,
-                                             1e-2)
-        assert calls[-1] == gs.shoot_value < U
+        # the final lo's trajectory is read from the shoot's table.  An
+        # overshoot entry there, as a final lo below U that the replay
+        # skipped would give if fates were not monotone in Q(0), breaks the
+        # replay's premise
+        gs, calls, _ = _record_shoot(monkeypatch, P314, 20.0, 1e-8, 1e-2)
+        assert gs.shoot_value in calls
+        real = ground_state._trajectory
 
-        def flipped(a, *args):
-            fate, qs, vs = _shoot_trajectory(a, *args)
-            return (ground_state._OVERSHOOT if a == calls[-1] else fate), qs, vs
+        def flipped(a, table, *args):
+            run = real(a, table, *args)
+            if a == gs.shoot_value:
+                table[a] = ground_state._OVERSHOT
+            return run
 
-        monkeypatch.setattr(ground_state, "_shoot_trajectory", flipped)
+        monkeypatch.setattr(ground_state, "_trajectory", flipped)
         with pytest.raises(RuntimeError, match="not monotone"):
             shoot(P314, tol=1e-8, dr=1e-2)
+
+    # a* is the overshoot end of the bracket shoot finds at dr 1e-2
+    @pytest.mark.parametrize("P,a_star", [(P314, 3.068630374298664),
+                                          (P214, 1.6721923293453074),
+                                          (Params(4, 1.0, 2.2), 1.726249378344619)])
+    def test_overshoot_law(self, P, a_star):
+        # log d + w(r_d) stays within 1e-3 for overshoots 1e-5 to 1e-9 above
+        # a* at dr 1e-2; log d + 2 r_d on whole nodes spreads 1e-2 to 3e-2
+        law = []
+        for k in range(5, 10):
+            d = a_star * 10.0**-k
+            fate, qs, _ = _shoot_trajectory(a_star + d, P.N, P.b, P.p, 1e-2, 20.0)
+            assert fate == ground_state._OVERSHOOT
+            r = ground_state._crossing(qs, 1e-2)
+            law.append(math.log(d) + ground_state._law(r, P.N))
+        assert max(law) - min(law) < 1e-3
 
 
 class TestExplicitW:
