@@ -246,11 +246,9 @@ def cmd_sweep(args) -> int:
     try:
         amplitudes = [float(a) for a in args.amplitudes.split(",") if a.strip()]
     except ValueError as e:
-        print(f"error: bad amplitude list: {e}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"bad amplitude list: {e}") from e
     if not amplitudes:
-        print("error: empty amplitude list", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("empty amplitude list")
     cfg = StepperConfig(dt=args.dt, t_end=args.tend)
     grid = make_grid(args.rmax, args.dr, params.N)
     ground = gs.shoot(params)

@@ -14,7 +14,10 @@ the splitting and the resolution, not a mismatch between two stencils.
 The tridiagonal matrix M + i dt/2 K is LU-factored once per (grid, b, dt),
 so a step costs one pair of triangular sweeps; ``step`` and ``evolve``
 share the factors and the phase coefficient of the last (grid, b, dt)
-stepped.
+stepped.  The LAPACK routines (scipy's zgttrf and zgttrs) are imported
+when the first plan is built, not with this module: importing
+scipy.linalg takes about 0.24 s and 24 MB, which the commands that never
+take a step (ground-state, verify, exponents) should not pay.
 The half-phase multiplies by exp(x), x = h |u|^{p-1} with h purely
 imaginary, and takes np.exp only on the prefix of nodes that ends at the
 last one with |theta| = |Im x| not below 2^-27 (a NaN or inf fails that
@@ -37,7 +40,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from . import functionals as fn
 from .grids import (NonFiniteError, Params, RadialField, RadialGrid, classify,
@@ -77,8 +79,19 @@ class StepperConfig:
         if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
             raise ValueError(f"dt and t_end must be finite and positive, got "
                              f"dt = {self.dt}, t_end = {self.t_end}")
+        # a run takes whole steps: t_end / dt within 1e-9 of an integer >= 1
+        steps = self.t_end / self.dt
+        if not (steps < math.inf and self.n_steps >= 1
+                and abs(steps - self.n_steps) <= 1e-9 * self.n_steps):
+            raise ValueError(f"t_end must be a whole number (at least 1) of "
+                             f"steps dt, got t_end / dt = {steps:.12g}")
         if self.save_every < 0:
             raise ValueError("save_every must be >= 0 (0 saves no states)")
+
+    @property
+    def n_steps(self) -> int:
+        """The number of steps dt that make t_end."""
+        return round(self.t_end / self.dt)
 
 
 class RunStatus(Enum):
@@ -151,7 +164,9 @@ class DiagnosticsSeries:
 class _CrankNicolson:
     """The step plan for one (grid, b, dt): (M + i dt/2 K) u+ = (M - i dt/2 K) u-
     with M + i dt/2 K factored once by LAPACK zgttrf, so that each step is
-    one zgttrs solve, and the half-step phase coefficient h = 0.5j dt r^b."""
+    one zgttrs solve, and the half-step phase coefficient h = 0.5j dt r^b.
+    scipy's LAPACK is loaded by the first plan a process builds, so that
+    only a process that steps pays for it."""
 
     def __init__(self, grid: RadialGrid, b: float, dt: float):
         N, r, dr, kappa = grid.N, grid.r, grid.dr, grid.kappa
@@ -160,6 +175,8 @@ class _CrankNicolson:
             # zgttrf's wrapper takes no fewer than 3 unknowns
             raise ValueError(f"the Crank-Nicolson step needs a grid of at least "
                              f"5 nodes, got {n}")
+        from scipy.linalg.lapack import zgttrf, zgttrs
+
         m = n - 2  # degrees of freedom: nodes 1 .. n-2
         diag = np.zeros(m)
         diag[:-1] += kappa[:-1]      # edge to the right, interior
@@ -171,7 +188,7 @@ class _CrankNicolson:
         *self.lu, info = zgttrf(z * off, Mw + z * diag, z * off)
         if info != 0:
             raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-        self.n, self.dt = n, dt
+        self.n, self.dt, self.zgttrs = n, dt, zgttrs
         self.b_diag = Mw - z * diag
         self.b_off = -z * off
         self.h = 0.5j * dt * r**b
@@ -183,7 +200,7 @@ class _CrankNicolson:
         np.multiply(self.b_diag, u, out=rhs)
         rhs[:-1] += self.b_off * u[1:]
         rhs[1:] += self.b_off * u[:-1]
-        zgttrs(*self.lu, rhs, overwrite_b=1)
+        self.zgttrs(*self.lu, rhs, overwrite_b=1)
         return out
 
 
@@ -316,7 +333,6 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
     if cfg.save_every > 0:
         states.append((t, u))
 
-    n_steps = int(round(cfg.t_end / cfg.dt))
     factor_sq = BLOWUP_GRADIENT_FACTOR**2
     wall_tol = BOUNDARY_MASS_TOL * m0 if m0 > 0 else math.inf
     drift_max = 0.0
@@ -325,7 +341,7 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
     blowup_estimate = None
     zero_run = u.is_zero
 
-    for k in range(1, n_steps + 1):
+    for k in range(1, cfg.n_steps + 1):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 u = step(u, params, cfg.dt, cfg.linear_only)

@@ -1,10 +1,15 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import inls_lab
 from inls_lab.cli import main
 from inls_lab.evolution import StepperConfig, evolve
 from inls_lab.grids import Params, RadialField, make_grid
@@ -159,6 +164,17 @@ class TestEvolveCommand:
                     "--save-every", "-5", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("tend", ["1e-4", "0.0025"])
+    def test_partial_step_tend_exit_2(self, tmp_path, capsys, tend):
+        # 1e-4 used to end at t = 0 and 0.0025 silently at t = 0.002
+        out = tmp_path / "x"
+        assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
+                    "--init", "gaussian:1", "--tend", tend, "--dt", "1e-3",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_end must be a whole number")
+        assert not out.exists()
+
     def test_summary_cfg_block(self, tmp_path):
         # the grid comes from the flags, the thresholds are fixed floats
         out = tmp_path / "run"
@@ -269,6 +285,40 @@ def test_non_finite_grid_and_time_flags_exit_2(tmp_path, capsys, command, flag,
 
 
 
+_STATIC_COMMANDS_SCRIPT = """
+import sys
+import inls_lab, inls_lab.cli
+from inls_lab.cli import main
+static = [
+    ["exponents", "--dim", "3", "--b", "1", "--p", "4"],
+    ["verify", "--suite", "all", "--out", "verify.json"],
+    ["ground-state", "--dim", "3", "--b", "1", "--p", "4", "--dr", "1e-2",
+     "--out", "gs"],
+    ["ground-state", "--dim", "4", "--b", "2", "--p", "5", "--out", "w"],
+]
+for argv in static:
+    assert main(argv) == 0, argv
+assert "scipy" not in sys.modules, "a static command loaded scipy"
+assert main(["evolve", "--dim", "3", "--b", "1", "--p", "3",
+             "--init", "gaussian:1", "--tend", "2e-3", "--dt", "1e-3",
+             "--rmax", "8", "--dr", "1e-2", "--out", "run"]) == 0
+assert "scipy" in sys.modules, "the first step did not load scipy"
+"""
+
+
+def test_static_commands_never_load_scipy(tmp_path):
+    # scipy's LAPACK is imported with the first Crank-Nicolson plan: the
+    # commands that take no step do not pay for it, in a fresh interpreter
+    src = str(Path(inls_lab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _STATIC_COMMANDS_SCRIPT],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("command", ["ground-state", "sweep", "evolve"])
 @pytest.mark.parametrize("dim, p, message", [
     ("5", "1.51", "no undershoot/overshoot bracket"),
@@ -301,6 +351,19 @@ class TestSweepCommand:
     def test_empty_amplitudes_exit_2(self, tmp_path):
         assert run(["sweep", "--dim", "3", "--b", "1", "--p", "4",
                     "--amplitudes", "", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("amplitudes, message", [
+        ("0.5,x", "error: bad amplitude list: could not convert string to "
+                  "float: 'x'"),
+        (" , ", "error: empty amplitude list"),
+    ])
+    def test_amplitude_list_errors(self, tmp_path, capsys, amplitudes, message):
+        out = tmp_path / "x"
+        assert run(["sweep", "--dim", "3", "--b", "1", "--p", "4",
+                    "--amplitudes", amplitudes, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == ""
+        assert not out.exists()
 
 
 class TestVerifyDeterminism:

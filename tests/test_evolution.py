@@ -192,6 +192,31 @@ class TestExactTailPhase:
                 step(u, P313, 1e-3)
 
 
+class TestStepperConfig:
+    @pytest.mark.parametrize("t_end, dt", [
+        (1e-4, 1e-3),     # less than one step
+        (2.5e-3, 1e-3),   # a half step, which rounding half to even dropped
+        (1.5e-3, 1e-3),
+        (2e-3 + 1e-11, 1e-3),
+        (1.0, 1e-320),    # t_end / dt overflows to inf
+    ])
+    def test_partial_steps_rejected(self, t_end, dt):
+        with pytest.raises(ValueError, match="whole number"):
+            StepperConfig(dt=dt, t_end=t_end)
+
+    @pytest.mark.parametrize("t_end, dt, n", [
+        (1e-3, 1e-3, 1), (0.05, 1e-4, 500), (0.3, 0.1, 3), (2.0, 2.5e-4, 8000),
+    ])
+    def test_whole_steps_accepted(self, t_end, dt, n):
+        assert StepperConfig(dt=dt, t_end=t_end).n_steps == n
+
+    def test_run_takes_every_step(self, evo_grid):
+        z = RadialField(evo_grid, np.zeros(len(evo_grid), dtype=complex))
+        res = evolve(z, P313, StepperConfig(dt=0.1, t_end=0.3))
+        assert len(res.diagnostics.t) == 4
+        assert res.outcome.t_final == pytest.approx(0.3)
+
+
 class TestEvolve:
     def test_zero_data(self, evo_grid):
         z = RadialField(evo_grid, np.zeros(len(evo_grid), dtype=complex))
