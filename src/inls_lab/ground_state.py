@@ -14,6 +14,12 @@ and (N-1)/r are tabulated once per (N, b, dr, r_max) (``_radii``, which
 keeps only the last table) and the RK4 loop is written out flat over that
 table.
 
+The bracket comes from a geometric sweep that scans Q(0) = 2^10, 2^9, ...
+down to the first undershoot directly below an overshoot.  An overshoot at
+large Q(0) crosses zero within a few hundred nodes, while an undershoot
+runs to r of about 6 whatever its Q(0), so scanning from the top
+integrates few undershoots.
+
 The bisection's result depends only on which side of the threshold a*
 each dyadic midpoint falls, so it is found by search, then replay.  The
 search (``_search``) tightens the sweep's bracket to a clean (U, O) with
@@ -26,8 +32,8 @@ serves both), except that a midpoint <= U is an undershoot and one >= O
 an overshoot without being read.  The sweep's lo and every trajectory
 after the sweep go into one table keyed by Q(0), which the replay and the
 final lo read before they integrate, so no Q(0) is integrated twice; the
-table keeps an undershoot's samples and an overshoot's fate, and goes when
-shoot returns.
+table keeps an undershoot's samples and an overshoot's fate, nothing at or
+above the sweep's hi, and goes when shoot returns.
 The converged profile is the trajectory of the final undershoot end.
 """
 
@@ -373,16 +379,23 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
           dr: float = 1e-3) -> GroundState:
     """Compute the positive radial ground state by bisection on Q(0).
 
-    The bracket is found by a geometric sweep a = 2^k, k = -10..10; raising
-    Q(0) moves trajectories from undershoot toward overshoot, and the
-    bisection keeps that ordering as an invariant.  The bisection is
-    searched, then replayed (see the module docstring); its lo, hi and step
-    count are those of integrating every midpoint, as long as fates are
-    monotone in Q(0) outside the search's bracket.  The search, the replay
-    and the final lo share one table of trajectories, so no Q(0) is
-    integrated twice.  Beyond the radius where
-    the profile has decayed below 1e-8 Q(0), the linearized tail
-    c r^{-(N-1)/2} e^{-r} is grafted in place of the bisection-noise tail.
+    The bracket is found by a geometric sweep a = 2^k, k = 10, 9, ..., -10,
+    that stops at the first undershoot lo = 2^k directly below an overshoot
+    hi = 2^(k+1); raising Q(0) moves trajectories from undershoot toward
+    overshoot, and the bisection keeps that ordering as an invariant.  An
+    overshoot directly below an undershoot on the sweep breaks it and
+    raises.  The sweep applies that check to the points from 2^10 down to
+    lo and never integrates a point below lo, so fates there go unchecked,
+    as fates above hi did when the sweep scanned upward; with monotone fates
+    both scans find the one adjacent (undershoot, overshoot) pair.
+
+    The bisection is searched, then replayed (see the module docstring); its
+    lo, hi and step count are those of integrating every midpoint, as long
+    as fates are monotone in Q(0) outside the search's bracket.  The search,
+    the replay and the final lo share one table of trajectories, so no Q(0)
+    is integrated twice.  Beyond the radius where the profile has decayed
+    below 1e-8 Q(0), the linearized tail c r^{-(N-1)/2} e^{-r} is grafted in
+    place of the bisection-noise tail.
     """
     N, b, p = params.N, params.b, params.p
     if not 0 < tol < math.inf:
@@ -402,27 +415,27 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
 
     grid = make_grid(r_max, dr, N)  # rejects a grid of fewer than 3 nodes
 
-    # geometric sweep for an (undershoot, overshoot) bracket
-    prev = None
-    for k in range(-10, 11):
+    # geometric sweep from the top for an (undershoot, overshoot) bracket
+    above = None
+    for k in range(10, -11, -1):
         run = _shoot_trajectory(2.0**k, N, b, p, dr, r_max)
-        if prev is not None:
-            if prev[0] == _UNDERSHOOT and run[0] == _OVERSHOOT:
+        if above is not None:
+            if run[0] == _UNDERSHOOT and above[0] == _OVERSHOOT:
                 break
-            if prev[0] == _OVERSHOOT and run[0] == _UNDERSHOOT:
+            if run[0] == _OVERSHOOT and above[0] == _UNDERSHOOT:
                 raise RuntimeError(
                     "shooting fates are not monotone in Q(0) on the sweep"
                 )
-        prev = run
+        above = run
     else:
         raise RuntimeError(
             f"no undershoot/overshoot bracket found for Q(0) in [2^-10, 2^10] "
             f"at (N, b, p) = ({N}, {b}, {p})"
         )
-    lo, hi = 2.0 ** (k - 1), 2.0**k  # lo undershoots, hi overshoots
+    lo, hi = 2.0**k, 2.0 ** (k + 1)  # lo undershoots, hi overshoots
     # every later read is of a Q(0) in [lo, hi): the table starts from lo
-    table = {lo: prev}
-    U, O = _search(lo, hi, run, table, N, b, p, dr, r_max, tol)
+    table = {lo: run}
+    U, O = _search(lo, hi, above, table, N, b, p, dr, r_max, tol)
 
     def low(mid):
         # replay: a midpoint <= U goes low and one >= O high unread; inside,
@@ -440,7 +453,7 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
             f"below the undershoot {U!r}"
         )
     a = lo  # undershoot side stays positive everywhere
-    trajectories = k + 10 + len(table)  # the sweep integrated 2^-10 .. 2^k
+    trajectories = 10 - k + len(table)  # the sweep integrated 2^10 .. 2^k
     # the radius table (32 B per node) is not read again: release it
     global _last_radii
     _last_radii = None

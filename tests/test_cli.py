@@ -74,7 +74,7 @@ class TestGroundStateCommand:
                     "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "Pohozaev" in printed
-        assert "shooting: 25 trajectories, 41 bisection steps, final bracket" in printed
+        assert "shooting: 22 trajectories, 41 bisection steps, final bracket" in printed
         fixture = json.loads((out / "ground_state.json").read_text())
         assert set(fixture) == {"params", "shoot_value", "mass", "grad_sq",
                                 "potential"}

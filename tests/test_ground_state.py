@@ -249,11 +249,102 @@ class TestTrajectory:
         monkeypatch.setattr(ground_state, "_shoot_trajectory", counted)
         gs = shoot(P214, dr=1e-2)
         lo, hi = gs.bracket
-        # the sweep reaches 2^1; the search and the replay integrate 12 more
-        assert gs.trajectories == len(calls) == 24
+        # the sweep scans 2^10 down to 2^0; the search and the replay
+        # integrate 12 more, all inside the sweep's bracket (2^0, 2^1)
+        assert gs.trajectories == len(calls) == 23
         assert gs.bisection_steps == 40
-        assert calls[:12] == [2.0**k for k in range(-10, 2)]
+        assert calls[:11] == [2.0**k for k in range(10, -1, -1)]
+        assert all(1.0 < a < 2.0 for a in calls[11:])
         assert lo == gs.shoot_value in calls and 0 < hi - lo <= 1e-12
+
+
+def _upward_sweep(P, r_max, dr):
+    """The bracket (lo, hi) of a sweep that scans Q(0) = 2^-10, 2^-9, ...
+    upward and stops at the first overshoot directly above an undershoot,
+    or the error it meets first."""
+    prev = None
+    for k in range(-10, 11):
+        fate = _shoot_trajectory(2.0**k, P.N, P.b, P.p, dr, r_max)[0]
+        if prev == ground_state._UNDERSHOOT and fate == ground_state._OVERSHOOT:
+            return 2.0 ** (k - 1), 2.0**k
+        if prev == ground_state._OVERSHOOT and fate == ground_state._UNDERSHOOT:
+            return "not monotone"
+        prev = fate
+    return "no undershoot/overshoot bracket"
+
+
+class _Swept(Exception):
+    pass
+
+
+def _sweep_bracket(monkeypatch, P, r_max, dr):
+    """The bracket shoot's sweep hands to _search, or the text of the error
+    shoot raises before it."""
+
+    def swept(lo, hi, *args):
+        raise _Swept(lo, hi)
+
+    with monkeypatch.context() as m:
+        m.setattr(ground_state, "_search", swept)
+        try:
+            shoot(P, r_max=r_max, dr=dr)
+        except _Swept as done:
+            return done.args
+        except RuntimeError as err:
+            return str(err)
+
+
+def _admissible_triples(seed, n):
+    """n triples with 1 + 2b/(N-1) < p < (N+2+2b)/(N-2), p below the lower
+    bound + 6 at N = 2."""
+    rng = np.random.default_rng(seed)
+    triples = []
+    for _ in range(n):
+        N = int(rng.integers(2, 6))
+        b = round(float(rng.uniform(0.2, 2.0)), 3)
+        low = 1.0 + 2.0 * b / (N - 1)
+        high = (N + 2.0 + 2.0 * b) / (N - 2) if N >= 3 else low + 6.0
+        triples.append(Params(N, b, round(low + float(rng.uniform(0.02, 0.98))
+                                          * (high - low), 4)))
+    return triples
+
+
+class TestSweep:
+    def test_non_monotone_fates_raise(self, monkeypatch):
+        # scanning down, 2^10 .. 2^8 reach r_max, 2^7 undershoots and 2^6
+        # overshoots: an undershoot directly above an overshoot, before any
+        # bracket.  The undershoot at 2^5 below would bracket with 2^6, so
+        # the sweep must stop at 2^6
+        calls = []
+
+        def faked(a, *args):
+            calls.append(a)
+            if a > 2.0**7:
+                fate = 0
+            elif a == 2.0**6:
+                fate = ground_state._OVERSHOOT
+            else:
+                fate = ground_state._UNDERSHOOT
+            return fate, np.array([a, a]), np.zeros(2)
+
+        monkeypatch.setattr(ground_state, "_shoot_trajectory", faked)
+        with pytest.raises(RuntimeError, match=r"not monotone in Q\(0\) on the sweep"):
+            shoot(P314, dr=1e-2)
+        assert calls == [2.0**k for k in range(10, 5, -1)]
+
+    # Q(0) > 2^4 at (4,2,4.9) and Q(0) < 2^-5 at (4,1,1.7) and (5,1,1.55);
+    # (4,1,1.67) brackets (2^-10, 2^-9) and (5,1,1.51) finds no bracket
+    @pytest.mark.parametrize("P", [Params(4, 2.0, 4.9), Params(4, 1.0, 1.7),
+                                   Params(5, 1.0, 1.55), Params(4, 1.0, 1.67),
+                                   Params(5, 1.0, 1.51)]
+                             + _admissible_triples(15, 25))
+    def test_same_bracket_as_an_upward_scan(self, monkeypatch, P):
+        ref = _upward_sweep(P, 20.0, 1e-2)
+        got = _sweep_bracket(monkeypatch, P, 20.0, 1e-2)
+        if isinstance(ref, tuple):
+            assert got == ref
+        else:
+            assert isinstance(got, str) and ref in got
 
 
 def _reference_shoot(P, r_max, tol, dr):
@@ -326,12 +417,22 @@ _ORACLE_CASES = [
 ]
 
 
-# RK4 node budgets, in _ORACLE_CASES order: what each case takes with a
-# search that shoots a* -+ 0.01 (O - a*) off the bisection's path and a
-# replay that integrates its midpoints again.  Walking the path and reading
-# the table must never cost more
-_NODE_BUDGETS = [25443, 28746, 20385, 22107, 32565, 37271, 25069, 29402,
-                 11968, 52240, 42393, 45225, 8657, 18436, 12211]
+# RK4 node budgets, in _ORACLE_CASES order: what each case takes with the
+# sweep scanning from 2^10 down, the search walking the bisection's path and
+# the replay reading the shoot's table.  A shoot must never cost more
+_NODE_BUDGETS = [13523, 15152, 12838, 11905, 15080, 18555, 11935, 16095,
+                 6426, 24103, 34846, 33305, 1706, 8710, 6101]
+# the test ids carry the budgets the cases were first given, so that
+# tightening a budget does not rename its test
+_BUDGET_IDS = [
+    f"P{i}-{r_max}-{tol}-{dr}-{n}"
+    for i, ((_, r_max, tol, dr), n) in enumerate(zip(
+        _ORACLE_CASES, [25443, 28746, 20385, 22107, 32565, 37271, 25069, 29402,
+                        11968, 52240, 42393, 45225, 8657, 18436, 12211]))]
+# the static_theory workload's three shoots, at the CLI's default dr
+_WORKLOAD_BUDGETS = [(P314, 20.0, 1e-12, 1e-3, 121217),
+                     (P313, 20.0, 1e-12, 1e-3, 135798),
+                     (P214, 20.0, 1e-12, 1e-3, 113521)]
 
 
 def _record_shoot(monkeypatch, P, r_max, tol, dr, nodes=None):
@@ -394,9 +495,11 @@ class TestReplayedBisection:
         gs, calls, _ = _record_shoot(monkeypatch, P, r_max, tol, dr)
         assert len(set(calls)) == len(calls) == gs.trajectories
 
-    @pytest.mark.parametrize("P,r_max,tol,dr,budget",
-                             [c + (n,) for c, n in zip(_ORACLE_CASES,
-                                                       _NODE_BUDGETS)])
+    @pytest.mark.parametrize(
+        "P,r_max,tol,dr,budget",
+        [c + (n,) for c, n in zip(_ORACLE_CASES, _NODE_BUDGETS)]
+        + _WORKLOAD_BUDGETS,
+        ids=_BUDGET_IDS + ["workload-3-1-4", "workload-3-1-3", "workload-2-1-4"])
     def test_within_node_budget(self, monkeypatch, P, r_max, tol, dr, budget):
         nodes = []
         _record_shoot(monkeypatch, P, r_max, tol, dr, nodes)
