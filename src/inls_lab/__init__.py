@@ -29,7 +29,7 @@ from .functionals import (
     c_opt_closed_form,
     threshold_report,
 )
-from .ground_state import GroundState, shoot, explicit_W, uniqueness_conditions
+from .ground_state import GroundState, shoot, explicit_W, uniqueness_constants
 from .evolution import StepperConfig, RunStatus, evolve, step
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "classify", "make_grid", "integrate", "gradient_sq_norm",
     "ThresholdReport", "Verdict", "mass", "potential", "energy",
     "weinstein", "pohozaev_residuals", "c_opt_closed_form", "threshold_report",
-    "GroundState", "shoot", "explicit_W", "uniqueness_conditions",
+    "GroundState", "shoot", "explicit_W", "uniqueness_constants",
     "StepperConfig", "RunStatus", "evolve", "step",
 ]
 

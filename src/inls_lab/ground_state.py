@@ -1,5 +1,6 @@
 """Ground states of -Q'' - (N-1)/r Q' + Q = r^b Q^p by shooting, the explicit
-energy-critical profile W, and the Shioji-Watanabe uniqueness conditions.
+energy-critical profile W, and the exact constants of the Shioji-Watanabe
+uniqueness criterion.
 
 Shooting integrates the radial ODE outward from r = 0 with a series start
 (the (N-1)/r term is singular there) and bisects the initial amplitude
@@ -60,13 +61,11 @@ from . import functionals
 
 __all__ = [
     "GroundState",
-    "UniquenessReport",
     "shoot",
     "explicit_W",
     "W_value",
     "W_prime",
-    "uniqueness_conditions",
-    "uniqueness_profiles",
+    "uniqueness_constants",
     "W_identities",
     "sharp_sobolev_constant",
     "ground_state_fixture",
@@ -577,131 +576,50 @@ def sharp_sobolev_constant(params: Params, grid: RadialGrid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# uniqueness conditions
+# uniqueness constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UniquenessReport:
-    """The seven Shioji-Watanabe conditions for f = r^{N-1}, g = -1, h = r^b."""
+def uniqueness_constants(params: Params) -> tuple[Fraction, Fraction, Fraction]:
+    """The constants (C, D, k^2) of the Shioji-Watanabe uniqueness criterion
+    behind Thm 2.1, exact in rational arithmetic (b and p are read as the
+    binary fractions their floats hold).
 
-    C_const: float
-    D_const: float
-    k_crossing: float
-    conditions: tuple[bool, bool, bool, bool, bool, bool, bool]
+    With f = r^{N-1}, g = -1, h = r^b the auxiliary functions are pure
+    powers of r, and the criterion's G is
 
-    @property
-    def all_hold(self) -> bool:
-        return all(self.conditions)
+        G(r) = (-C r^2 + D) r^{e-3},   e = (2(N-1)(p+1) - 2b)/(p+3),
+        C = ((N-1)(p-1) - 2b)/(p+3),
+        D = (2(N-1)+b)(2N+2b-(N-2)(p+1))((N-2)(p+1)-2-b)/(p+3)^3.
 
-
-def _exact_CD(N: int, b, p) -> tuple[Fraction, Fraction]:
-    bF, pF = Fraction(b), Fraction(p)
-    C = ((N - 1) * (pF - 1) - 2 * bF) / (pF + 3)
-    D = (
-        (2 * (N - 1) + bF) / (pF + 3)
-        * (2 * N + 2 * bF - (N - 2) * (pF + 1)) / (pF + 3)
-        * ((N - 2) * (pF + 1) - 2 - bF) / (pF + 3)
-    )
-    return C, D
-
-
-def uniqueness_conditions(params: Params, r_probe: np.ndarray) -> UniquenessReport:
-    """Evaluate the uniqueness criteria for the ground-state ODE.
-
-    With f = r^{N-1}, g = -1, h = r^b the auxiliary functions reduce to pure
-    powers and G(r) = (-C r^2 + D) r^{e-3} with e the exponent of alpha;
-    conditions (1)-(3) use the closed-form antiderivatives, (4)-(5) are
-    exponent sign checks, (6) locates the single sign change of G, and (7)
-    is C > 0.
+    G changes sign once, at k = sqrt(D/C), when D > 0; otherwise G < 0 and
+    k^2 = 0.  On the range accepted here (Params gives N >= 2 and b > 0; the
+    guards give p > 1 + 2b/(N-1) and, for N >= 3, p < (N+2+2b)/(N-2)) the
+    seven conditions hold by algebra, so none is computed:
+    (1) f = r^{N-1} is bounded at 0 because N >= 2;
+    (2) (1/f) int_0^r f (|g|+h) = r/N + r^{b+1}/(N+b) -> 0;
+    (3) f (g+h) = r^{N-1}(r^b - 1) is integrable at 0, and 1/f = r^{1-N}
+        is not;
+    (4) e > 0 and (2N-3)(p+1) - 2 - 2b > 0 once p > 1 + 2b/(N-1);
+    (5) gamma's coefficient (2(N-1)+b)(2N+2b-(N-2)(p+1)) is positive once
+        p < (N+2+2b)/(N-2);
+    (6) -C r^2 + D changes sign at most once because C > 0;
+    (7) C > 0 once p > 1 + 2b/(N-1), so G < 0 beyond k.
     """
-    N, b, p = params.N, params.b, params.p
-    if not p > params.lwp_lower_p:
+    N = params.N
+    if not params.p > params.lwp_lower_p:
         raise ValueError(
             f"uniqueness criteria require p > 1 + 2b/(N-1) = {params.lwp_lower_p:.6g}"
         )
-    if N >= 3 and not p < params.energy_critical_p:
+    if N >= 3 and not params.p < params.energy_critical_p:
         raise ValueError(
             f"uniqueness criteria require p < (N+2+2b)/(N-2) = "
             f"{params.energy_critical_p:.6g}"
         )
-    r_probe = np.asarray(r_probe, dtype=float)
-    if np.any(r_probe <= 0):
-        raise ValueError("probe radii must be positive")
-
-    C_exact, D_exact = _exact_CD(N, b, p)
-    C = float(C_exact)
-    D = float(D_exact)
-    alpha, beta, gamma, G = uniqueness_profiles(params, r_probe)
-    e_alpha = (2.0 * (N - 1) * (p + 1.0) - 2.0 * b) / (p + 3.0)
-
-    # (1) limsup_{r->0} f(r) < inf: f = r^{N-1} -> 0 for N >= 2
-    c1 = N >= 2
-    # (2) (1/f) int_0^r f (|g|+h) = r/N + r^{b+1}/(N+b) -> 0: the closed-form
-    # antiderivative must shrink with the probe radius
-    r_lo = float(r_probe.min())
-    anti = lambda r: r / N + r ** (b + 1.0) / (N + b)
-    c2 = anti(r_lo) < anti(2.0 * r_lo) and anti(r_lo) < 0.1
-    # (3a) f(g+h) = r^{N-1}(r^b - 1): integrable near 0 (exponents > -1)
-    c3a = (N - 1) > -1 and (N - 1 + b) > -1
-    # (3b) f(|g|+h) int_r^R dtau/f behaves like r (1 + r^b) near 0 (N >= 3,
-    # closed form (1+r^b)(r - R^{2-N} r^{N-1})/(N-2)) or r log(R/r) at N = 2
-    c3b = True
-    # (3c) 1/f = r^{1-N} not integrable at 0 for N >= 2
-    c3c = (1 - N) <= -1
-    c3 = c3a and c3b and c3c
-    # (4) alpha bounded at 0 (e_alpha >= 0), |beta| bounded (its exponent
-    #     (2N-3)(p+1) - 2 - 2b > 0), and alpha g, alpha h -> 0
-    expo4 = (2.0 * N - 3.0) * (p + 1.0) - 2.0 - 2.0 * b
-    c4 = e_alpha > 0 and expo4 > 0 and (e_alpha + b) > 0
-    i_lo = int(np.argmin(r_probe))
-    c4 = c4 and np.isfinite(alpha[i_lo]) and np.isfinite(beta[i_lo])
-    # (5) lim gamma in [0, inf]: pure power with positive coefficient, so the
-    # limit is 0 (exponent > 0), +inf (exponent < 0), or the coefficient
-    gamma_coeff = (2.0 * (N - 1) + b) * (2.0 * N + 2.0 * b - (N - 2.0) * (p + 1.0))
-    c5 = gamma_coeff > 0 or (e_alpha - 2.0) > 0
-    c5 = c5 and gamma[i_lo] >= 0.0
-    # (6) G changes sign at most once, at k = sqrt(D/C) when D > 0, else k = 0
-    signs = np.sign(G[np.abs(G) > 0])
-    n_changes = int(np.count_nonzero(np.diff(signs) != 0))
-    if D > 0:
-        k = math.sqrt(D / C)
-        c6 = n_changes <= 1 and np.all(G[r_probe < k] >= 0) and np.all(
-            G[r_probe > k] <= 0
-        )
-    else:
-        k = 0.0
-        c6 = n_changes == 0 and bool(np.all(G <= 0))
-    # (7) G^- not identically zero: C > 0 makes G negative for large r
-    c7 = C > 0 and bool(np.any(G < 0))
-
-    return UniquenessReport(
-        C_const=C,
-        D_const=D,
-        k_crossing=float(k),
-        conditions=(bool(c1), bool(c2), bool(c3), bool(c4), bool(c5),
-                    bool(c6), bool(c7)),
-    )
-
-
-def uniqueness_profiles(params: Params, r):
-    """The auxiliary profiles of the uniqueness criterion for f = r^{N-1},
-    g = -1, h = r^b, in closed form:
-
-        alpha = r^e,  beta = (2(N-1)+b)/(p+3) r^{e-1},
-        gamma = beta_coeff (2N+2b-(N-2)(p+1))/(p+3) r^{e-2},
-        G = (-C r^2 + D) r^{e-3},   e = (2(N-1)(p+1) - 2b)/(p+3).
-    """
-    N, b, p = params.N, params.b, params.p
-    r = np.asarray(r, dtype=float)
-    e = (2.0 * (N - 1) * (p + 1.0) - 2.0 * b) / (p + 3.0)
-    alpha = r**e
-    b_coeff = (2.0 * (N - 1) + b) / (p + 3.0)
-    beta = b_coeff * r ** (e - 1.0)
-    g_coeff = b_coeff * (2.0 * N + 2.0 * b - (N - 2.0) * (p + 1.0)) / (p + 3.0)
-    gamma = g_coeff * r ** (e - 2.0)
-    C_exact, D_exact = _exact_CD(N, b, p)
-    G = (-float(C_exact) * r**2 + float(D_exact)) * r ** (e - 3.0)
-    return alpha, beta, gamma, G
+    b, p = Fraction(params.b), Fraction(params.p)
+    C = ((N - 1) * (p - 1) - 2 * b) / (p + 3)
+    D = ((2 * (N - 1) + b) * (2 * N + 2 * b - (N - 2) * (p + 1))
+         * ((N - 2) * (p + 1) - 2 - b) / (p + 3) ** 3)
+    return C, D, D / C if D > 0 else Fraction(0)
 
 
 # ---------------------------------------------------------------------------

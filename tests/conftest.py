@@ -12,7 +12,7 @@ import pytest
 
 from inls_lab.grids import Params, RadialField, make_grid
 from inls_lab.ground_state import shoot
-from inls_lab.evolution import StepperConfig, evolve
+from inls_lab.evolution import StepperConfig, evolve, step
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -46,6 +46,30 @@ def q214():
 @pytest.fixture(scope="session")
 def evo_grid():
     return make_grid(40.0, 5e-3, 3)
+
+
+@pytest.fixture(scope="session")
+def gauss_state(evo_grid):
+    return RadialField(evo_grid, np.exp(-evo_grid.r**2).astype(complex))
+
+
+@pytest.fixture(scope="session")
+def gauss_run(gauss_state):
+    """The (3,1,3) Gaussian run at dt = 1e-3 to t = 1."""
+    return evolve(gauss_state, P313, StepperConfig(dt=1e-3, t_end=1.0))
+
+
+@pytest.fixture(scope="session")
+def gauss_finals(gauss_state):
+    """The (3,1,3) Gaussian stepped to t = 0.5 at dt = 2e-3, 1e-3 and 5e-4,
+    keyed by dt: the time-step halving data."""
+    finals = {}
+    for dt in (2e-3, 1e-3, 5e-4):
+        u = gauss_state
+        for _ in range(int(round(0.5 / dt))):
+            u = step(u, P313, dt)
+        finals[dt] = u.values
+    return finals
 
 
 def lumped_laplacian(v, grid):

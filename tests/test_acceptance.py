@@ -29,8 +29,8 @@ from inls_lab.functionals import (
 from inls_lab import exponents as expo
 from inls_lab import inequalities as ineq
 from inls_lab import virial as vir
-from inls_lab.evolution import RunStatus, StepperConfig, evolve, step
-from inls_lab.ground_state import W_prime, W_value, explicit_W, uniqueness_conditions
+from inls_lab.evolution import RunStatus
+from inls_lab.ground_state import W_prime, W_value, explicit_W, uniqueness_constants
 
 from conftest import P214, P313, P314, P425, lumped_laplacian
 
@@ -96,16 +96,12 @@ def test_criterion_3_energy_critical_closed_forms():
 
 
 def test_criterion_4_uniqueness_conditions():
-    probe = np.linspace(1e-3, 10.0, 100000)
-    rep = uniqueness_conditions(P314, probe)
-    ok = rep.all_hold
-    ok = ok and abs(rep.C_const - 4.0 / 7.0) < 1e-12
-    ok = ok and abs(rep.D_const - 30.0 / 343.0) < 1e-12
-    ok = ok and abs(rep.k_crossing - math.sqrt(30.0) / 14.0) < 1e-12
-    rep2 = uniqueness_conditions(P214, probe)
-    ok = ok and rep2.D_const < 0 and rep2.k_crossing == 0.0 and rep2.all_hold
-    _report(4, "uniqueness conditions: seven booleans, C = 4/7, "
-               "D = 30/343, crossing sqrt(30)/14; N = 2 branch", ok)
+    # the crossing k = sqrt(30)/14, squared: 30/196 = 15/98
+    ok = uniqueness_constants(P314) == (F(4, 7), F(30, 343), F(30, 14**2))
+    ok = ok and uniqueness_constants(P214) == (F(1, 7), F(-54, 343), F(0))
+    _report(4, "uniqueness constants, exact: C = 4/7, D = 30/343, "
+               "k^2 = 15/98 (crossing sqrt(30)/14); N = 2 branch D = -54/343, "
+               "k = 0", ok)
 
 
 def test_criterion_5_exponent_identities():
@@ -137,21 +133,13 @@ def test_criterion_6_divergence_witness():
     _report(6, f"divergence witness slope {slope:.4f} vs 3/2 within 5%", ok)
 
 
-def test_criterion_7_conservation_and_order(evo_grid):
-    u0 = RadialField(evo_grid, np.exp(-evo_grid.r**2).astype(complex))
-    res = evolve(u0, P313, StepperConfig(dt=1e-3, t_end=1.0))
-    m = np.asarray(res.diagnostics.mass)
+def test_criterion_7_conservation_and_order(gauss_run, gauss_finals):
+    m = np.asarray(gauss_run.diagnostics.mass)
     ok = np.max(np.abs(m - m[0])) / m[0] < 1e-10
-    ok = ok and res.outcome.energy_drift_max < 1e-4
+    ok = ok and gauss_run.outcome.energy_drift_max < 1e-4
 
-    finals = {}
-    for dt in (2e-3, 1e-3, 5e-4):
-        u = u0
-        for _ in range(int(round(0.5 / dt))):
-            u = step(u, P313, dt)
-        finals[dt] = u.values
-    e1 = np.abs(finals[2e-3] - finals[5e-4]).max()
-    e2 = np.abs(finals[1e-3] - finals[5e-4]).max()
+    e1 = np.abs(gauss_finals[2e-3] - gauss_finals[5e-4]).max()
+    e2 = np.abs(gauss_finals[1e-3] - gauss_finals[5e-4]).max()
     ok = ok and e1 / e2 >= 3.5
     _report(7, f"mass drift < 1e-10, energy drift < 1e-4, dt-halving "
                f"ratio {e1 / e2:.2f} >= 3.5", ok)

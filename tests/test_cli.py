@@ -371,7 +371,7 @@ class TestVerifyDeterminism:
         out = tmp_path / "verify.json"
         assert run(["verify", "--suite", "all", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "34c16461b012c3a747a15c268ac781e1dff40b1784a94d53f59837f414991044")
+            "edfce18d566c5e85cf7725e7fcdea29506dbbfe75926ab70d7c66a08a681c64b")
 
     def test_byte_identical_reports(self, tmp_path):
         payloads = []

@@ -19,11 +19,6 @@ from inls_lab.evolution import (
 from conftest import P313, P314
 
 
-@pytest.fixture(scope="module")
-def gauss_state(evo_grid):
-    return RadialField(evo_grid, np.exp(-evo_grid.r**2).astype(complex))
-
-
 class TestStep:
     def test_zero_fixed_point(self, evo_grid):
         z = RadialField(evo_grid, np.zeros(len(evo_grid), dtype=complex))
@@ -224,26 +219,17 @@ class TestEvolve:
         assert res.outcome.status == RunStatus.COMPLETED_GLOBAL
         assert all(m == 0 for m in res.diagnostics.mass)
 
-    def test_mass_conservation_full_run(self, gauss_state):
-        res = evolve(gauss_state, P313, StepperConfig(dt=1e-3, t_end=1.0))
-        m = np.asarray(res.diagnostics.mass)
+    def test_mass_conservation_full_run(self, gauss_run):
+        m = np.asarray(gauss_run.diagnostics.mass)
         assert np.max(np.abs(m - m[0])) / m[0] < 1e-10
 
-    def test_energy_drift_tolerance(self, gauss_state):
-        res = evolve(gauss_state, P313, StepperConfig(dt=1e-3, t_end=1.0))
-        assert res.outcome.energy_drift_max < 1e-4
-        assert res.outcome.status == RunStatus.COMPLETED_GLOBAL
+    def test_energy_drift_tolerance(self, gauss_run):
+        assert gauss_run.outcome.energy_drift_max < 1e-4
+        assert gauss_run.outcome.status == RunStatus.COMPLETED_GLOBAL
 
-    def test_dt_convergence(self, gauss_state):
-        t_end = 0.5
-        finals = {}
-        for dt in (2e-3, 1e-3, 5e-4):
-            u = gauss_state
-            for _ in range(int(round(t_end / dt))):
-                u = step(u, P313, dt)
-            finals[dt] = u.values
-        e1 = np.abs(finals[2e-3] - finals[5e-4]).max()
-        e2 = np.abs(finals[1e-3] - finals[5e-4]).max()
+    def test_dt_convergence(self, gauss_finals):
+        e1 = np.abs(gauss_finals[2e-3] - gauss_finals[5e-4]).max()
+        e2 = np.abs(gauss_finals[1e-3] - gauss_finals[5e-4]).max()
         assert e1 / e2 >= 3.5
 
     def test_lwp_precondition(self, evo_grid):

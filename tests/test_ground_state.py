@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from inls_lab.ground_state import (
     ground_state_fixture,
     sharp_sobolev_constant,
     shoot,
-    uniqueness_conditions,
+    uniqueness_constants,
 )
 
 from conftest import P214, P313, P314, P425, lumped_laplacian
@@ -622,63 +623,20 @@ class TestSharpSobolev:
 
 class TestUniqueness:
     def test_314_exact_constants(self):
-        rep = uniqueness_conditions(P314, np.linspace(1e-3, 10.0, 100000))
-        assert rep.C_const == pytest.approx(4.0 / 7.0, abs=1e-12)
-        assert rep.D_const == pytest.approx(30.0 / 343.0, abs=1e-12)
-        assert rep.k_crossing == pytest.approx(math.sqrt(30.0) / 14.0, abs=1e-12)
-        assert rep.all_hold
+        assert uniqueness_constants(P314) == (F(4, 7), F(30, 343), F(15, 98))
 
     def test_214_negative_D(self):
-        rep = uniqueness_conditions(P214, np.linspace(1e-3, 10.0, 100000))
-        assert rep.D_const < 0
-        assert rep.k_crossing == 0.0
-        assert rep.all_hold
-
-    def test_214_exponent_check(self):
-        # (2N-3)(p+1) - 2 - 2b = 1*5 - 4 = 1 > 0 at (2,1,4)
-        N, b, p = 2, 1.0, 4.0
-        assert (2 * N - 3) * (p + 1) - 2 - 2 * b == pytest.approx(1.0)
-
-    def test_single_sign_change(self):
-        rp = np.linspace(1e-3, 10.0, 100000)
-        rep = uniqueness_conditions(P314, rp)
-        e_alpha = (2 * 2 * 5 - 2) / 7.0
-        G = (-rep.C_const * rp**2 + rep.D_const) * rp ** (e_alpha - 3.0)
-        signs = np.sign(G[np.abs(G) > 0])
-        assert int(np.count_nonzero(np.diff(signs) != 0)) == 1
+        assert uniqueness_constants(P214) == (F(1, 7), F(-54, 343), F(0))
 
     def test_precondition_rejected(self):
-        with pytest.raises(ValueError):
-            uniqueness_conditions(Params(3, 1.0, 1.5), np.linspace(0.1, 1, 10))
+        # p = 1.5 lies below 1 + 2b/(N-1) = 2
+        with pytest.raises(ValueError, match="p > 1"):
+            uniqueness_constants(Params(3, 1.0, 1.5))
 
-
-class TestUniquenessProfiles:
-    def test_closed_forms_at_314(self):
-        from inls_lab.ground_state import uniqueness_profiles
-
-        r = np.array([0.5, 1.0, 2.0])
-        alpha, beta, gamma, G = uniqueness_profiles(P314, r)
-        e = (2 * 2 * 5 - 2) / 7.0
-        assert np.allclose(alpha, r**e)
-        assert np.allclose(beta, (2 * 2 + 1) / 7.0 * r ** (e - 1))
-        # gamma coefficient: beta_coeff * (2N + 2b - (N-2)(p+1))/(p+3)
-        assert np.allclose(gamma, (5 / 7.0) * (3 / 7.0) * r ** (e - 2))
-        assert np.allclose(G, (-(4 / 7.0) * r**2 + 30 / 343.0) * r ** (e - 3))
-
-    def test_beta_is_derivative_combination(self):
-        # beta = -alpha'/2 + (N-1)/r alpha, checked by finite differences
-        from inls_lab.ground_state import uniqueness_profiles
-
-        r = np.linspace(0.5, 3.0, 2001)
-        alpha, beta, gamma, _ = uniqueness_profiles(P314, r)
-        dr = r[1] - r[0]
-        dalpha = np.gradient(alpha, dr)
-        pred = -0.5 * dalpha + 2.0 / r * alpha
-        assert np.allclose(beta[5:-5], pred[5:-5], rtol=1e-5)
-        # gamma = -beta' + (N-1)/r beta
-        dbeta = np.gradient(beta, dr)
-        predg = -dbeta + 2.0 / r * beta
-        assert np.allclose(gamma[5:-5], predg[5:-5], rtol=1e-4)
+    def test_energy_critical_rejected(self):
+        # p = 7 is the energy-critical power (N+2+2b)/(N-2) at (3, 1)
+        with pytest.raises(ValueError, match="p < "):
+            uniqueness_constants(Params(3, 1.0, 7.0))
 
 
 class TestShootRobustness:
