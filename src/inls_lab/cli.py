@@ -257,7 +257,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for c in amplitudes:
         u0 = RadialField(grid, (c * q.values).astype(complex))
-        status = evolve(u0, params, cfg).outcome.status.value
+        status = evolve(u0, params, cfg, record=False).outcome.status.value
         try:
             v = fn.threshold_report(u0, params, ground).verdict.value
         except ValueError:

@@ -106,13 +106,16 @@ class RunOutcome:
     t_final: float
     blowup_time_estimate: float | None
     gradient_growth: float        # grad_sq(t_final)/grad_sq(0)
-    energy_drift_max: float
-    boundary_flagged: bool        # mass near the wall exceeded tolerance
+    energy_drift_max: float | None  # None: not measured (record=False)
+    boundary_flagged: bool | None   # mass near the wall exceeded tolerance
 
 
 @dataclass
 class DiagnosticsSeries:
-    """Per-step conserved-quantity record, one row per accepted step."""
+    """Per-step conserved-quantity record, one row per accepted step.
+
+    An outcome-only series (``evolve(..., record=False)``) fills t and
+    grad_sq alone; it has no rows to write."""
 
     radii: tuple[float, ...]
     t: list = field(default_factory=list)
@@ -153,7 +156,15 @@ class DiagnosticsSeries:
                 self.virial_V[i], self.virial_Vp[i],
             )
 
+    @property
+    def outcome_only(self) -> bool:
+        """Whether the series holds t and grad_sq alone."""
+        return len(self.mass) != len(self.t)
+
     def to_csv(self, path) -> None:
+        if self.outcome_only:
+            raise ValueError("an outcome-only series (evolve with record=False) "
+                             "holds t and grad_sq alone; it has no rows to write")
         write_csv(path, self.column_names(), self.rows())
 
 
@@ -286,7 +297,8 @@ def _blowup_time_from_slopes(ts, grads) -> float | None:
     return float(t[idx[0] + 1])
 
 
-def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
+def evolve(u0: RadialField, params: Params, cfg: StepperConfig, *,
+           record: bool = True) -> EvolveResult:
     """March the splitting scheme to t_end with per-step diagnostics.
 
     Steps the grid of u0.  Declares BlowupDetected when the gradient norm
@@ -294,6 +306,13 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
     exceeds ENERGY_DRIFT_TOL (growth alone is a resolved focusing event,
     drift alone a resolution warning); a NaN state ends the run as
     UnderResolved rather than raising.
+
+    With record=False the run keeps only what decides its outcome.  The
+    series holds t and grad_sq, one entry per state as before, and the
+    energy is computed only on a step whose gradient has already grown past
+    the threshold.  status, t_final, blowup_time_estimate and
+    gradient_growth are those of the full run, bit for bit;
+    energy_drift_max and boundary_flagged are None (not measured).
     """
     if not classify(params).lwp_lower_ok:
         raise ValueError(
@@ -311,57 +330,69 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig) -> EvolveResult:
     phi = g.r**2  # the unlocalized virial weight |x|^2
     kdphi = g.kappa * np.diff(phi[1:])
 
-    def record(t, v):
-        # overflow during violent focusing is data, not an error: the inf/nan
-        # rows feed the under-resolution and blow-up detectors downstream
-        with np.errstate(over="ignore", invalid="ignore"):
-            av = np.abs(v)
-            av2 = av**2
-            grad_sq = float(np.sum(grad_sq_edges(v, g)))
-            pot = fn.potential_of(w, rb, av, params.p)
-            m = fn.mass_of(w, av2)
-            E = fn.energy_of(grad_sq, pot, params.p)
-            local = [fn.mass_of(w[:k], av2[:k]) for k in ends]
-            V = fn.virial_V_of(w, phi, av2)
-            Vp = fn.virial_Vprime_of(g.N, kdphi, v)
-        diag.append(t, m, E, grad_sq, pot, local, V, Vp)
-        return m, E, grad_sq, av2
+    def energy(v, grad_sq):
+        """|v|, the potential and the energy of the state v."""
+        av = np.abs(v)
+        pot = fn.potential_of(w, rb, av, params.p)
+        return av, pot, fn.energy_of(grad_sq, pot, params.p)
+
+    def observe(t, v):
+        """Append the state's row: every column with record, else t and
+        grad_sq.  Returns grad_sq, a thunk for the energy (without record,
+        the energy is computed only when it is called) and |v|^2 (None
+        without record)."""
+        grad_sq = float(np.sum(grad_sq_edges(v, g)))
+        if not record:
+            diag.t.append(t)
+            diag.grad_sq.append(grad_sq)
+            return grad_sq, lambda: energy(v, grad_sq)[2], None
+        av, pot, E = energy(v, grad_sq)
+        av2 = av**2
+        local = [fn.mass_of(w[:k], av2[:k]) for k in ends]
+        diag.append(t, fn.mass_of(w, av2), E, grad_sq, pot, local,
+                    fn.virial_V_of(w, phi, av2), fn.virial_Vprime_of(g.N, kdphi, v))
+        return grad_sq, lambda: E, av2
 
     u = RadialField(g, u0.values.astype(complex))
     t = 0.0
-    m0, E0, grad0, _ = record(t, u.values)
-    if cfg.save_every > 0:
-        states.append((t, u))
-
     factor_sq = BLOWUP_GRADIENT_FACTOR**2
-    wall_tol = BOUNDARY_MASS_TOL * m0 if m0 > 0 else math.inf
-    drift_max = 0.0
-    boundary_flagged = False
     status = RunStatus.COMPLETED_GLOBAL
     blowup_estimate = None
     zero_run = u.is_zero
+    if cfg.save_every > 0:
+        states.append((t, u))
 
-    for k in range(1, cfg.n_steps + 1):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
+    # overflow during violent focusing is data, not an error: the inf/nan
+    # values feed the under-resolution and blow-up detectors
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad0, E, _ = observe(t, u.values)
+        E0 = E()
+        drift_max = boundary_flagged = None
+        if record:
+            m0 = diag.mass[0]
+            wall_tol = BOUNDARY_MASS_TOL * m0 if m0 > 0 else math.inf
+            drift_max, boundary_flagged = 0.0, False
+
+        for k in range(1, cfg.n_steps + 1):
+            try:
                 u = step(u, params, cfg.dt, cfg.linear_only)
-        except NonFiniteError:
-            # the state left resolution; t stays at the last finite state
-            status = RunStatus.UNDER_RESOLVED
-            break
-        t = k * cfg.dt
-        m, E, grad_sq, av2 = record(t, u.values)
-        drift = fn.energy_drift(E, E0)
-        drift_max = max(drift_max, drift)
-        if fn.mass_of(w[wall:], av2[wall:]) > wall_tol:
-            boundary_flagged = True
-        if cfg.save_every > 0 and k % cfg.save_every == 0:
-            states.append((t, u))
-        if (not zero_run and grad_sq >= factor_sq * grad0
-                and drift > ENERGY_DRIFT_TOL):
-            status = RunStatus.BLOWUP_DETECTED
-            blowup_estimate = _blowup_time_from_slopes(diag.t, diag.grad_sq)
-            break
+            except NonFiniteError:
+                # the state left resolution; t stays at the last finite state
+                status = RunStatus.UNDER_RESOLVED
+                break
+            t = k * cfg.dt
+            grad_sq, E, av2 = observe(t, u.values)
+            if record:
+                drift_max = max(drift_max, fn.energy_drift(E(), E0))
+                if fn.mass_of(w[wall:], av2[wall:]) > wall_tol:
+                    boundary_flagged = True
+            if cfg.save_every > 0 and k % cfg.save_every == 0:
+                states.append((t, u))
+            if (not zero_run and grad_sq >= factor_sq * grad0
+                    and fn.energy_drift(E(), E0) > ENERGY_DRIFT_TOL):
+                status = RunStatus.BLOWUP_DETECTED
+                blowup_estimate = _blowup_time_from_slopes(diag.t, diag.grad_sq)
+                break
 
     outcome = RunOutcome(
         status=status,
@@ -399,6 +430,9 @@ def scattering_diagnostics(diag: DiagnosticsSeries, params: Params,
     """
     if outcome is not None and outcome.status != RunStatus.COMPLETED_GLOBAL:
         raise ValueError("scattering diagnostics need a completed global run")
+    if diag.outcome_only:
+        raise ValueError("scattering diagnostics need the potential, which an "
+                         "outcome-only series (evolve with record=False) lacks")
     from .exponents import morawetz_beta
 
     ts = np.asarray(diag.t)

@@ -85,7 +85,7 @@ def lumped_laplacian(v, grid):
     return out
 
 
-def _scaled(ground, grid, c):
+def scaled(ground, grid, c):
     return RadialField(grid, (c * ground.resample(grid).values).astype(complex))
 
 
@@ -94,7 +94,7 @@ def global_runs(q314, evo_grid):
     """c Q runs on the global branch at (3,1,4), t_end = 2."""
     cfg = StepperConfig(dt=1e-3, t_end=2.0)
     return {
-        c: evolve(_scaled(q314, evo_grid, c), P314, cfg)
+        c: evolve(scaled(q314, evo_grid, c), P314, cfg)
         for c in (0.3, 0.5, 0.8)
     }
 
@@ -104,7 +104,7 @@ def blowup_runs_mc(q313, evo_grid):
     """Mass-critical blow-up runs; 1.6 is the envelope calibration run."""
     cfg = StepperConfig(dt=2.5e-4, t_end=2.0, save_every=4)
     return {
-        c: evolve(_scaled(q313, evo_grid, c), P313, cfg)
+        c: evolve(scaled(q313, evo_grid, c), P313, cfg)
         for c in (1.6, 1.2, 1.5)
     }
 
@@ -114,7 +114,7 @@ def blowup_runs_ic(q314, evo_grid):
     """Intercritical blow-up runs; 1.6 is the envelope calibration run."""
     cfg = StepperConfig(dt=2.5e-4, t_end=2.0, save_every=4)
     return {
-        c: evolve(_scaled(q314, evo_grid, c), P314, cfg)
+        c: evolve(scaled(q314, evo_grid, c), P314, cfg)
         for c in (1.6, 1.2, 1.5)
     }
 
@@ -123,7 +123,7 @@ def blowup_runs_ic(q314, evo_grid):
 def half_q_saved(q314, evo_grid):
     """The u0 = 0.5 Q run with states saved every 5e-4 for virial checks."""
     cfg = StepperConfig(dt=2.5e-4, t_end=0.5, save_every=2)
-    return evolve(_scaled(q314, evo_grid, 0.5), P314, cfg)
+    return evolve(scaled(q314, evo_grid, 0.5), P314, cfg)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import inls_lab
+from inls_lab import cli
 from inls_lab.cli import main
 from inls_lab.evolution import StepperConfig, evolve
 from inls_lab.grids import Params, RadialField, make_grid
@@ -401,8 +402,23 @@ class TestBound49Summary:
         assert summary["bound_49_all_true"] is None
 
 
+def _metered_evolve(monkeypatch):
+    """Wrap cli.evolve; each call appends (args, kwargs, result)."""
+    calls = []
+    real = cli.evolve
+
+    def metered(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append((args, kwargs, res))
+        return res
+
+    monkeypatch.setattr(cli, "evolve", metered)
+    return calls
+
+
 class TestSweepDeterminism:
-    def test_matches_single_runs_byte_identical(self, tmp_path):
+    def test_matches_single_runs_byte_identical(self, tmp_path, monkeypatch):
+        calls = _metered_evolve(monkeypatch)
         outs = []
         for name in ("s1", "s2"):
             out = tmp_path / name
@@ -419,9 +435,32 @@ class TestSweepDeterminism:
             assert run(["evolve", "--dim", "3", "--b", "1", "--p", "4",
                         "--init", f"cQ:{c}", "--tend", "0.15",
                         "--out", str(out)]) == 0
-            summary = json.loads((out / "summary.json").read_text())
-            singles.append(summary["outcome"]["status"])
-        assert statuses == singles
+            singles.append(json.loads((out / "summary.json").read_text())["outcome"])
+        assert statuses == [o["status"] for o in singles]
+        # the sweep's outcome-only runs end as the recorded single runs do;
+        # summary.json keeps each float's repr, so == is bit for bit
+        fate = ("status", "t_final", "blowup_time_estimate", "gradient_growth")
+        sweep_runs = [cli._outcome_json(res.outcome) for _, _, res in calls[:2]]
+        assert ([[o[k] for k in fate] for o in sweep_runs]
+                == [[o[k] for k in fate] for o in singles])
+
+    def test_sweep_keeps_the_evolve_call_shape(self, tmp_path, monkeypatch):
+        # one positional evolve(u0, params, cfg) per amplitude, with one
+        # diagnostics.t entry per state: the shape a wrapper around
+        # cli.evolve counts steps by
+        calls = _metered_evolve(monkeypatch)
+        assert run(["sweep", "--dim", "3", "--b", "1", "--p", "4",
+                    "--amplitudes", "0.5,1.5", "--tend", "0.15",
+                    "--out", str(tmp_path / "sw")]) == 0
+        assert len(calls) == 2
+        for args, kwargs, res in calls:
+            u0, params, cfg = args
+            assert isinstance(u0, RadialField) and isinstance(params, Params)
+            assert isinstance(cfg, StepperConfig) and kwargs == {"record": False}
+            steps = len(res.diagnostics.t) - 1
+            assert steps == round(res.outcome.t_final / cfg.dt) > 0
+        assert [res.outcome.status.value for _, _, res in calls] == [
+            "CompletedGlobal", "BlowupDetected"]
 
 
 class TestShootOnce:

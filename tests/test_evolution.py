@@ -16,7 +16,23 @@ from inls_lab.evolution import (
     step,
 )
 
-from conftest import P313, P314
+from conftest import P313, P314, scaled
+
+
+_FATE = ("status", "t_final", "blowup_time_estimate", "gradient_growth")
+
+
+def _assert_same_fate(full, lean):
+    """lean, run with record=False, ends as the full run does, bit for bit
+    (repr, so that a NaN growth compares equal), with one t and grad_sq per
+    state and the record-only fields not measured."""
+    assert ([repr(getattr(lean.outcome, k)) for k in _FATE]
+            == [repr(getattr(full.outcome, k)) for k in _FATE])
+    assert repr(lean.diagnostics.t) == repr(full.diagnostics.t)
+    assert repr(lean.diagnostics.grad_sq) == repr(full.diagnostics.grad_sq)
+    assert lean.outcome.energy_drift_max is None
+    assert lean.outcome.boundary_flagged is None
+    assert lean.diagnostics.mass == lean.diagnostics.energy == []
 
 
 class TestStep:
@@ -215,9 +231,11 @@ class TestStepperConfig:
 class TestEvolve:
     def test_zero_data(self, evo_grid):
         z = RadialField(evo_grid, np.zeros(len(evo_grid), dtype=complex))
-        res = evolve(z, P313, StepperConfig(dt=1e-3, t_end=0.05))
+        cfg = StepperConfig(dt=1e-3, t_end=0.05)
+        res = evolve(z, P313, cfg)
         assert res.outcome.status == RunStatus.COMPLETED_GLOBAL
         assert all(m == 0 for m in res.diagnostics.mass)
+        _assert_same_fate(res, evolve(z, P313, cfg, record=False))
 
     def test_mass_conservation_full_run(self, gauss_run):
         m = np.asarray(gauss_run.diagnostics.mass)
@@ -246,6 +264,16 @@ class TestEvolve:
         assert len(lines) == len(res.diagnostics.t) + 1
         # %.12e formatting
         assert "e" in lines[1].split(",")[1]
+
+    def test_outcome_only_series_has_no_csv(self, gauss_state, tmp_path):
+        res = evolve(gauss_state, P313, StepperConfig(dt=1e-3, t_end=0.02),
+                     record=False)
+        path = tmp_path / "diag.csv"
+        with pytest.raises(ValueError, match="outcome-only"):
+            res.diagnostics.to_csv(path)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="outcome-only"):
+            scattering_diagnostics(res.diagnostics, P313, outcome=res.outcome)
 
 
 class TestConservedEnergy:
@@ -303,6 +331,21 @@ class TestDichotomy:
             assert out.status == RunStatus.BLOWUP_DETECTED, c
             assert out.t_final < 2.0
 
+    def test_outcome_only_runs_decide_as_full_ones(self, global_runs, q314,
+                                                   q313, evo_grid):
+        # the sweep's runs: c Q at dt = 1e-3 to t = 2, three amplitudes on
+        # each side of c = 1 at (3,1,4), and the (3,1,3) collapse at 1.5 Q
+        cfg = StepperConfig(dt=1e-3, t_end=2.0)
+        for c, full in global_runs.items():
+            _assert_same_fate(full, evolve(scaled(q314, evo_grid, c), P314, cfg,
+                                           record=False))
+        for ground, params, c in [(q314, P314, 1.2), (q314, P314, 1.35),
+                                  (q314, P314, 1.5), (q313, P313, 1.5)]:
+            u0 = scaled(ground, evo_grid, c)
+            full = evolve(u0, params, cfg)
+            assert full.outcome.status == RunStatus.BLOWUP_DETECTED, (params, c)
+            _assert_same_fate(full, evolve(u0, params, cfg, record=False))
+
     def test_blowup_time_estimate_regression(self, blowup_runs_mc):
         est = blowup_runs_mc[1.2].outcome.blowup_time_estimate
         # frozen from the reference configuration (dt = 2.5e-4, dr = 5e-3)
@@ -336,10 +379,12 @@ class TestUnderResolved:
         # absurd amplitude overflows the nonlinear phase within one step
         huge = RadialField(evo_grid,
                            (1e160 * np.exp(-evo_grid.r**2)).astype(complex))
-        res = evolve(huge, P313, StepperConfig(dt=1e-3, t_end=0.01))
+        cfg = StepperConfig(dt=1e-3, t_end=0.01)
+        res = evolve(huge, P313, cfg)
         assert res.outcome.status == RunStatus.UNDER_RESOLVED
         assert res.outcome.t_final == 0.0
         assert len(res.diagnostics.t) == 1
+        _assert_same_fate(res, evolve(huge, P313, cfg, record=False))
 
 
 class TestFailureLabel:

@@ -9,6 +9,7 @@ rows `verify` reports.
 
 import dataclasses
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -84,7 +85,8 @@ FAULTS = {
     # inequalities
     "interpolation_theta_(3,1,4)": ("inequalities", lambda mp: _wrap(
         mp, ineq, "interpolation_theta", lambda f, pr: f(pr) + 1e-12)),
-    # a wrong B for N >= 4 only: at N = 3 the (3,1,4) row would raise
+    # a wrong B for N >= 4 only: the (3,1,4) row keeps passing, and the row
+    # fails on its own samples
     "interpolation_identities_random": ("inequalities", lambda mp: _wrap(
         mp, ineq, "_gn_pair",
         lambda f, N, b, p: f(N, b, p) if N == 3
@@ -159,3 +161,26 @@ def test_broken_identity_fails_its_rows(monkeypatch, tmp_path):
     assert {c["name"] for c in failed} == {
         "morawetz_(3,1,4)", "morawetz_(2,1,6)", "beta_below_one_sweep"}
     assert all((c["value"], c["tolerance"]) == (1.0, 0.0) for c in failed)
+
+
+@pytest.mark.parametrize("suite, module, name, wrong, nan_rows, failed", [
+    # a wrong B at N = 3: interpolation_theta raises on the (3,1,4) row
+    ("inequalities", ineq, "_gn_pair",
+     lambda f, N, b, p: (f(N, b, p)[0], f(N, b, p)[1] + 1) if N == 3
+     else f(N, b, p),
+     {"interpolation_theta_(3,1,4)"}, {"interpolation_identities_random"}),
+    # psi_2 off its closed form: every row that builds psi_R raises inside
+    ("virial", vir, "psi2_closed_form", lambda f, rho, pr: 1.01 * f(rho, pr),
+     {"lemma52_R_independence", "lemma53_small_eps"},
+     {"cutoff_invariants_R_sweep", "lemma53_large_eps_fails"}),
+])
+def test_raising_identity_fails_float_rows(monkeypatch, tmp_path, suite, module,
+                                           name, wrong, nan_rows, failed):
+    # a float row whose identity raises reads NaN and fails; verify still
+    # writes its report and exits 1
+    _wrap(monkeypatch, module, name, wrong)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", suite, "--out", str(out)]) == CHECK_FAILURE
+    rows = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert {n for n, c in rows.items() if not c["pass"]} == nan_rows | failed
+    assert all(math.isnan(rows[n]["value"]) for n in nan_rows)
