@@ -40,10 +40,15 @@ def _params_from(args) -> Params:
         raise ValueError(f"bad rational parameter: {e}") from e
 
 
+def _json_text(payload: dict) -> str:
+    """The one JSON form of every report: strict JSON, with each non-finite
+    float written as null, sorted keys, two-space indent, a final newline."""
+    finite = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(finite, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(_json_text(payload))
 
 
 def _sha256(path: Path) -> str:
@@ -113,11 +118,10 @@ def _write_profile_csv(path: Path, r, q) -> None:
 
 def cmd_verify(args) -> int:
     report = ver.run_suites(args.suite)
-    payload = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(payload + "\n")
+        _write_json(Path(args.out), report)
     else:
-        print(payload)
+        print(_json_text(report), end="")
     for check in report["checks"]:
         mark = "pass" if check["pass"] else "FAIL"
         print(f"[{mark}] {check['name']} ({check['paper_ref']}): "

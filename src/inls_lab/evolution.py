@@ -314,7 +314,7 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig, *,
     gradient_growth are those of the full run, bit for bit;
     energy_drift_max and boundary_flagged are None (not measured).
     """
-    if not classify(params).lwp_lower_ok:
+    if classify(params).lwp_side < 0:
         raise ValueError(
             f"local well-posedness needs p >= 1 + 2b/(N-1) = "
             f"{params.lwp_lower_p:.6g}"

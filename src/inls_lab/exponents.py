@@ -8,6 +8,7 @@ dimension-dependent range; q = infinity is encoded as the reciprocal 1/q = 0
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -125,16 +126,13 @@ def auxiliary_exponents(alpha: Fraction, N: int) -> tuple[Fraction, Fraction]:
 
 def morawetz_beta(params: Params) -> tuple[Fraction, Fraction]:
     """Morawetz decay data (alpha, beta): alpha = p - 1 - 2b/(N-1) and
-    beta = max(1/3, 2/((N-1) alpha + 2)) < 1 always."""
-    return _alpha_beta(params.N, Fraction(params.b), Fraction(params.p))
-
-
-def _alpha_beta(N: int, b: Fraction, p: Fraction) -> tuple[Fraction, Fraction]:
-    """alpha = p - 1 - 2b/(N-1) and beta = max(1/3, 2/((N-1) alpha + 2))."""
-    alpha = p - 1 - 2 * b / (N - 1)
+    beta = max(1/3, 2/((N-1) alpha + 2)) < 1 always, exact in the binary
+    fractions that float b and p hold."""
+    exact = Params(params.N, Fraction(params.b), Fraction(params.p))
+    alpha = exact.p - exact.lwp_lower_p
     if alpha <= 0:
         raise ValueError(f"alpha = p - 1 - 2b/(N-1) = {alpha} must be positive")
-    beta = max(Fraction(1, 3), Fraction(2) / ((N - 1) * alpha + 2))
+    beta = max(Fraction(1, 3), Fraction(2) / ((exact.N - 1) * alpha + 2))
     _require(Fraction(0) < beta < Fraction(1), "0 < beta < 1")
     return alpha, beta
 
@@ -196,30 +194,25 @@ def dispersive_n_feasible(alpha: Fraction, N: int) -> DispersiveReport:
     return DispersiveReport(True, n=n, theta=theta)
 
 
-def _gn_pair(N: int, b: Fraction, p: Fraction) -> tuple[Fraction, Fraction]:
-    """The exact Gagliardo-Nirenberg pair A = (N(p-1)-2b)/2 and
-    B = (4+2b-(N-2)(p-1))/2 (``Params.A``, ``Params.B`` in floats)."""
-    return (N * (p - 1) - 2 * b) / 2, (4 + 2 * b - (N - 2) * (p - 1)) / 2
-
-
 def table(N: int, b: Fraction, p: Fraction) -> dict[str, Fraction | int | str]:
     """Every derived exponent of (N, b, p), exact, in table order.
 
-    gamma_c, sigma_c, the Gagliardo-Nirenberg pair A, B, the regime, the
-    Morawetz pair (alpha, beta) for the N-1 radial weight and, while alpha
-    lies in the scattering window, (q, r, k, m), (l, delta), n and theta.
-    The non-numeric entries are the strings "inf", "n/a" and "infeasible".
+    gamma_c, sigma_c, the Gagliardo-Nirenberg pair A, B and the regime, all
+    read from the exact Params; the Morawetz pair (alpha, beta) for the N-1
+    radial weight and, while alpha lies in the scattering window,
+    (q, r, k, m), (l, delta), n and theta.  The non-numeric entries are the
+    strings "inf", "n/a" and "infeasible".
     """
-    gamma_c = Fraction(N, 2) - (2 + b) / (p - 1)
-    A, B = _gn_pair(N, b, p)
+    params = Params(N, Fraction(b), Fraction(p))
+    sigma_c = params.sigma_c
     rows: dict[str, Fraction | int | str] = {
-        "N": N, "b": b, "p": p, "gamma_c": gamma_c,
-        "sigma_c": "inf" if gamma_c == 0 else (1 - gamma_c) / gamma_c,
-        "A": A, "B": B,
-        "regime": classify(Params(N, float(b), float(p))).kind.value,
+        "N": N, "b": params.b, "p": params.p, "gamma_c": params.gamma_c,
+        "sigma_c": "inf" if sigma_c == math.inf else sigma_c,
+        "A": params.A, "B": params.B,
+        "regime": classify(params).kind.value,
     }
     try:
-        alpha, beta = _alpha_beta(N, b, p)
+        alpha, beta = morawetz_beta(params)
     except ValueError:
         rows.update(alpha_N_minus_1="n/a", beta="n/a")
         return rows

@@ -37,7 +37,7 @@ __all__ = [
     "write_csv",
 ]
 
-# relative tolerance used to detect exact critical exponents from floats
+# relative tolerance within which p is at a critical power
 _CRIT_RTOL = 1e-12
 
 
@@ -48,7 +48,8 @@ def sphere_area(N: int) -> float:
 
 @dataclass(frozen=True)
 class Params:
-    """The triple (N, b, p): dimension, weight exponent, nonlinearity power."""
+    """The triple (N, b, p): dimension, weight exponent, nonlinearity power;
+    its exponents are exact for Fraction b and p, floats for float ones."""
 
     N: int
     b: float
@@ -65,43 +66,42 @@ class Params:
     @property
     def gamma_c(self) -> float:
         """Critical Sobolev index N/2 - (2+b)/(p-1) of the scaling symmetry."""
-        return self.N / 2.0 - (2.0 + self.b) / (self.p - 1.0)
+        return (self.N - 2 * (2 + self.b) / (self.p - 1)) / 2
 
     @property
     def sigma_c(self) -> float:
         """(1 - gamma_c)/gamma_c = B/(A - 2); +inf at the mass-critical point
-        gamma_c = 0 and 0 at the energy-critical point gamma_c = 1."""
-        g = self.gamma_c
-        if abs(g) <= _CRIT_RTOL:
+        and 0 at the energy-critical point, as classify decides them."""
+        kind = classify(self).kind
+        if kind == RegimeKind.MASS_CRITICAL:
             return math.inf
-        if _isclose(g, 1.0):
-            return 0.0
-        return self.B / (self.A - 2.0)
+        if kind == RegimeKind.ENERGY_CRITICAL:
+            return 0 * self.gamma_c  # 0 in the exponents' type; gamma_c ~ 1 > 0
+        return self.B / (self.A - 2)
 
     @property
     def A(self) -> float:
         """Gradient exponent (N(p-1) - 2b)/2 of the Gagliardo-Nirenberg pair."""
-        return (self.N * (self.p - 1.0) - 2.0 * self.b) / 2.0
+        return (self.N * (self.p - 1) - 2 * self.b) / 2
 
     @property
     def B(self) -> float:
         """Mass exponent (4 + 2b - (N-2)(p-1))/2; A + B = p + 1."""
-        return (4.0 + 2.0 * self.b - (self.N - 2.0) * (self.p - 1.0)) / 2.0
+        return (4 + 2 * self.b - (self.N - 2) * (self.p - 1)) / 2
 
     @property
     def mass_critical_p(self) -> float:
-        return (self.N + 4.0 + 2.0 * self.b) / self.N
+        return (self.N + 4 + 2 * self.b) / self.N
 
     @property
     def energy_critical_p(self) -> float:
-        if self.N <= 2:
-            return math.inf
-        return (self.N + 2.0 + 2.0 * self.b) / (self.N - 2.0)
+        """(N+2+2b)/(N-2); +inf for N = 2, where no power is energy-critical."""
+        return math.inf if self.N == 2 else (self.N + 2 + 2 * self.b) / (self.N - 2)
 
     @property
     def lwp_lower_p(self) -> float:
         """Lower admissibility bound 1 + 2b/(N-1) for radial well-posedness."""
-        return 1.0 + 2.0 * self.b / (self.N - 1.0)
+        return 1 + 2 * self.b / (self.N - 1)
 
 
 class RegimeKind(Enum):
@@ -115,32 +115,35 @@ class RegimeKind(Enum):
 @dataclass(frozen=True)
 class RegimeClass:
     kind: RegimeKind
-    lwp_lower_ok: bool        # p >= 1 + 2b/(N-1)
-    scattering_range_ok: bool  # p > (N+4)/N + 2b/(N-1)
+    lwp_side: int  # -1, 0 or 1: p below, at or above 1 + 2b/(N-1)
 
 
-def _isclose(a: float, b: float) -> bool:
-    return abs(a - b) <= _CRIT_RTOL * max(1.0, abs(a), abs(b))
+def _side(p: float, bound: float) -> int:
+    """-1, 0 or 1 as p lies below, at (within _CRIT_RTOL relative) or above
+    bound; an infinite bound lies above every p."""
+    if math.isfinite(bound) and abs(p - bound) <= _CRIT_RTOL * max(1.0, p, bound):
+        return 0
+    return -1 if p < bound else 1
 
 
 def classify(params: Params) -> RegimeClass:
-    """Classify (N, b, p) by the sign of gamma_c; total on valid Params."""
+    """Classify (N, b, p) by the sign of gamma_c and place p against
+    1 + 2b/(N-1): the one comparison of p with a critical power, exact and
+    float Params alike; total on valid Params."""
     p = params.p
-    p_mass = params.mass_critical_p
-    p_energy = params.energy_critical_p
-    if _isclose(p, p_mass):
+    mass = _side(p, params.mass_critical_p)
+    energy = _side(p, params.energy_critical_p)
+    if mass == 0:
         kind = RegimeKind.MASS_CRITICAL
-    elif math.isfinite(p_energy) and _isclose(p, p_energy):
+    elif energy == 0:
         kind = RegimeKind.ENERGY_CRITICAL
-    elif p < p_mass:
+    elif mass < 0:
         kind = RegimeKind.MASS_SUBCRITICAL
-    elif p < p_energy:
+    elif energy < 0:
         kind = RegimeKind.INTERCRITICAL
     else:
         kind = RegimeKind.ENERGY_SUPERCRITICAL
-    lwp_ok = p >= params.lwp_lower_p or _isclose(p, params.lwp_lower_p)
-    scat_ok = p > (params.N + 4.0) / params.N + 2.0 * params.b / (params.N - 1.0)
-    return RegimeClass(kind=kind, lwp_lower_ok=lwp_ok, scattering_range_ok=scat_ok)
+    return RegimeClass(kind=kind, lwp_side=_side(p, params.lwp_lower_p))
 
 
 @dataclass(frozen=True)

@@ -405,7 +405,7 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
             f"shooting requires energy-subcritical parameters "
             f"(p < (N+2+2b)/(N-2) when N >= 3); got {regime.kind.value}"
         )
-    if not p > params.lwp_lower_p:
+    if regime.lwp_side <= 0:
         raise ValueError(
             "existence of the Gagliardo-Nirenberg optimizer requires the strict "
             f"bound p > 1 + 2b/(N-1) = {params.lwp_lower_p:.6g} (Thm 2.1); "
@@ -592,9 +592,9 @@ def uniqueness_constants(params: Params) -> tuple[Fraction, Fraction, Fraction]:
         D = (2(N-1)+b)(2N+2b-(N-2)(p+1))((N-2)(p+1)-2-b)/(p+3)^3.
 
     G changes sign once, at k = sqrt(D/C), when D > 0; otherwise G < 0 and
-    k^2 = 0.  On the range accepted here (Params gives N >= 2 and b > 0; the
-    guards give p > 1 + 2b/(N-1) and, for N >= 3, p < (N+2+2b)/(N-2)) the
-    seven conditions hold by algebra, so none is computed:
+    k^2 = 0.  On the range accepted here (Params gives N >= 2 and b > 0;
+    classify puts p above 1 + 2b/(N-1) and, for N >= 3, below (N+2+2b)/(N-2))
+    the seven conditions hold by algebra, so none is computed:
     (1) f = r^{N-1} is bounded at 0 because N >= 2;
     (2) (1/f) int_0^r f (|g|+h) = r/N + r^{b+1}/(N+b) -> 0;
     (3) f (g+h) = r^{N-1}(r^b - 1) is integrable at 0, and 1/f = r^{1-N}
@@ -606,11 +606,11 @@ def uniqueness_constants(params: Params) -> tuple[Fraction, Fraction, Fraction]:
     (7) C > 0 once p > 1 + 2b/(N-1), so G < 0 beyond k.
     """
     N = params.N
-    if not params.p > params.lwp_lower_p:
-        raise ValueError(
-            f"uniqueness criteria require p > 1 + 2b/(N-1) = {params.lwp_lower_p:.6g}"
-        )
-    if N >= 3 and not params.p < params.energy_critical_p:
+    regime = classify(params)
+    if regime.lwp_side <= 0:
+        raise ValueError(f"uniqueness criteria require p > 1 + 2b/(N-1) = "
+                         f"{params.lwp_lower_p:.6g}")
+    if regime.kind in (RegimeKind.ENERGY_CRITICAL, RegimeKind.ENERGY_SUPERCRITICAL):
         raise ValueError(
             f"uniqueness criteria require p < (N+2+2b)/(N-2) = "
             f"{params.energy_critical_p:.6g}"

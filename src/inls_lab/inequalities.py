@@ -16,13 +16,14 @@ import numpy as np
 from .grids import (
     Params,
     RadialField,
+    RegimeKind,
+    classify,
     gradient_sq_norm,
     integrate,
     make_grid,
     radial_derivative,
     sphere_area,
 )
-from .exponents import _gn_pair
 from .functionals import mass, potential, weinstein
 
 __all__ = [
@@ -87,15 +88,13 @@ def gn_check(f: RadialField, params: Params, c_opt: float) -> float:
 
     with equality (to quadrature accuracy) exactly at the ground state.
     """
-    N = params.N
-    if not params.p > params.lwp_lower_p:
-        raise ValueError(
-            f"inequality requires p > 1 + 2b/(N-1) = {params.lwp_lower_p:.6g}"
-        )
-    if N >= 3 and params.p > params.energy_critical_p:
-        raise ValueError(
-            f"inequality requires p <= (N+2+2b)/(N-2) = {params.energy_critical_p:.6g}"
-        )
+    regime = classify(params)
+    if regime.lwp_side <= 0:
+        raise ValueError(f"inequality requires p > 1 + 2b/(N-1) = "
+                         f"{params.lwp_lower_p:.6g}")
+    if regime.kind == RegimeKind.ENERGY_SUPERCRITICAL:
+        raise ValueError(f"inequality requires p <= (N+2+2b)/(N-2) = "
+                         f"{params.energy_critical_p:.6g}")
     return weinstein(f, params) / c_opt
 
 
@@ -114,9 +113,9 @@ def interpolation_theta(params: Params) -> float:
     N = params.N
     if N < 3:
         raise ValueError("interpolation requires N >= 3")
-    b, p = Fraction(params.b), Fraction(params.p)
-    low = 2 + 2 * b / (N - 1)
-    high = (2 * N + 2 * b) / (N - 2)
+    exact = Params(N, Fraction(params.b), Fraction(params.p))
+    b, p = exact.b, exact.p
+    low, high = exact.lwp_lower_p + 1, exact.energy_critical_p + 1
     if not low <= p + 1 <= high:
         raise ValueError(
             f"p+1 = {float(p + 1):.6g} outside the interpolation window "
@@ -125,7 +124,7 @@ def interpolation_theta(params: Params) -> float:
     theta = (high - (p + 1)) / (high - low)
     lhs1 = (b / (N - 1)) * theta + high * (1 - theta)
     lhs2 = (2 + b / (N - 1)) * theta
-    if (lhs1, lhs2) != _gn_pair(N, b, p):
+    if (lhs1, lhs2) != (exact.A, exact.B):
         raise AssertionError("exponent identities of the interpolation failed")
     return float(theta)
 
@@ -147,8 +146,8 @@ def divergence_witness(params: Params, k_values) -> list[tuple[float, float]]:
     Returns (k, ratio_k) with ratio_k = potential(f_k) / ||f_k||_{H^1}^{p+1};
     the ratios grow like k^{(N-1)/2 (1 + 2b/(N-1) - p)}.
     """
-    N, b, p = params.N, params.b, params.p
-    if not 1.0 < p < params.lwp_lower_p:
+    N, p = params.N, params.p
+    if classify(params).lwp_side >= 0:
         raise ValueError(
             f"the divergence witness exists only for 1 < p < 1 + 2b/(N-1) "
             f"= {params.lwp_lower_p:.6g}; got p = {p:.6g}"

@@ -47,6 +47,14 @@ class TestExponentsCommand:
         assert rows["sigma_c"] == "inf"
         assert rows["regime"] == "MassCritical"
 
+    def test_mass_critical_band_sigma_inf(self, capsys):
+        # p = 3 + 2e-12 is within classify's tolerance of p = 3
+        assert run(["exponents", "--dim", "3", "--b", "1",
+                    "--p", "3.000000000002"]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert rows["gamma_c"] == "3/2000000000002"
+        assert (rows["sigma_c"], rows["regime"]) == ("inf", "MassCritical")
+
 
 class TestVerifyCommand:
     def test_exponents_suite(self, tmp_path):
@@ -121,6 +129,21 @@ class TestEvolveCommand:
         header = (out / "diagnostics.csv").read_text().splitlines()[0]
         assert header.startswith("t,mass,energy,grad_sq,potential,local_mass")
         assert header.endswith("virial_V,virial_Vp")
+
+    def test_nonfinite_growth_is_null(self, tmp_path):
+        # the amplitude 1e160 overflows at once: the growth is NaN, which
+        # strict JSON writes as null
+        out = tmp_path / "run"
+        assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
+                    "--init", "gaussian:1e160", "--tend", "0.01",
+                    "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary["outcome"]["gradient_growth"] is None
 
     def test_missing_file_init_exit_2(self, tmp_path):
         assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from inls_lab.exponents import table
+from inls_lab.exponents import morawetz_beta, scattering_alpha_window, table
+from inls_lab.ground_state import shoot, uniqueness_constants
+from inls_lab.inequalities import gn_check
 from inls_lab.grids import (
     NonFiniteError,
     Params,
@@ -87,12 +89,72 @@ class TestClassify:
     def test_intercritical_flags(self):
         rc = classify(Params(3, 1, 4))
         assert rc.kind == RegimeKind.INTERCRITICAL
-        assert rc.lwp_lower_ok
-        assert rc.scattering_range_ok  # (N+4)/N + 2b/(N-1) = 10/3 < 4
+        assert rc.lwp_side == 1  # 1 + 2b/(N-1) = 2 < 4
+        # alpha = p - 1 - 2b/(N-1) = 2 lies in the scattering window (4/3, 4)
+        alpha, _ = morawetz_beta(Params(3, 1, 4))
+        lo, hi = scattering_alpha_window(3)
+        assert alpha == 2 and lo < alpha < hi
 
     def test_subcritical_and_supercritical(self):
         assert classify(Params(3, 1, 2.5)).kind == RegimeKind.MASS_SUBCRITICAL
         assert classify(Params(4, 2, 6)).kind == RegimeKind.ENERGY_SUPERCRITICAL
+
+
+class TestOneDecision:
+    """classify is the one comparison of p with a critical power: sigma_c
+    and the range guards read its answer, so they agree with it inside its
+    1e-12 tolerance band as well as outside."""
+
+    BOUNDS = ("mass_critical_p", "energy_critical_p", "lwp_lower_p")
+    SUBCRITICAL = (RegimeKind.MASS_SUBCRITICAL, RegimeKind.MASS_CRITICAL,
+                   RegimeKind.INTERCRITICAL)
+
+    @staticmethod
+    def _accepts(fn, *args) -> bool:
+        try:
+            fn(*args)
+        except ValueError:
+            return False
+        return True
+
+    def test_seeded_sweeps_across_each_bound(self):
+        rng = random.Random(1801)
+        for _ in range(6):
+            N, b = rng.randint(2, 6), rng.uniform(0.1, 4.0)
+            grid = make_grid(4.0, 0.05, N)
+            f = RadialField(grid, np.exp(-grid.r**2))
+            for name in self.BOUNDS:
+                bound = getattr(Params(N, b, 2.0), name)
+                if math.isinf(bound):
+                    continue
+                decisions = set()
+                for k in range(-30, 31):
+                    pr = Params(N, b, bound * (1 + k * 1e-13))
+                    rc = classify(pr)
+                    kind, above_lwp = rc.kind, rc.lwp_side > 0
+                    decisions.add(rc.lwp_side if name == "lwp_lower_p" else kind)
+                    assert math.isinf(pr.sigma_c) == (kind == RegimeKind.MASS_CRITICAL)
+                    assert (pr.sigma_c == 0) == (kind == RegimeKind.ENERGY_CRITICAL)
+                    assert self._accepts(uniqueness_constants, pr) == (
+                        above_lwp and kind in self.SUBCRITICAL)
+                    assert self._accepts(gn_check, f, pr, 1.0) == (
+                        above_lwp and kind != RegimeKind.ENERGY_SUPERCRITICAL)
+                # below, at and above the bound
+                assert len(decisions) == 3, (N, b, name, decisions)
+
+    def test_mass_critical_band_has_infinite_sigma(self):
+        pr = Params(3, 1.0, 3 + 2e-12)
+        assert classify(pr).kind == RegimeKind.MASS_CRITICAL
+        assert pr.sigma_c == math.inf
+
+    def test_energy_critical_float_triple_outside_uniqueness(self):
+        # the float 23/9 lies a rounding below (N+2+2b)/(N-2) at (5, 1/3)
+        pr = Params(5, 1 / 3, 23 / 9)
+        assert classify(pr).kind == RegimeKind.ENERGY_CRITICAL
+        with pytest.raises(ValueError, match="p < "):
+            uniqueness_constants(pr)
+        with pytest.raises(ValueError, match="energy-subcritical"):
+            shoot(pr)
 
 
 class TestQuadrature:

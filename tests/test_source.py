@@ -135,3 +135,23 @@ def test_imported_names_are_used(path):
     unused = [(line, name) for line, name in _imported_names(tree)
               if name not in used]
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+_CRITICAL_POWERS = {"mass_critical_p", "energy_critical_p", "lwp_lower_p"}
+
+
+def test_classify_is_the_one_regime_comparison():
+    # p meets a critical power only in grids.classify, under its tolerance;
+    # everywhere else reads classify's kind and lwp_side
+    found = []
+    for path in SRC:
+        if path.name == "grids.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(sub, ast.Attribute) and sub.attr in _CRITICAL_POWERS
+                    for operand in (node.left, *node.comparators)
+                    for sub in ast.walk(operand)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

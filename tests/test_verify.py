@@ -9,7 +9,6 @@ rows `verify` reports.
 
 import dataclasses
 import json
-import math
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +18,7 @@ from inls_lab import inequalities as ineq
 from inls_lab import verify
 from inls_lab import virial as vir
 from inls_lab.cli import CHECK_FAILURE, main
+from inls_lab.grids import Params
 
 
 def _wrap(mp, module, name, wrong):
@@ -51,6 +51,16 @@ def _beta_over_N(f, pr):
 def _half_theta(f, alpha, N):
     rep = f(alpha, N)
     return dataclasses.replace(rep, theta=rep.theta / 2) if rep.feasible else rep
+
+
+def _B_off_by_one(dims):
+    """A Params whose Gagliardo-Nirenberg exponent B is one too large in the
+    dimensions dims."""
+    class WrongB(Params):
+        @property
+        def B(self):
+            return super().B + (1 if self.N in dims else 0)
+    return WrongB
 
 
 def _flat_last_step(f, params, ks):
@@ -87,10 +97,8 @@ FAULTS = {
         mp, ineq, "interpolation_theta", lambda f, pr: f(pr) + 1e-12)),
     # a wrong B for N >= 4 only: the (3,1,4) row keeps passing, and the row
     # fails on its own samples
-    "interpolation_identities_random": ("inequalities", lambda mp: _wrap(
-        mp, ineq, "_gn_pair",
-        lambda f, N, b, p: f(N, b, p) if N == 3
-        else (f(N, b, p)[0], f(N, b, p)[1] + 1))),
+    "interpolation_identities_random": ("inequalities", lambda mp: mp.setattr(
+        ineq, "Params", _B_off_by_one(range(4, 7)))),
     "radial_sobolev_21_gaussian": ("inequalities", lambda mp: _wrap(
         mp, ineq, "radial_sobolev_21", lambda f, u: 1.01 * f(u))),
     "radial_sobolev_210_s1_matches": ("inequalities", lambda mp: _wrap(
@@ -165,9 +173,7 @@ def test_broken_identity_fails_its_rows(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("suite, module, name, wrong, nan_rows, failed", [
     # a wrong B at N = 3: interpolation_theta raises on the (3,1,4) row
-    ("inequalities", ineq, "_gn_pair",
-     lambda f, N, b, p: (f(N, b, p)[0], f(N, b, p)[1] + 1) if N == 3
-     else f(N, b, p),
+    ("inequalities", ineq, "Params", lambda f, *args: _B_off_by_one({3})(*args),
      {"interpolation_theta_(3,1,4)"}, {"interpolation_identities_random"}),
     # psi_2 off its closed form: every row that builds psi_R raises inside
     ("virial", vir, "psi2_closed_form", lambda f, rho, pr: 1.01 * f(rho, pr),
@@ -177,10 +183,10 @@ def test_broken_identity_fails_its_rows(monkeypatch, tmp_path):
 def test_raising_identity_fails_float_rows(monkeypatch, tmp_path, suite, module,
                                            name, wrong, nan_rows, failed):
     # a float row whose identity raises reads NaN and fails; verify still
-    # writes its report and exits 1
+    # writes its report, strict JSON with the NaN as null, and exits 1
     _wrap(monkeypatch, module, name, wrong)
     out = tmp_path / "verify.json"
     assert main(["verify", "--suite", suite, "--out", str(out)]) == CHECK_FAILURE
     rows = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert {n for n, c in rows.items() if not c["pass"]} == nan_rows | failed
-    assert all(math.isnan(rows[n]["value"]) for n in nan_rows)
+    assert all(rows[n]["value"] is None for n in nan_rows)
