@@ -14,10 +14,13 @@ the splitting and the resolution, not a mismatch between two stencils.
 The tridiagonal matrix M + i dt/2 K is LU-factored once per (grid, b, dt),
 so a step costs one pair of triangular sweeps; ``step`` and ``evolve``
 share the factors and the phase coefficient of the last (grid, b, dt)
-stepped.  The LAPACK routines (scipy's zgttrf and zgttrs) are imported
-when the first plan is built, not with this module: importing
-scipy.linalg takes about 0.24 s and 24 MB, which the commands that never
-take a step (ground-state, verify, exponents) should not pay.
+stepped.  zgttrf and zgttrs come from scipy's f2py module
+scipy.linalg._flapack, loaded by the first plan without the scipy.linalg
+package: the package adds no routine (scipy.linalg.lapack re-exports these
+objects) but about 0.29 s and 22 MB, mostly numpy.testing, numpy.f2py,
+numpy.ma and numpy.random loaded by scipy's array-API layer; the module
+alone takes 5 ms and 2.4 MB (2-core host, scipy 1.17).  The commands
+that never take a step load no scipy at all.
 The half-phase multiplies by exp(x), x = h |u|^{p-1} with h purely
 imaginary, and takes np.exp only on the prefix of nodes that ends at the
 last one with |theta| = |Im x| not below 2^-27 (a NaN or inf fails that
@@ -35,7 +38,10 @@ energy drift together.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -172,12 +178,29 @@ class DiagnosticsSeries:
 # Crank-Nicolson machinery
 # ---------------------------------------------------------------------------
 
+def _flapack():
+    """scipy's f2py LAPACK module, scipy.linalg._flapack, without importing
+    the scipy or scipy.linalg packages.  The extension is loaded from scipy's
+    linalg directory under its full name and registered in sys.modules, so a
+    later ``import scipy.linalg`` reuses it: scipy.linalg.lapack's routines
+    are then the very objects a plan holds."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        linalg = [d + "/linalg" for d in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(name, linalg)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
 class _CrankNicolson:
     """The step plan for one (grid, b, dt): (M + i dt/2 K) u+ = (M - i dt/2 K) u-
     with M + i dt/2 K factored once by LAPACK zgttrf, so that each step is
     one zgttrs solve, and the half-step phase coefficient h = 0.5j dt r^b.
-    scipy's LAPACK is loaded by the first plan a process builds, so that
-    only a process that steps pays for it."""
+    scipy's LAPACK module is loaded by the first plan a process builds
+    (``_flapack``), so that only a process that steps pays for it."""
 
     def __init__(self, grid: RadialGrid, b: float, dt: float):
         N, r, dr, kappa = grid.N, grid.r, grid.dr, grid.kappa
@@ -186,7 +209,7 @@ class _CrankNicolson:
             # zgttrf's wrapper takes no fewer than 3 unknowns
             raise ValueError(f"the Crank-Nicolson step needs a grid of at least "
                              f"5 nodes, got {n}")
-        from scipy.linalg.lapack import zgttrf, zgttrs
+        lapack = _flapack()
 
         m = n - 2  # degrees of freedom: nodes 1 .. n-2
         diag = np.zeros(m)
@@ -196,10 +219,10 @@ class _CrankNicolson:
         off = -kappa[:-1]
         Mw = r[1:-1] ** (N - 1) * dr
         z = 0.5j * dt
-        *self.lu, info = zgttrf(z * off, Mw + z * diag, z * off)
+        *self.lu, info = lapack.zgttrf(z * off, Mw + z * diag, z * off)
         if info != 0:
             raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-        self.n, self.dt, self.zgttrs = n, dt, zgttrs
+        self.n, self.dt, self.zgttrs = n, dt, lapack.zgttrs
         self.b_diag = Mw - z * diag
         self.b_off = -z * off
         self.h = 0.5j * dt * r**b

@@ -127,10 +127,11 @@ def auxiliary_exponents(alpha: Fraction, N: int) -> tuple[Fraction, Fraction]:
 def morawetz_beta(params: Params) -> tuple[Fraction, Fraction]:
     """Morawetz decay data (alpha, beta): alpha = p - 1 - 2b/(N-1) and
     beta = max(1/3, 2/((N-1) alpha + 2)) < 1 always, exact in the binary
-    fractions that float b and p hold."""
+    fractions that float b and p hold.  alpha is positive as ``classify``
+    places p: above 1 + 2b/(N-1), not within its tolerance of it."""
     exact = Params(params.N, Fraction(params.b), Fraction(params.p))
     alpha = exact.p - exact.lwp_lower_p
-    if alpha <= 0:
+    if classify(exact).lwp_side <= 0:
         raise ValueError(f"alpha = p - 1 - 2b/(N-1) = {alpha} must be positive")
     beta = max(Fraction(1, 3), Fraction(2) / ((exact.N - 1) * alpha + 2))
     _require(Fraction(0) < beta < Fraction(1), "0 < beta < 1")

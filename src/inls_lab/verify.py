@@ -131,8 +131,9 @@ def suite_inequalities() -> list[CheckRow]:
         N = rng.randint(3, 6)
         # dyadic rationals survive the float round trip exactly
         b = Fraction(rng.randint(1, 64), 2 ** rng.randint(0, 4))
-        lowp = 1 + 2 * b / (N - 1)
-        highp = (2 * N + 2 * b) / (N - 2) - 1
+        # the window's ends depend on N and b alone, not on the 2 given as p
+        ends = Params(N, b, Fraction(2))
+        lowp, highp = ends.lwp_lower_p, ends.energy_critical_p
         t = Fraction(rng.randint(1, 255), 256)
         p = lowp + (highp - lowp) * t
         try:

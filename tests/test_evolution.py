@@ -1,4 +1,6 @@
+import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +119,33 @@ class TestSolver:
         assert key[-1] == plan.dt == 2e-3
         step(u, P313, 2e-3)
         assert evolution._last_plan[1] is plan
+
+
+class TestLapackModule:
+    # a plan loads scipy.linalg._flapack alone and registers it, so the
+    # routines it holds are scipy.linalg.lapack's own objects, whichever of
+    # the two is imported first
+    @pytest.mark.parametrize("linalg_first", [True, False],
+                             ids=["linalg-first", "plan-first"])
+    def test_plan_holds_scipy_linalg_routines(self, monkeypatch, linalg_first):
+        saved = dict(sys.modules)
+        try:
+            for name in [n for n in sys.modules if n.split(".")[0] == "scipy"]:
+                del sys.modules[name]
+            monkeypatch.setattr(evolution, "_last_plan", None)
+            if linalg_first:
+                lapack = importlib.import_module("scipy.linalg.lapack")
+            g = make_grid(2.0, 1e-2, 3)
+            step(RadialField(g, np.exp(-g.r**2).astype(complex)), P313, 1e-3)
+            if not linalg_first:
+                assert "scipy.linalg._flapack" in sys.modules
+                assert "scipy.linalg" not in sys.modules
+                lapack = importlib.import_module("scipy.linalg.lapack")
+            assert evolution._last_plan[1].zgttrs is lapack.zgttrs
+            assert evolution._flapack().zgttrf is lapack.zgttrf
+        finally:
+            sys.modules.clear()
+            sys.modules.update(saved)
 
 
 def _reference_phase(v, h, p):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import inls_lab
-from inls_lab.grids import Params
+from inls_lab.grids import Params, classify
 from inls_lab.exponents import (
     admissible_check,
     auxiliary_exponents,
@@ -16,6 +16,7 @@ from inls_lab.exponents import (
     morawetz_beta,
     scattering_alpha_window,
     scattering_exponents,
+    table,
 )
 
 
@@ -100,6 +101,17 @@ class TestMorawetz:
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ValueError):
             morawetz_beta(Params(3, 3.0, 2.0))
+
+    def test_alpha_inside_classify_band_rejected(self):
+        # classify places p = 2 + 1e-13 at the bound 1 + 2b/(N-1) = 2, so
+        # alpha is not positive and the table has no Morawetz pair
+        p = 2 + F(1, 10**13)
+        assert classify(Params(3, F(1), p)).lwp_side == 0
+        with pytest.raises(ValueError, match="must be positive"):
+            morawetz_beta(Params(3, F(1), p))
+        rows = table(3, F(1), p)
+        assert rows["alpha_N_minus_1"] == rows["beta"] == "n/a"
+        assert table(3, F(1), 2 + F(1, 10**11))["alpha_N_minus_1"] == F(1, 10**11)
 
 
 class TestDispersive:

@@ -155,3 +155,24 @@ def test_classify_is_the_one_regime_comparison():
                     for sub in ast.walk(operand)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _imports_scipy_linalg(node):
+    """Whether an import statement loads any part of the scipy.linalg
+    package, so also runs its __init__."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+    else:
+        return False
+    return any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_scipy_linalg_package_import(path):
+    # the stepper loads scipy.linalg._flapack alone (evolution._flapack):
+    # the package's __init__ costs a stepping process about 0.29 s and 22 MB
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if _imports_scipy_linalg(node)]
+    assert lines == [], f"{path.name}: scipy.linalg imported at lines {lines}"
