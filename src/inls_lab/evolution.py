@@ -30,7 +30,11 @@ cos(theta) is exactly 1.0 and sin(theta) exactly theta: the tail factor is
 written as 1 + i theta, bit for bit what np.exp gives.  The test is on
 |theta| because a negative dt makes theta <= 0, and the tail keeps Im x
 itself rather than adding 1.0 to x, which would turn a theta of -0.0 into
-+0.0.  Decaying states keep most nodes in that tail.
++0.0.  Decaying states keep most nodes in that tail.  |u|^{p-1} is a
+product of |u|'s when p - 1 is a whole number and a pow otherwise
+(``_abs_power``): at p = 4 and 8001 nodes, about 7 us against 23 us
+(2-core host, numpy 2.4).  p = 3 steps bit for bit as with pow; p = 4,
+5, ... move at roundoff.
 Blow-up on a fixed grid can only be certified as
 "self-focusing beyond resolution": detection requires gradient growth AND
 energy drift together.
@@ -255,11 +259,33 @@ def _plan(grid: RadialGrid, b: float, dt: float) -> _CrankNicolson:
 _EXACT_PHASE = 2.0**-27
 
 
+def _abs_power(v: np.ndarray, k: float) -> np.ndarray:
+    """|v|^k: for a whole k, square-and-multiply on a = |v| (y = a; for each
+    binary digit of k after the leading one, y = y * y, then y = y * a if
+    the digit is 1), so k = 1 is a, 2 is a * a (numpy's a ** 2.0, bit for
+    bit), 3 is (a * a) * a, 4 is (a * a) * (a * a) and 5 is
+    ((a * a) * (a * a)) * a; any other k is a ** k.  A multiply costs under
+    1 ns per node and pow about 3 ns, so k = 3 saves about 16 us at 8001
+    nodes; a whole k >= 3 rounds differently from pow in the last bit of
+    some nodes.  Only the result outlives the call, as with np.abs(v) ** k."""
+    a = np.abs(v)
+    if not k.is_integer():
+        return a ** k
+    y = a
+    for digit in bin(int(k))[3:]:
+        y = y * y
+        if digit == "1":
+            y *= a
+    return y
+
+
 def _phase(v: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
     """v exp(x) for x = h |v|^{p-1}, bit for bit, with the transcendental
     taken only on the prefix of nodes up to the last one whose |Im x| is not
-    below _EXACT_PHASE; past it the factor is written as 1 + i Im x."""
-    x = h * np.abs(v) ** (p - 1.0)
+    below _EXACT_PHASE; past it the factor is written as 1 + i Im x.
+    |v|^{p-1} is a product of |v|'s when p - 1 is a whole number (p > 1, so
+    at least 1), and a pow otherwise (``_abs_power``)."""
+    x = h * _abs_power(v, p - 1.0)
     # NaN and inf fail the comparison, so they stay on the np.exp prefix
     active = np.flatnonzero(~(np.abs(x.imag) < _EXACT_PHASE))
     k = active[-1] + 1 if active.size else 0

@@ -148,7 +148,25 @@ class TestLapackModule:
             sys.modules.update(saved)
 
 
+# |v|^k for a whole k = p - 1, written out as evolution._abs_power documents it
+_CHAINS = {
+    1: lambda a: a,
+    2: lambda a: a * a,
+    3: lambda a: (a * a) * a,
+    4: lambda a: (a * a) * (a * a),
+    5: lambda a: ((a * a) * (a * a)) * a,
+}
+
+
 def _reference_phase(v, h, p):
+    """v exp(h |v|^{p-1}) with np.exp on every node, and |v|^{p-1} by the
+    documented rule: the written-out chain for a whole p - 1, else **."""
+    a, k = np.abs(v), p - 1.0
+    return v * np.exp(h * (_CHAINS[int(k)](a) if k.is_integer() else a ** k))
+
+
+def _pow_phase(v, h, p):
+    """The half-phase with |v|^{p-1} always taken by **."""
     return v * np.exp(h * np.abs(v) ** (p - 1.0))
 
 
@@ -181,7 +199,7 @@ class TestExactTailPhase:
     |theta| reaches 2^-27, and is bit-identical to np.exp on every node."""
 
     @pytest.mark.parametrize("far_bump", [False, True])
-    @pytest.mark.parametrize("p", [3.0, 4.0, 3.7])
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0, 6.0, 3.7, 3.5])
     @pytest.mark.parametrize("N", [2, 3, 4])
     @pytest.mark.parametrize("dt", [1e-3, -1e-3])
     def test_bit_identical_to_exp_everywhere(self, dt, N, p, far_bump):
@@ -194,6 +212,10 @@ class TestExactTailPhase:
         assert theta.max() >= 2.0**-27 and theta[-100:].max() < 2.0**-27
         assert (evolution._phase(v, h, p).tobytes()
                 == _reference_phase(v, h, p).tobytes())
+        if p == 3.0:
+            # a * a is numpy's a ** 2.0, so p = 3 is bit for bit the pow form
+            assert (evolution._phase(v, h, p).tobytes()
+                    == _pow_phase(v, h, p).tobytes())
         out = step(RadialField(g, v), params, dt)
         assert out.values.tobytes() == _reference_step(RadialField(g, v),
                                                        params, dt).tobytes()
@@ -217,19 +239,33 @@ class TestExactTailPhase:
             exact.real, exact.imag = 1.0, theta
             assert np.exp(x).tobytes() == exact.tobytes()
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf),
+                                     1e160])
     def test_non_finite_node_raises(self, evo_grid, bad):
         # a non-finite node past the core fails |theta| < 2^-27 and so stays
-        # on the np.exp prefix; the step still rejects the state
-        v = np.exp(-evo_grid.r).astype(complex)
-        u = RadialField(evo_grid, v)
-        v[len(v) // 2] = bad  # u holds it too: the field keeps v
-        h = evolution._plan(evo_grid, P313.b, 1e-3).h
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert (evolution._phase(v, h, P313.p).tobytes()
-                    == _reference_phase(v, h, P313.p).tobytes())
-            with pytest.raises(NonFiniteError):
-                step(u, P313, 1e-3)
+        # on the np.exp prefix; the step still rejects the state.  1e160 is
+        # finite, but |v|^2 and |v|^3 overflow, by pow and by the product
+        for params in (P313, P314):
+            v = np.exp(-evo_grid.r).astype(complex)
+            u = RadialField(evo_grid, v)
+            v[len(v) // 2] = bad  # u holds it too: the field keeps v
+            h = evolution._plan(evo_grid, params.b, 1e-3).h
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert (evolution._phase(v, h, params.p).tobytes()
+                        == _reference_phase(v, h, params.p).tobytes())
+                with pytest.raises(NonFiniteError):
+                    step(u, params, 1e-3)
+
+    @pytest.mark.parametrize("p", [4.0, 5.0, 6.0])
+    def test_large_theta_takes_the_documented_chain(self, p):
+        # theta of order 1, where a one-ulp change of |v|^{p-1} reaches the
+        # rotated value: the phase follows the chain, not **, on these nodes
+        g = make_grid(20.0, 5e-3, 3)
+        v = 1.5 * np.exp(-0.1 * g.r + 0.3j * g.r)
+        h = evolution._plan(g, 1.0, 0.05).h
+        out = evolution._phase(v, h, p)
+        assert out.tobytes() == _reference_phase(v, h, p).tobytes()
+        assert np.count_nonzero(out != _pow_phase(v, h, p)) > 100
 
 
 class TestStepperConfig:
