@@ -37,7 +37,9 @@ product of |u|'s when p - 1 is a whole number and a pow otherwise
 5, ... move at roundoff.
 Blow-up on a fixed grid can only be certified as
 "self-focusing beyond resolution": detection requires gradient growth AND
-energy drift together.
+energy drift together.  energy_drift_max and boundary_flagged are taken over
+the stepped states (the initial state's wall mass is not checked), and a run
+with record=False leaves both None.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from enum import Enum
 import numpy as np
 
 from . import functionals as fn
-from .grids import (NonFiniteError, Params, RadialField, RadialGrid, classify,
-                    grad_sq_edges, write_csv)
+from .grids import (NonFiniteError, Params, RadialField, RadialGrid, RegimeKind,
+                    classify, grad_sq_edges, write_csv)
 
 __all__ = [
     "StepperConfig",
@@ -327,23 +329,18 @@ class EvolveResult:
     states: list  # [(t, RadialField)] when cfg.save_every > 0, else []
 
 
-def _blowup_time_from_slopes(ts, grads) -> float | None:
+def _blowup_time_from_slopes(ts, grads) -> float:
     """Earliest time where the log-slope of grad_sq doubles its early value."""
     g = np.asarray(grads)
     t = np.asarray(ts)
     if len(g) < 8:
-        return float(t[-1]) if len(t) else None
+        return float(t[-1])
     s = np.diff(np.log(g)) / np.diff(t)
     early = s[: max(4, len(s) // 5)]
     pos = early[early > 0]
-    if len(pos) == 0:
-        base = max(float(np.max(early)), 1e-12)
-    else:
-        base = float(np.median(pos))
+    base = float(np.median(pos)) if len(pos) else max(float(np.max(early)), 1e-12)
     idx = np.nonzero(s >= 2.0 * base)[0]
-    if len(idx) == 0:
-        return float(t[-1])
-    return float(t[idx[0] + 1])
+    return float(t[idx[0] + 1] if len(idx) else t[-1])
 
 
 def evolve(u0: RadialField, params: Params, cfg: StepperConfig, *,
@@ -371,6 +368,7 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig, *,
     g = u0.grid
     diag = DiagnosticsSeries(radii=LOCAL_MASS_RADII)
     states = []
+    walls = []  # the wall mass of each state (full record)
     # g.r is increasing: local masses sum a prefix, the wall mass a suffix
     ends = [int(np.count_nonzero(g.r <= R)) for R in LOCAL_MASS_RADII]
     wall = len(g) - int(np.count_nonzero(g.r >= 0.9 * g.r_max))
@@ -385,43 +383,41 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig, *,
         pot = fn.potential_of(w, rb, av, params.p)
         return av, pot, fn.energy_of(grad_sq, pot, params.p)
 
-    def observe(t, v):
-        """Append the state's row: every column with record, else t and
-        grad_sq.  Returns grad_sq, a thunk for the energy (without record,
-        the energy is computed only when it is called) and |v|^2 (None
-        without record)."""
+    def full_row(t, v):
+        """Append every column and the wall mass; return grad_sq, energy thunk."""
         grad_sq = float(np.sum(grad_sq_edges(v, g)))
-        if not record:
-            diag.t.append(t)
-            diag.grad_sq.append(grad_sq)
-            return grad_sq, lambda: energy(v, grad_sq)[2], None
         av, pot, E = energy(v, grad_sq)
         av2 = av**2
         local = [fn.mass_of(w[:k], av2[:k]) for k in ends]
         diag.append(t, fn.mass_of(w, av2), E, grad_sq, pot, local,
                     fn.virial_V_of(w, phi, av2), fn.virial_Vprime_of(g.N, kdphi, v))
-        return grad_sq, lambda: E, av2
+        walls.append(fn.mass_of(w[wall:], av2[wall:]))
+        return grad_sq, lambda: E
+
+    def outcome_row(t, v):
+        """Append t and grad_sq; the thunk computes the energy when called."""
+        grad_sq = float(np.sum(grad_sq_edges(v, g)))
+        diag.t.append(t)
+        diag.grad_sq.append(grad_sq)
+        return grad_sq, lambda: energy(v, grad_sq)[2]
+
+    observe = full_row if record else outcome_row
+
+    def save(k, t, u):  # the state after k steps, every save_every steps
+        if cfg.save_every and k % cfg.save_every == 0:
+            states.append((t, u))
 
     u = RadialField(g, u0.values.astype(complex))
     t = 0.0
-    factor_sq = BLOWUP_GRADIENT_FACTOR**2
     status = RunStatus.COMPLETED_GLOBAL
-    blowup_estimate = None
-    zero_run = u.is_zero
-    if cfg.save_every > 0:
-        states.append((t, u))
+    blowup_estimate = drift_max = boundary_flagged = None
 
     # overflow during violent focusing is data, not an error: the inf/nan
     # values feed the under-resolution and blow-up detectors
     with np.errstate(over="ignore", invalid="ignore"):
-        grad0, E, _ = observe(t, u.values)
+        grad0, E = observe(t, u.values)
+        save(0, t, u)
         E0 = E()
-        drift_max = boundary_flagged = None
-        if record:
-            m0 = diag.mass[0]
-            wall_tol = BOUNDARY_MASS_TOL * m0 if m0 > 0 else math.inf
-            drift_max, boundary_flagged = 0.0, False
-
         for k in range(1, cfg.n_steps + 1):
             try:
                 u = step(u, params, cfg.dt, cfg.linear_only)
@@ -430,18 +426,20 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig, *,
                 status = RunStatus.UNDER_RESOLVED
                 break
             t = k * cfg.dt
-            grad_sq, E, av2 = observe(t, u.values)
-            if record:
-                drift_max = max(drift_max, fn.energy_drift(E(), E0))
-                if fn.mass_of(w[wall:], av2[wall:]) > wall_tol:
-                    boundary_flagged = True
-            if cfg.save_every > 0 and k % cfg.save_every == 0:
-                states.append((t, u))
-            if (not zero_run and grad_sq >= factor_sq * grad0
+            grad_sq, E = observe(t, u.values)
+            save(k, t, u)
+            if (grad_sq >= BLOWUP_GRADIENT_FACTOR**2 * grad0
                     and fn.energy_drift(E(), E0) > ENERGY_DRIFT_TOL):
                 status = RunStatus.BLOWUP_DETECTED
                 blowup_estimate = _blowup_time_from_slopes(diag.t, diag.grad_sq)
                 break
+        if record:
+            # max skips a NaN drift: it replaces its value only by a larger one
+            drift_max = max([0.0, *(fn.energy_drift(E, E0)
+                                    for E in diag.energy[1:])])
+            m0 = diag.mass[0]
+            wall_tol = BOUNDARY_MASS_TOL * m0 if m0 > 0 else math.inf
+            boundary_flagged = any(m > wall_tol for m in walls[1:])
 
     outcome = RunOutcome(
         status=status,
@@ -482,6 +480,8 @@ def scattering_diagnostics(diag: DiagnosticsSeries, params: Params,
     if diag.outcome_only:
         raise ValueError("scattering diagnostics need the potential, which an "
                          "outcome-only series (evolve with record=False) lacks")
+    if classify(params).kind != RegimeKind.INTERCRITICAL:
+        raise ValueError("scattering diagnostics need inter-critical parameters")
     from .exponents import morawetz_beta
 
     ts = np.asarray(diag.t)

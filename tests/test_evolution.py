@@ -11,6 +11,7 @@ from inls_lab.grids import (NonFiniteError, Params, RadialField, gradient_sq_nor
                             make_grid)
 from inls_lab.functionals import mass
 from inls_lab.evolution import (
+    DiagnosticsSeries,
     RunStatus,
     StepperConfig,
     evolve,
@@ -56,10 +57,22 @@ class TestStep:
             u1 = step(u, Params(N, 1.0, 3.0), 1e-3)
             assert abs(mass(u1) - mass(u)) / mass(u) < 1e-12
 
-    def test_time_reversal(self, gauss_state):
+    def test_time_reversal(self, gauss_state, q314, evo_grid):
         u1 = step(gauss_state, P313, 1e-3)
         back = step(u1, P313, -1e-3)
         assert np.abs(back.values - gauss_state.values).max() < 1e-8
+        # 200 steps forward and 200 back return nodes 1..n-1 to roundoff
+        # (2.7e-13 and 1.7e-13 of max|u0|); the origin is rebuilt from nodes
+        # 1 and 2 by every step, so it returns only to 1.25e-9 and 7.4e-7
+        for u0, params in [(gauss_state, P313), (scaled(q314, evo_grid, 0.6), P314)]:
+            u = u0
+            for dt in (1e-3, -1e-3):
+                for _ in range(200):
+                    u = step(u, params, dt)
+            v = u.values
+            assert (np.abs(v - u0.values)[1:].max()
+                    < 1e-12 * np.abs(u0.values).max())
+            assert v[0] == (4.0 * v[1] - v[2]) / 3.0
 
     def test_free_gaussian_spreads(self, evo_grid, gauss_state):
         u = gauss_state
@@ -430,6 +443,15 @@ class TestScatteringDiagnostics:
         res = blowup_runs_mc[1.2]
         with pytest.raises(ValueError):
             scattering_diagnostics(res.diagnostics, P313, outcome=res.outcome)
+
+    def test_refuses_mass_critical(self):
+        # a standing wave's constant potential at (3,1,3), outside the
+        # inter-critical range, would read sublinear_ok = True
+        diag = DiagnosticsSeries(radii=(5.0,))
+        for t in (0.0, 1.0, 2.0):
+            diag.append(t, 1.0, 0.0, 1.0, 115.5, [1.0], 0.0, 0.0)
+        with pytest.raises(ValueError, match="inter-critical"):
+            scattering_diagnostics(diag, P313)
 
     def test_zero_series(self, evo_grid):
         z = RadialField(evo_grid, np.zeros(len(evo_grid), dtype=complex))

@@ -176,3 +176,25 @@ def test_no_scipy_linalg_package_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if _imports_scipy_linalg(node)]
     assert lines == [], f"{path.name}: scipy.linalg imported at lines {lines}"
+
+
+def test_evolve_loop_shape():
+    # evolve chooses its per-state observer before the loop: the loop never
+    # tests record, and it calls the module-level step once per step, by
+    # name, so a wrapper around evolution.step meters every step
+    path = next(p for p in SRC if p.name == "evolution.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    evolve = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "evolve")
+    loops = [node for node in ast.walk(evolve) if isinstance(node, ast.For)]
+    assert len(loops) == 1
+    names = [node.id for node in ast.walk(loops[0]) if isinstance(node, ast.Name)]
+    assert "record" not in names
+    steps = [node for node in ast.walk(evolve) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "step"]
+    assert len(steps) == 1 and steps[0] in list(ast.walk(loops[0]))
+    local = {node.id for node in ast.walk(evolve)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    local |= {node.name for node in ast.walk(evolve)
+              if isinstance(node, ast.FunctionDef)}
+    assert "step" not in local
