@@ -1,7 +1,10 @@
 # The ground-state dichotomy in action: amplitudes c Q below the threshold
 # disperse (potential term decays), amplitudes above it self-focus until the
 # grid flags blow-up.  Thresholds are predicted statically and confirmed
-# dynamically.
+# dynamically.  A global run's Morawetz sum S(l) = int_0^l potential grows
+# like l^e with e below the bound (1 + beta)/2; a standing wave has e = 1.
+
+import math
 
 from inls_lab import (
     Params,
@@ -37,9 +40,10 @@ for c in (0.5, 0.8, 1.2):
           f"gradient growth x{out.gradient_growth:.1f}")
     if out.status.value == "CompletedGlobal":
         sd = scattering_diagnostics(d, params, outcome=out)
-        print(f"   potential: initial {sd.potential_initial:.4f}, "
-              f"running min {sd.potential_running_min:.4f} "
-              f"(decay toward scattering)")
+        (l1, s1), (l2, s2) = sd.morawetz_windows
+        print(f"   Morawetz S({l1:g}) = {s1:.4f}, S({l2:g}) = {s2:.4f}: "
+              f"exponent {math.log(s2 / s1) / math.log(l2 / l1):.3f}, "
+              f"bound {(1 + sd.beta) / 2:.3f}, sublinear {sd.sublinear_ok}")
     else:
         print(f"   blow-up time estimate {out.blowup_time_estimate}")
     print()

@@ -8,7 +8,9 @@ a = Q(0) between trajectories that cross zero (overshoot) and trajectories
 that turn back upward while still positive (undershoot).  Because the
 nonlinear coefficient r^b vanishes at the origin, the profile initially
 *rises* from Q(0) -- its maximum sits at some r* > 0 -- before decaying
-exponentially.
+exponentially.  A trajectory that passes 50 Q(0) before its first turn is a
+third fate, a runaway: a bisection against it would converge on its edge,
+not on the ground state, so shoot raises wherever it meets one.
 
 Every trajectory of a shoot visits the same radii, so the radius terms r^b
 and (N-1)/r are tabulated once per (N, b, dr, r_max) (``_radii``, which
@@ -73,6 +75,7 @@ __all__ = [
 
 _OVERSHOOT = 1
 _UNDERSHOOT = -1
+_RUNAWAY = 2
 
 
 @dataclass(frozen=True)
@@ -158,8 +161,9 @@ def _shoot_trajectory(a: float, N: int, b: float, p: float, dr: float, r_max: fl
     """Fixed-step RK4 integration of Q'' = Q - r^b |Q|^{p-1} Q - (N-1)/r Q'.
 
     Returns (fate, samples, dsamples) where fate is OVERSHOOT (Q crossed
-    zero), UNDERSHOOT (Q' turned positive past the maximum while Q > 0), or
-    0 when the trajectory reached r_max without either event.  samples and
+    zero), UNDERSHOOT (Q' turned positive past the maximum while Q > 0),
+    RUNAWAY (Q passed 50 Q(0) before its first turn), or 0 when the
+    trajectory reached r_max without any of these.  samples and
     dsamples hold Q and Q' at the grid nodes 0, dr, 2 dr, ... up to the
     stopping point.  The stages are written out in one flat loop over the
     radius table of _radii, with k1q = v, k2q = v2, k3q = v3 and k4q = v4.
@@ -205,13 +209,15 @@ def _shoot_trajectory(a: float, N: int, b: float, p: float, dr: float, r_max: fl
             if q <= 0.0:
                 fate = _OVERSHOOT
                 break
-            if v < 0.0:
+            if v > 0.0:
+                if turned:  # rising again past the maximum
+                    fate = _UNDERSHOOT
+                    break
+                if q > runaway:
+                    fate = _RUNAWAY
+                    break
+            else:  # at or past the maximum
                 turned = True
-            elif v > 0.0 and (turned or q > runaway):
-                # past the maximum, or runaway growth before ever turning
-                # over: both are undershoots
-                fate = _UNDERSHOOT
-                break
         if fate:
             break
     return fate, np.frombuffer(qs), np.frombuffer(vs)
@@ -254,14 +260,26 @@ _AIM = 3e-4
 _OVERSHOT = (_OVERSHOOT, None, None)  # an overshoot's entry in a shoot's table
 
 
+def _fated(a: float, N: int, b: float, p: float, dr: float, r_max: float):
+    """The trajectory of Q(0) = a, raising RuntimeError if it runs away."""
+    run = _shoot_trajectory(a, N, b, p, dr, r_max)
+    if run[0] == _RUNAWAY:
+        raise RuntimeError(
+            f"shooting trajectory Q(0) = {a!r} ran away: it passed 50 Q(0) at "
+            f"r = {(len(run[1]) - 1) * dr:.6g} before it first turned over, "
+            f"at (N, b, p) = ({N}, {b}, {p})"
+        )
+    return run
+
+
 def _trajectory(a: float, table: dict, N: int, b: float, p: float, dr: float,
                 r_max: float):
-    """The trajectory of Q(0) = a from the shoot's table, integrated and
-    entered on a miss.  The table keeps an undershoot whole and an
-    overshoot as its fate alone; a fresh integration is returned whole."""
+    """The trajectory of Q(0) = a from the shoot's table, integrated
+    (_fated) and entered on a miss.  The table keeps an undershoot whole and
+    an overshoot as its fate alone; a fresh integration is returned whole."""
     run = table.get(a)
     if run is None:
-        run = _shoot_trajectory(a, N, b, p, dr, r_max)
+        run = _fated(a, N, b, p, dr, r_max)
         table[a] = _OVERSHOT if run[0] == _OVERSHOOT else run
     return run
 
@@ -383,10 +401,9 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
     hi = 2^(k+1); raising Q(0) moves trajectories from undershoot toward
     overshoot, and the bisection keeps that ordering as an invariant.  An
     overshoot directly below an undershoot on the sweep breaks it and
-    raises.  The sweep applies that check to the points from 2^10 down to
-    lo and never integrates a point below lo, so fates there go unchecked,
-    as fates above hi did when the sweep scanned upward; with monotone fates
-    both scans find the one adjacent (undershoot, overshoot) pair.
+    raises, and so does a runaway wherever shoot meets one.  The sweep
+    applies these checks to the points from 2^10 down to lo and never
+    integrates a point below lo, so fates there go unchecked.
 
     The bisection is searched, then replayed (see the module docstring); its
     lo, hi and step count are those of integrating every midpoint, as long
@@ -417,7 +434,7 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
     # geometric sweep from the top for an (undershoot, overshoot) bracket
     above = None
     for k in range(10, -11, -1):
-        run = _shoot_trajectory(2.0**k, N, b, p, dr, r_max)
+        run = _fated(2.0**k, N, b, p, dr, r_max)
         if above is not None:
             if run[0] == _UNDERSHOOT and above[0] == _OVERSHOOT:
                 break
@@ -451,7 +468,6 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
             f"shooting fates are not monotone in Q(0): {lo!r} overshoots "
             f"below the undershoot {U!r}"
         )
-    a = lo  # undershoot side stays positive everywhere
     trajectories = 10 - k + len(table)  # the sweep integrated 2^10 .. 2^k
     # the radius table (32 B per node) is not read again: release it
     global _last_radii
@@ -461,9 +477,9 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
     q_full = np.zeros(n)
     q_full[: len(qs)] = qs
 
+    # lo is no overshoot, so every sample is positive: an overshoot ends at
+    # its first sample <= 0, the series start included
     i_peak = int(np.argmax(qs))
-    if np.any(qs[: i_peak + 1] <= 0):
-        raise RuntimeError("converged profile changed sign before its maximum")
     if i_peak == len(qs) - 1:
         raise RuntimeError(
             f"converged profile never decayed: it peaks at its last sample "
@@ -472,14 +488,12 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
 
     # matching radius: first node past the peak where Q < 1e-8 Q(0); if the
     # trajectory misbehaves first, back off one length unit from the stop
-    thresh = 1e-8 * a
+    thresh = 1e-8 * lo
     below = np.nonzero(qs[i_peak:] < thresh)[0]
     if len(below):
         i_match = i_peak + int(below[0])
     else:
         i_match = max(i_peak + 1, len(qs) - 1 - int(round(1.0 / dr)))
-    if np.any(qs[i_peak:i_match] <= 0):
-        raise RuntimeError("converged profile changed sign before the tail graft")
     r_match = grid.r[i_match]
 
     c_tail = qs[i_match] / _tail(r_match, 1.0, N)
@@ -497,7 +511,7 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
 
     return GroundState(
         profile=profile,
-        shoot_value=a,
+        shoot_value=lo,
         ode_residual=ode_residual,
         decay_rate=decay_rate,
         params=params,

@@ -352,7 +352,7 @@ def test_static_commands_never_load_scipy(tmp_path):
 @pytest.mark.parametrize("command", ["ground-state", "sweep", "evolve"])
 @pytest.mark.parametrize("dim, p, message", [
     ("5", "1.51", "no undershoot/overshoot bracket"),
-    ("4", "1.67", "never decayed"),
+    ("4", "1.67", "ran away"),
 ], ids=["5-1-1.51", "4-1-1.67"])
 def test_shooting_failure_exit_2(tmp_path, capsys, command, dim, p, message):
     # shoot's RuntimeError reaches the user as one error line, not a traceback

@@ -430,14 +430,41 @@ class TestDichotomy:
         assert est == pytest.approx(0.3905, abs=5e-3)
 
 
+def _constant_series(rows):
+    """A standing wave's record: the potential is the same at every row."""
+    diag = DiagnosticsSeries(radii=(5.0,))
+    for k in range(rows):
+        diag.append(k * 1e-3, 1.0, 0.0, 1.0, 2.5, [1.0], 0.0, 0.0)
+    return diag
+
+
 class TestScatteringDiagnostics:
+    # beta = 5/12 at (3,1,3.4) and 5/7 at (2,2,5.8): a constant potential
+    # grows at exponent 1, above (1 + beta)/2, at any series length
+    @pytest.mark.parametrize("params", [Params(3, 1.0, 3.4), Params(2, 2.0, 5.8),
+                                        P314], ids=["3-1-3.4", "2-2-5.8", "3-1-4"])
+    @pytest.mark.parametrize("rows", [3, 2001])
+    def test_standing_wave_fails(self, params, rows):
+        rep = scattering_diagnostics(_constant_series(rows), params)
+        (l1, s1), (l2, s2) = rep.morawetz_windows
+        assert s2 == pytest.approx(2.0 * s1, rel=1e-12)
+        assert not rep.sublinear_ok
+
     def test_global_run_report(self, global_runs):
         res = global_runs[0.5]
-        rep = scattering_diagnostics(res.diagnostics, P314, outcome=res.outcome)
-        assert rep.potential_running_min < 0.5 * rep.potential_initial
-        (l1, s1), (l2, s2) = rep.morawetz_windows
-        assert s2 <= (l2 / l1) ** rep.beta * s1 * 1.5
+        diag = res.diagnostics
+        assert min(diag.potential) < 0.5 * diag.potential[0]
+        rep = scattering_diagnostics(diag, P314, outcome=res.outcome)
+        assert [l for l, _ in rep.morawetz_windows] == [1.0, 2.0]
         assert rep.sublinear_ok
+
+    def test_ground_state_run_fails(self, q314, evo_grid):
+        # Q itself is a standing wave: 200 steps keep its potential constant
+        res = evolve(scaled(q314, evo_grid, 1.0), P314,
+                     StepperConfig(dt=1e-3, t_end=0.2))
+        assert res.outcome.status == RunStatus.COMPLETED_GLOBAL
+        rep = scattering_diagnostics(res.diagnostics, P314, outcome=res.outcome)
+        assert not rep.sublinear_ok
 
     def test_requires_global(self, blowup_runs_mc):
         res = blowup_runs_mc[1.2]
@@ -445,8 +472,8 @@ class TestScatteringDiagnostics:
             scattering_diagnostics(res.diagnostics, P313, outcome=res.outcome)
 
     def test_refuses_mass_critical(self):
-        # a standing wave's constant potential at (3,1,3), outside the
-        # inter-critical range, would read sublinear_ok = True
+        # (3,1,3) lies outside the inter-critical range, where the paper's
+        # Morawetz bound is not claimed: the series is refused, not judged
         diag = DiagnosticsSeries(radii=(5.0,))
         for t in (0.0, 1.0, 2.0):
             diag.append(t, 1.0, 0.0, 1.0, 115.5, [1.0], 0.0, 0.0)
@@ -457,8 +484,10 @@ class TestScatteringDiagnostics:
         z = RadialField(evo_grid, np.zeros(len(evo_grid), dtype=complex))
         res = evolve(z, P314, StepperConfig(dt=1e-3, t_end=0.01))
         rep = scattering_diagnostics(res.diagnostics, P314, outcome=res.outcome)
-        assert rep.potential_running_min == 0.0
-        assert all(v == 0.0 for v in rep.local_mass_final.values())
+        assert rep.sublinear_ok
+        assert [s for _, s in rep.morawetz_windows] == [0.0, 0.0]
+        local = res.diagnostics.local_mass
+        assert all(local[R][-1] == 0.0 for R in res.diagnostics.radii)
 
 
 class TestUnderResolved:

@@ -63,9 +63,10 @@ class TestShoot:
             shoot(P425)
 
     def test_runaway_undershoots_near_lower_bound(self):
-        # just above p = 5/3 every undershoot runs away before it turns over,
-        # so the converged trajectory peaks at its last sample
-        with pytest.raises(RuntimeError, match=r"never decayed.*\(4, 1.0, 1.67\)"):
+        # just above p = 5/3 the sweep's lo, 2^-10, passes 50 Q(0) before it
+        # turns over: shoot raises there instead of bisecting toward the
+        # runaway/overshoot boundary
+        with pytest.raises(RuntimeError, match=r"ran away.*\(4, 1.0, 1.67\)"):
             shoot(Params(4, 1.0, 1.67), dr=1e-2)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
@@ -181,7 +182,7 @@ def _reference_trajectory(a, N, b, p, dr, r_max):
             i_stop = i
             break
         if q > 50.0 * a and v > 0.0 and not turned:
-            fate = -1
+            fate = 2  # a runaway
             i_stop = i
             break
     return fate, qs[: i_stop + 1], vs[: i_stop + 1]
@@ -259,16 +260,23 @@ class TestTrajectory:
         assert lo == gs.shoot_value in calls and 0 < hi - lo <= 1e-12
 
 
+_RISING = (ground_state._UNDERSHOOT, ground_state._RUNAWAY)
+
+
 def _upward_sweep(P, r_max, dr):
     """The bracket (lo, hi) of a sweep that scans Q(0) = 2^-10, 2^-9, ...
     upward and stops at the first overshoot directly above an undershoot,
-    or the error it meets first."""
+    or the error it meets first.  Runaways, which sit below the
+    undershoots, scan as undershoots; one as the bracket's lo is an
+    error."""
     prev = None
     for k in range(-10, 11):
         fate = _shoot_trajectory(2.0**k, P.N, P.b, P.p, dr, r_max)[0]
-        if prev == ground_state._UNDERSHOOT and fate == ground_state._OVERSHOOT:
+        if prev in _RISING and fate == ground_state._OVERSHOOT:
+            if prev == ground_state._RUNAWAY:
+                return "ran away"
             return 2.0 ** (k - 1), 2.0**k
-        if prev == ground_state._OVERSHOOT and fate == ground_state._UNDERSHOOT:
+        if prev == ground_state._OVERSHOOT and fate in _RISING:
             return "not monotone"
         prev = fate
     return "no undershoot/overshoot bracket"
@@ -350,18 +358,22 @@ class TestSweep:
 
 def _reference_shoot(P, r_max, tol, dr):
     """shoot with a plain bisection that integrates every midpoint: the
-    sweep, the bisection loop and the profile built from the final lo."""
+    sweep, the bisection loop and the profile built from the final lo.  A
+    runaway below the sweep's lo scans as an undershoot; one at lo or at a
+    midpoint raises, as in shoot."""
     N, b, p = P.N, P.b, P.p
     grid = make_grid(r_max, dr, N)
     prev = None
     for k in range(-10, 11):
         run = _shoot_trajectory(2.0**k, N, b, p, dr, r_max)
-        if prev is not None and prev[0] == -1 and run[0] == 1:
+        if prev is not None and prev[0] in _RISING and run[0] == 1:
             break
         prev = run
     sweep = k + 11
     lo, hi = 2.0 ** (k - 1), 2.0**k
     lo_run = prev
+    if lo_run[0] == ground_state._RUNAWAY:
+        raise RuntimeError("ran away")
     bisections = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -369,6 +381,8 @@ def _reference_shoot(P, r_max, tol, dr):
             break
         run = _shoot_trajectory(mid, N, b, p, dr, r_max)
         bisections += 1
+        if run[0] == ground_state._RUNAWAY:
+            raise RuntimeError("ran away")
         if run[0] == 1:
             hi = mid
         else:

@@ -198,3 +198,17 @@ def test_evolve_loop_shape():
     local |= {node.name for node in ast.walk(evolve)
               if isinstance(node, ast.FunctionDef)}
     assert "step" not in local
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    # one import style: a module's dependencies are read at its top, not
+    # inside a function body (evolution._flapack loads its module through
+    # importlib calls, which are not import statements)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [inner.lineno
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for inner in ast.walk(node)
+             if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert lines == [], f"{path.name}: import inside a function at lines {lines}"
