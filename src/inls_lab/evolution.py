@@ -11,16 +11,22 @@ the Cayley step conserves the recorded mass to solver roundoff, for every
 dimension N.  The recorded |grad u|^2 is K itself (``grids.grad_sq_edges``),
 so the recorded energy is the one the scheme conserves: its drift measures
 the splitting and the resolution, not a mismatch between two stencils.
-The tridiagonal matrix M + i dt/2 K is LU-factored once per (grid, b, dt),
-so a step costs one pair of triangular sweeps; ``step`` and ``evolve``
+The free flow is taken in Cayley form, x = 2 A^{-1}(M u) - u with
+A = M + i dt/2 K, so the right-hand side is one multiply by the lumped mass.
+A is complex symmetric and its Hermitian part M is positive definite, so
+A = L D L^T exists without pivoting: L and D are built once per
+(grid, b, dt), and a solve is two unit-diagonal bidiagonal sweeps with a
+multiply by 2/D between them, dividing nowhere; ``step`` and ``evolve``
 share the factors and the phase coefficient of the last (grid, b, dt)
-stepped.  zgttrf and zgttrs come from scipy's f2py module
+stepped.  The sweeps are LAPACK's ztbtrs from scipy's f2py module
 scipy.linalg._flapack, loaded by the first plan without the scipy.linalg
 package: the package adds no routine (scipy.linalg.lapack re-exports these
 objects) but about 0.29 s and 22 MB, mostly numpy.testing, numpy.f2py,
 numpy.ma and numpy.random loaded by scipy's array-API layer; the module
-alone takes 5 ms and 2.4 MB (2-core host, scipy 1.17).  The commands
-that never take a step load no scipy at all.
+alone takes 5 ms and 2.4 MB (2-core host, scipy 1.17).  BLAS's ztbsv
+solves the same sweeps bit for bit, but scipy.linalg._fblas would add
+1.3 MB to every stepping process.  The commands that never take a step
+load no scipy at all.
 The half-phase multiplies by exp(x), x = h |u|^{p-1} with h purely
 imaginary, and takes np.exp only on the prefix of nodes that ends at the
 last one with |theta| = |Im x| not below 2^-27 (a NaN or inf fails that
@@ -35,6 +41,14 @@ product of |u|'s when p - 1 is a whole number and a pow otherwise
 (``_abs_power``): at p = 4 and 8001 nodes, about 7 us against 23 us
 (2-core host, numpy 2.4).  p = 3 steps bit for bit as with pow; p = 4,
 5, ... move at roundoff.
+The phase leaves |u| unchanged, so adjacent half-phases of consecutive
+steps multiply by the same factor exp(h |u|^{p-1}) (Strang splitting's
+merged half-steps): a step reuses the trailing factor of the step before
+when it is given the very values array that step returned.  Returned
+arrays are read-only, so that array still holds the state the factor was
+taken from; any other field, a copy included, takes its own factor.  The
+carried factor is taken from the CN output before the trailing multiply,
+so a chain of steps moves at roundoff against steps taking both factors.
 Blow-up on a fixed grid can only be certified as
 "self-focusing beyond resolution": detection requires gradient growth AND
 energy drift together.  energy_drift_max and boundary_flagged are taken over
@@ -48,6 +62,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -202,46 +217,71 @@ def _flapack():
     return sys.modules[name]
 
 
+def _ldl(a: np.ndarray, e: np.ndarray):
+    """(L_i, D_{i+1}) for i = 0 .. m-2 of the no-pivot A = L D L^T of the
+    complex symmetric tridiagonal A with diagonal a and off-diagonal e:
+    D_0 = a_0, L_i = e_i / D_i, D_{i+1} = a_{i+1} - L_i e_i, in Python
+    complex arithmetic, one node at a time (a list of the 2m values would
+    add about 1 MB to a stepping process's peak).  A zero D_i gives NaNs."""
+    d = complex(a[0])
+    for ai, ei in zip(map(complex, a[1:]), map(complex, e)):
+        li = ei / d if d else math.nan
+        d = ai - li * ei
+        yield li, d
+
+
 class _CrankNicolson:
-    """The step plan for one (grid, b, dt): (M + i dt/2 K) u+ = (M - i dt/2 K) u-
-    with M + i dt/2 K factored once by LAPACK zgttrf, so that each step is
-    one zgttrs solve, and the half-step phase coefficient h = 0.5j dt r^b.
-    scipy's LAPACK module is loaded by the first plan a process builds
-    (``_flapack``), so that only a process that steps pays for it."""
+    """The step plan for one (grid, b, dt): the Cayley free flow
+    x = 2 A^{-1}(M u) - u of nodes 1 .. n-2, A = M + i dt/2 K, and the
+    half-step phase coefficient h = 0.5j dt r^b.  A = L D L^T is built once
+    by D_0 = a_0, L_i = e_i / D_i, D_{i+1} = a_{i+1} - L_i e_i on A's
+    diagonal a and off-diagonal e (no pivot is needed: Re(y^H A y) =
+    y^H M y > 0 for y != 0), and a solve is ztbtrs on L, a multiply by 2/D
+    and ztbtrs on L^T.  ``factor`` holds the trailing phase factor of the
+    last nonlinear step, and ``carry`` is (a weak reference to the array
+    that step returned, p) or None: a strong reference to the last state,
+    allocated at the top of the heap, kept a finished run's freed saved
+    states resident (64 MB after the 1.6 Q collapse at dt 2.5e-4)."""
 
     def __init__(self, grid: RadialGrid, b: float, dt: float):
         N, r, dr, kappa = grid.N, grid.r, grid.dr, grid.kappa
         n = len(r)
         if n < 5:
-            # zgttrf's wrapper takes no fewer than 3 unknowns
+            # at least three unknowns (nodes 1 .. n-2)
             raise ValueError(f"the Crank-Nicolson step needs a grid of at least "
                              f"5 nodes, got {n}")
-        lapack = _flapack()
-
         m = n - 2  # degrees of freedom: nodes 1 .. n-2
         diag = np.zeros(m)
         diag[:-1] += kappa[:-1]      # edge to the right, interior
         diag[1:] += kappa[:-1]       # edge to the left
         diag[-1] += kappa[-1]        # edge into the Dirichlet wall
-        off = -kappa[:-1]
-        Mw = r[1:-1] ** (N - 1) * dr
+        self.Mw = r[1:-1] ** (N - 1) * dr
         z = 0.5j * dt
-        *self.lu, info = lapack.zgttrf(z * off, Mw + z * diag, z * off)
-        if info != 0:
+        a = self.Mw + z * diag
+        LD = np.fromiter(_ldl(a, -z * kappa[:-1]), dtype=(complex, 2), count=m - 1)
+        D = np.concatenate([a[:1], LD[:, 1]])
+        if not (np.isfinite(D).all() and D.all()):
             raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-        self.n, self.dt, self.zgttrs = n, dt, lapack.zgttrs
-        self.b_diag = Mw - z * diag
-        self.b_off = -z * off
+        # band storage of L and L^T; ztbtrs reads no diagonal with diag 'U'
+        self.lower = np.zeros((2, m), dtype=complex, order="F")
+        self.upper = np.zeros((2, m), dtype=complex, order="F")
+        self.lower[1, :-1] = self.upper[0, 1:] = LD[:, 0]
+        self.two_over_d = 2.0 / D
+        self.n, self.dt, self.ztbtrs = n, dt, _flapack().ztbtrs
         self.h = 0.5j * dt * r**b
+        self.factor = np.empty(n, dtype=complex)
+        self.carry = None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         u = values[1:-1]
         out = np.zeros(self.n, dtype=complex)
-        rhs = out[1:-1]  # solved in place: the wall node stays 0
-        np.multiply(self.b_diag, u, out=rhs)
-        rhs[:-1] += self.b_off * u[1:]
-        rhs[1:] += self.b_off * u[:-1]
-        self.zgttrs(*self.lu, rhs, overwrite_b=1)
+        rhs = out[1:-1]  # solved in place: the origin and wall nodes stay 0
+        col = rhs.reshape(-1, 1)
+        np.multiply(self.Mw, u, out=rhs)
+        self.ztbtrs(self.lower, col, uplo="L", diag="U", overwrite_b=1)
+        rhs *= self.two_over_d
+        self.ztbtrs(self.upper, col, uplo="U", diag="U", overwrite_b=1)
+        rhs -= u
         return out
 
 
@@ -282,18 +322,26 @@ def _abs_power(v: np.ndarray, k: float) -> np.ndarray:
     return y
 
 
-def _phase(v: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
-    """v exp(x) for x = h |v|^{p-1}, bit for bit, with the transcendental
+def _phase_factor(v: np.ndarray, h: np.ndarray, p: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """exp(x) for x = h |v|^{p-1}, bit for bit, with the transcendental
     taken only on the prefix of nodes up to the last one whose |Im x| is not
     below _EXACT_PHASE; past it the factor is written as 1 + i Im x.
     |v|^{p-1} is a product of |v|'s when p - 1 is a whole number (p > 1, so
-    at least 1), and a pow otherwise (``_abs_power``)."""
-    x = h * _abs_power(v, p - 1.0)
+    at least 1), and a pow otherwise (``_abs_power``).  Written into out
+    when it is given."""
+    x = np.multiply(h, _abs_power(v, p - 1.0), out=out)
     # NaN and inf fail the comparison, so they stay on the np.exp prefix
     active = np.flatnonzero(~(np.abs(x.imag) < _EXACT_PHASE))
     k = active[-1] + 1 if active.size else 0
     np.exp(x[:k], out=x[:k])
     x.real[k:] = 1.0  # Im x[k:] already holds theta, its signed zeros too
+    return x
+
+
+def _phase(v: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
+    """The half-phase v exp(h |v|^{p-1}) into a new array."""
+    x = _phase_factor(v, h, p)
     return np.multiply(v, x, out=x)
 
 
@@ -306,17 +354,30 @@ def step(u: RadialField, params: Params, dt: float,
     reconstructed at the end of the step by the u'(0) = 0 parabola through
     the first two interior nodes.  The returned field is the step's one
     finiteness check: a non-finite state raises NonFiniteError.
+
+    The leading half-phase reuses the trailing factor of the step before
+    when u.values is the (read-only) array that step returned, from the same
+    plan and p; any other field takes its own.  The carry is taken off the
+    plan at entry and stored only once the new state is accepted.
     """
     g = u.grid
     plan = _plan(g, params.b, dt)
+    carry, plan.carry = plan.carry, None
     v = u.values
     if not linear_only:
-        v = _phase(v, plan.h, params.p)
+        if carry is not None and carry[0]() is v and carry[1] == params.p:
+            v = np.multiply(v, plan.factor, out=plan.factor)
+        else:
+            v = _phase(v, plan.h, params.p)
     v = plan.apply(v)
     if not linear_only:
-        v = _phase(v, plan.h, params.p)
+        v *= _phase_factor(v, plan.h, params.p, out=plan.factor)
     v[0] = (4.0 * v[1] - v[2]) / 3.0
-    return RadialField(g, v)
+    out = RadialField(g, v)
+    v.flags.writeable = False
+    if not linear_only:
+        plan.carry = (weakref.ref(v), params.p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +543,10 @@ def scattering_diagnostics(diag: DiagnosticsSeries, params: Params,
     if classify(params).kind != RegimeKind.INTERCRITICAL:
         raise ValueError("scattering diagnostics need inter-critical parameters")
     ts = np.asarray(diag.t)
-    if len(ts) < 3:
-        raise ValueError("diagnostics series too short")
+    half = int(np.searchsorted(ts, 0.5 * ts[-1], side="right")) if len(ts) else 0
+    if not (half and ts[half - 1] > 0.0):
+        raise ValueError("diagnostics series has no sample time in (0, T/2]")
     pot = np.asarray(diag.potential)
-    half = int(np.searchsorted(ts, 0.5 * ts[-1], side="right"))
     windows = tuple((float(ts[i - 1]), float(np.trapezoid(pot[:i], ts[:i])))
                     for i in (half, len(ts)))
     beta = float(morawetz_beta(params)[1])

@@ -328,9 +328,10 @@ assert main(["evolve", "--dim", "3", "--b", "1", "--p", "3",
              "--rmax", "8", "--dr", "1e-2", "--out", "run"]) == 0
 assert "scipy.linalg._flapack" in sys.modules, "the first step loaded no LAPACK"
 assert "scipy.linalg" not in sys.modules, "the first step loaded scipy.linalg"
+assert "scipy.linalg._fblas" not in sys.modules, "the first step loaded BLAS"
 from inls_lab import evolution
 import scipy.linalg.lapack
-assert scipy.linalg.lapack.zgttrs is evolution._last_plan[1].zgttrs
+assert scipy.linalg.lapack.ztbtrs is evolution._last_plan[1].ztbtrs
 """
 
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import ztbtrs
 
 from inls_lab import evolution
 from inls_lab.grids import (NonFiniteError, Params, RadialField, gradient_sq_norm,
@@ -62,7 +63,7 @@ class TestStep:
         back = step(u1, P313, -1e-3)
         assert np.abs(back.values - gauss_state.values).max() < 1e-8
         # 200 steps forward and 200 back return nodes 1..n-1 to roundoff
-        # (2.7e-13 and 1.7e-13 of max|u0|); the origin is rebuilt from nodes
+        # (1.4e-13 and 6.9e-14 of max|u0|); the origin is rebuilt from nodes
         # 1 and 2 by every step, so it returns only to 1.25e-9 and 7.4e-7
         for u0, params in [(gauss_state, P313), (scaled(q314, evo_grid, 0.6), P314)]:
             u = u0
@@ -85,10 +86,9 @@ class TestStep:
         assert mass(u) == pytest.approx(mass(gauss_state), rel=1e-12)
 
 
-def _banded_cn_step(u: RadialField, dt: float) -> np.ndarray:
-    """The free-flow CN step solved with solve_banded on (upper, diag,
-    lower) band storage, with the stepper's origin fix-up."""
-    g = u.grid
+def _cn_matrix(g, dt):
+    """A = M + i dt/2 K on nodes 1..n-2 of the grid g, written out: the
+    lumped mass Mw, A's diagonal a and its off-diagonal e."""
     r, dr, N = g.r, g.dr, g.N
     m = len(r) - 2
     kappa = (r[1:-1] + 0.5 * dr) ** (N - 1) / dr
@@ -96,31 +96,83 @@ def _banded_cn_step(u: RadialField, dt: float) -> np.ndarray:
     diag[:-1] += kappa[:-1]
     diag[1:] += kappa[:-1]
     diag[-1] += kappa[-1]
-    off = -kappa[:-1]
     Mw = r[1:-1] ** (N - 1) * dr
     z = 0.5j * dt
-    ab = np.zeros((3, m), dtype=complex)
-    ab[0, 1:] = z * off
-    ab[1, :] = Mw + z * diag
-    ab[2, :-1] = z * off
+    return Mw, Mw + z * diag, -z * kappa[:-1]
+
+
+def _ldl(a, e):
+    """L's subdiagonal and D of A = L D L^T by the no-pivot recurrence
+    D_0 = a_0, L_i = e_i / D_i, D_{i+1} = a_{i+1} - L_i e_i."""
+    a, e = a.tolist(), e.tolist()  # Python complex arithmetic, as the plan's
+    D, L = [a[0]], []
+    for ai, ei in zip(a[1:], e):
+        L.append(ei / D[-1])
+        D.append(ai - L[-1] * ei)
+    return np.array(L), np.array(D)
+
+
+def _cayley_cn_step(u: RadialField, dt: float) -> np.ndarray:
+    """The free-flow CN step as x = 2 A^{-1}(M u) - u, with A = L D L^T
+    solved by two unit-diagonal ztbtrs sweeps and 2/D between them, and the
+    stepper's origin fix-up."""
+    Mw, a, e = _cn_matrix(u.grid, dt)
+    L, D = _ldl(a, e)
+    m = len(Mw)
+    lower = np.zeros((2, m), dtype=complex, order="F")
+    upper = np.zeros((2, m), dtype=complex, order="F")
+    lower[1, :-1] = L
+    upper[0, 1:] = L
     x = u.values[1:-1]
-    rhs = (Mw - z * diag) * x
-    rhs[:-1] += -z * off * x[1:]
-    rhs[1:] += -z * off * x[:-1]
-    out = np.zeros(len(r), dtype=complex)
+    y, info = ztbtrs(lower, (Mw * x)[:, None], uplo="L", diag="U")
+    assert info == 0
+    y, info = ztbtrs(upper, y * (2.0 / D)[:, None], uplo="U", diag="U")
+    assert info == 0
+    out = np.zeros(len(u.values), dtype=complex)
+    out[1:-1] = y[:, 0] - x
+    out[0] = (4.0 * out[1] - out[2]) / 3.0
+    return out
+
+
+def _banded_cn_step(u: RadialField, dt: float) -> np.ndarray:
+    """The free-flow CN step (M + i dt/2 K) x = (M - i dt/2 K) u solved by
+    solve_banded, a pivoting LU, with the stepper's origin fix-up."""
+    Mw, a, e = _cn_matrix(u.grid, dt)
+    ab = np.zeros((3, len(a)), dtype=complex)
+    ab[0, 1:] = ab[2, :-1] = e
+    ab[1, :] = a
+    x = u.values[1:-1]
+    rhs = (2.0 * Mw - a) * x
+    rhs[:-1] -= e * x[1:]
+    rhs[1:] -= e * x[:-1]
+    out = np.zeros(len(u.values), dtype=complex)
     out[1:-1] = solve_banded((1, 1), ab, rhs)
     out[0] = (4.0 * out[1] - out[2]) / 3.0
     return out
+
+
+def _solver_case(N, dt):
+    g = make_grid(20.0, 5e-3, N)
+    u = RadialField(g, (np.exp(-g.r**2) * np.exp(0.3j * g.r)).astype(complex))
+    return u, step(u, Params(N, 1.0, 3.0), dt, linear_only=True)
 
 
 class TestSolver:
     @pytest.mark.parametrize("N", [2, 3, 4])
     @pytest.mark.parametrize("dt", [1e-3, -1e-3])
     def test_matches_banded_reference(self, N, dt):
-        g = make_grid(20.0, 5e-3, N)
-        u = RadialField(g, (np.exp(-g.r**2) * np.exp(0.3j * g.r)).astype(complex))
-        out = step(u, Params(N, 1.0, 3.0), dt, linear_only=True)
-        assert np.array_equal(out.values, _banded_cn_step(u, dt))
+        # bit for bit the written-out Cayley step on band-stored L D L^T
+        u, out = _solver_case(N, dt)
+        assert out.values.tobytes() == _cayley_cn_step(u, dt).tobytes()
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("dt", [1e-3, -1e-3])
+    def test_agrees_with_solve_banded(self, N, dt):
+        # an independent pivoting solve of the CN system: at most 1e-14 of
+        # max|x| apart on every node (measured 1.4e-15 to 2.7e-15)
+        u, out = _solver_case(N, dt)
+        ref = _banded_cn_step(u, dt)
+        assert np.abs(out.values - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_plan_cache_bounded(self):
         # one plan is kept: the last (grid, b, dt), reused until one changes
@@ -133,11 +185,41 @@ class TestSolver:
         step(u, P313, 2e-3)
         assert evolution._last_plan[1] is plan
 
+    @pytest.mark.parametrize("dt", [math.nan, 1e308])
+    def test_non_finite_pivot_raises(self, dt):
+        g = make_grid(2.0, 1e-2, 3)
+        u = RadialField(g, np.exp(-g.r**2).astype(complex))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                step(u, P313, dt)
+
+
+# every (grid, dt) that the conftest fixtures, the benchmark workloads (full
+# and tiny sizes) and demo 05 step
+_STEPPED_PLANS = [((40.0, 5e-3, 3), dt) for dt in (2e-3, 1e-3, 5e-4, 2.5e-4, 1e-4)]
+_STEPPED_PLANS.append(((40.0, 2e-2, 3), 1e-3))
+
+
+@pytest.mark.parametrize("grid, dt", _STEPPED_PLANS)
+def test_ldl_growth_factor(grid, dt):
+    # no pivoting is safe where the factors stay as small as A:
+    # max(|L|, |D|) / max|A| reads 0.586 on the default grid at dt 1e-3
+    g = make_grid(*grid)
+    _, a, e = _cn_matrix(g, dt)
+    L, D = _ldl(a, e)
+    plan = evolution._CrankNicolson(g, 1.0, dt)
+    assert plan.lower[1, :-1].tobytes() == plan.upper[0, 1:].tobytes() == L.tobytes()
+    assert plan.two_over_d.tobytes() == (2.0 / D).tobytes()
+    growth = (max(np.abs(L).max(), np.abs(D).max())
+              / max(np.abs(a).max(), np.abs(e).max()))
+    assert np.isfinite(growth) and growth <= 1.0
+
 
 class TestLapackModule:
     # a plan loads scipy.linalg._flapack alone and registers it, so the
-    # routines it holds are scipy.linalg.lapack's own objects, whichever of
-    # the two is imported first
+    # routine it holds is scipy.linalg.lapack's own object, whichever of
+    # the two is imported first; a step loads no BLAS module and no
+    # scipy.linalg package
     @pytest.mark.parametrize("linalg_first", [True, False],
                              ids=["linalg-first", "plan-first"])
     def test_plan_holds_scipy_linalg_routines(self, monkeypatch, linalg_first):
@@ -152,10 +234,11 @@ class TestLapackModule:
             step(RadialField(g, np.exp(-g.r**2).astype(complex)), P313, 1e-3)
             if not linalg_first:
                 assert "scipy.linalg._flapack" in sys.modules
+                assert "scipy.linalg._fblas" not in sys.modules
                 assert "scipy.linalg" not in sys.modules
                 lapack = importlib.import_module("scipy.linalg.lapack")
-            assert evolution._last_plan[1].zgttrs is lapack.zgttrs
-            assert evolution._flapack().zgttrf is lapack.zgttrf
+            assert evolution._last_plan[1].ztbtrs is lapack.ztbtrs
+            assert evolution._flapack().ztbtrs is lapack.ztbtrs
         finally:
             sys.modules.clear()
             sys.modules.update(saved)
@@ -171,11 +254,16 @@ _CHAINS = {
 }
 
 
-def _reference_phase(v, h, p):
-    """v exp(h |v|^{p-1}) with np.exp on every node, and |v|^{p-1} by the
+def _reference_factor(v, h, p):
+    """exp(h |v|^{p-1}) with np.exp on every node, and |v|^{p-1} by the
     documented rule: the written-out chain for a whole p - 1, else **."""
     a, k = np.abs(v), p - 1.0
-    return v * np.exp(h * (_CHAINS[int(k)](a) if k.is_integer() else a ** k))
+    return np.exp(h * (_CHAINS[int(k)](a) if k.is_integer() else a ** k))
+
+
+def _reference_phase(v, h, p):
+    """v exp(h |v|^{p-1}), the factor taken as ``_reference_factor``."""
+    return v * _reference_factor(v, h, p)
 
 
 def _pow_phase(v, h, p):
@@ -279,6 +367,84 @@ class TestExactTailPhase:
         out = evolution._phase(v, h, p)
         assert out.tobytes() == _reference_phase(v, h, p).tobytes()
         assert np.count_nonzero(out != _pow_phase(v, h, p)) > 100
+
+
+def _carried_chain(u, params, dt, n):
+    """n Strang steps from u in which every step after the first reuses the
+    trailing factor of the step before as its leading factor."""
+    plan = evolution._plan(u.grid, params.b, dt)
+    v, x = u.values, _reference_factor(u.values, plan.h, params.p)
+    for _ in range(n):
+        w = plan.apply(v * x)
+        x = _reference_factor(w, plan.h, params.p)
+        v = w * x
+        v[0] = (4.0 * v[1] - v[2]) / 3.0
+    return v
+
+
+class TestCarriedFactor:
+    """A step reuses the trailing phase factor of the step before only for
+    the very values array that step returned, from the same plan and p."""
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 3.5])
+    def test_chain_is_the_carried_chain(self, q314, evo_grid, p):
+        params = Params(3, 1.0, p)
+        u0 = scaled(q314, evo_grid, 0.6)
+        u = u0
+        for _ in range(50):
+            u = step(u, params, 1e-3)
+        carried = _carried_chain(u0, params, 1e-3, 50)
+        assert u.values.tobytes() == carried.tobytes()
+        # the carry is not a no-op: a fresh leading factor rounds differently
+        fresh = u0
+        for _ in range(50):
+            fresh = RadialField(evo_grid, _reference_step(fresh, params, 1e-3))
+        assert np.count_nonzero(fresh.values != carried) > 0
+
+    def test_fresh_fields_take_their_own_factor(self, q314, evo_grid):
+        u0 = scaled(q314, evo_grid, 0.6)
+
+        def ref(u, params=P314, dt=1e-3):
+            return _reference_step(u, params, dt).tobytes()
+
+        # the same u0 twice
+        a, b = step(u0, P314, 1e-3), step(u0, P314, 1e-3)
+        assert a.values.tobytes() == b.values.tobytes() == ref(u0)
+        # a copy of the last output
+        copy = RadialField(evo_grid, b.values.copy())
+        assert step(copy, P314, 1e-3).values.tobytes() == ref(copy)
+        # the first step after a dt change
+        c = step(u0, P314, 1e-3)
+        assert step(c, P314, 5e-4).values.tobytes() == ref(c, dt=5e-4)
+        # the same array at another p (one plan: b and dt are unchanged)
+        d = step(u0, P314, 1e-3)
+        assert step(d, P313, 1e-3).values.tobytes() == ref(d, params=P313)
+        # a nonlinear step after a linear_only step, from its output and from
+        # the field the linear step took, whose carry that step cleared
+        e = step(u0, P314, 1e-3)
+        free = step(e, P314, 1e-3, linear_only=True)
+        assert step(free, P314, 1e-3).values.tobytes() == ref(free)
+        assert step(e, P314, 1e-3).values.tobytes() == ref(e)
+
+    def test_rejected_state_leaves_no_carry(self, q314, evo_grid):
+        u0 = scaled(q314, evo_grid, 0.6)
+        good = step(u0, P314, 1e-3)
+        plan = evolution._last_plan[1]
+        assert plan.carry[0]() is good.values
+        huge = RadialField(evo_grid, (1e160 * np.exp(-evo_grid.r**2)).astype(complex))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError):
+                step(huge, P314, 1e-3)
+        assert plan.carry is None
+        assert step(good, P314, 1e-3).values.tobytes() == _reference_step(
+            good, P314, 1e-3).tobytes()
+
+    @pytest.mark.parametrize("linear_only", [False, True])
+    def test_returned_values_are_read_only(self, gauss_state, linear_only):
+        out = step(gauss_state, P313, 1e-3, linear_only=linear_only)
+        with pytest.raises(ValueError):
+            out.values[1] = 0.0
+        assert gauss_state.values.flags.writeable
 
 
 class TestStepperConfig:
@@ -479,6 +645,16 @@ class TestScatteringDiagnostics:
             diag.append(t, 1.0, 0.0, 1.0, 115.5, [1.0], 0.0, 0.0)
         with pytest.raises(ValueError, match="inter-critical"):
             scattering_diagnostics(diag, P313)
+
+    @pytest.mark.parametrize("ts", [(0.0, 1.5, 2.0), (0.0, 1.0), (0.0,)],
+                             ids=["0-1.5-2", "2-rows", "1-row"])
+    def test_no_sample_in_first_half_window(self, ts):
+        # l1 would be t = 0, where (l2/l1) divides by zero
+        diag = DiagnosticsSeries(radii=(5.0,))
+        for t in ts:
+            diag.append(t, 1.0, 0.0, 1.0, 2.5, [1.0], 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"no sample time in \(0, T/2\]"):
+            scattering_diagnostics(diag, P314)
 
     def test_zero_series(self, evo_grid):
         z = RadialField(evo_grid, np.zeros(len(evo_grid), dtype=complex))
