@@ -74,10 +74,26 @@ class CutoffProfile:
 
     def phi_over_r(self) -> np.ndarray:
         """phi'(r)/r with its r -> 0 limit phi''(0)."""
-        out = np.empty_like(self.dphi)
-        out[1:] = self.dphi[1:] / self.grid.r[1:]
-        out[0] = self.d2phi[0]
-        return out
+        return _over_r(self.dphi, self.d2phi, self.grid.r, np.empty_like(self.dphi))
+
+
+def _over_r(dphi, d2phi, r, out):
+    """phi'/r with its r -> 0 limit phi''(0), written into out (which may be
+    dphi itself)."""
+    np.divide(dphi[1:], r[1:], out=out[1:])
+    out[0] = d2phi[0]
+    return out
+
+
+def _laplacian(f, f1, rho, N):
+    """lap phi = phi'' + (N-1) phi'/r of a cutoff with phi'' = f(rho) and
+    phi' = R f1(rho), where f1/rho -> f at the origin."""
+    lap = np.empty_like(f)
+    lap[0] = f[0]
+    np.divide(f1[1:], rho[1:], out=lap[1:])
+    lap *= N - 1
+    lap += f
+    return lap
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +154,10 @@ def _assemble(R, grid, f, df, ddf, f1, theta):
     N = grid.N
     rho = grid.r / R
     n = len(rho)
-    f1_over = np.empty(n)
-    f1_over[0] = f[0]
-    f1_over[1:] = f1[1:] / rho[1:]
     phi = R**2 * theta
     dphi = R * f1
     d2phi = f
-    lap = f + (N - 1) * f1_over
+    lap = _laplacian(f, f1, rho, N)
     # lap^2 phi = (1/R^2) [g'' + (N-1) g'/rho] with g = lap theta; the
     # origin value is 0 exactly (phi = r^2 there)
     rr = rho[1:]
@@ -193,59 +206,84 @@ def _bridge(rho):
             h0 * L * (0.5 * s**4 - s**3 + s))
 
 
+def _pieces(rho):
+    """The quintic and bridge masks of the array rho, rho - 1 on the quintic
+    and the bridge's h, h', h'', h''' and int h (see _bridge)."""
+    quint = (rho > 1.0) & (rho <= _R1)
+    bridge = (rho > _R1) & (rho < 2.0)
+    return quint, bridge, rho[quint] - 1.0, _bridge(rho[bridge])
+
+
 def _vartheta_family(rho):
-    """vartheta, vartheta', vartheta'', vartheta''', theta = int vartheta;
-    scalars for a scalar rho."""
+    """vartheta and vartheta', all that psi_1 and psi_2 read; scalars for a
+    scalar rho.  _vartheta_higher tabulates the rest of the family."""
     rho = np.asarray(rho, dtype=float)
     if rho.ndim == 0:
         return tuple(a[0] for a in _vartheta_family(rho[None]))
-    quint = (rho > 1.0) & (rho <= _R1)
-    bridge = (rho > _R1) & (rho < 2.0)
+    quint, bridge, x, (h, dh, *_) = _pieces(rho)
     hi = rho >= 2.0
-    x = rho - 1.0
-    h, dh, ddh, dddh, ih = _bridge(rho[bridge])
 
     v = 2.0 * rho
-    v[quint] = 2.0 * (rho[quint] - x[quint] ** 5)
+    v[quint] = 2.0 * (rho[quint] - x ** 5)
     v[bridge] = h
     v[hi] = 0.0
 
     dv = np.full_like(rho, 2.0)
-    dv[quint] = 2.0 * (1.0 - 5.0 * x[quint] ** 4)
+    dv[quint] = 2.0 * (1.0 - 5.0 * x ** 4)
     dv[bridge] = dh
     dv[hi] = 0.0
+    return v, dv
+
+
+def _vartheta_higher(rho):
+    """vartheta'', vartheta''' and theta = int vartheta at the array rho,
+    which only the full profile psi_R reads."""
+    quint, bridge, x, (_, _, ddh, dddh, ih) = _pieces(rho)
 
     ddv = np.zeros_like(rho)
-    ddv[quint] = -40.0 * x[quint] ** 3
+    ddv[quint] = -40.0 * x ** 3
     ddv[bridge] = ddh
 
     dddv = np.zeros_like(rho)
-    dddv[quint] = -120.0 * x[quint] ** 2
+    dddv[quint] = -120.0 * x ** 2
     dddv[bridge] = dddh
 
     th = rho**2
-    th[quint] = rho[quint] ** 2 - x[quint] ** 6 / 3.0
+    th[quint] = rho[quint] ** 2 - x ** 6 / 3.0
     th_r1 = _R1**2 - (_R1 - 1.0) ** 6 / 3.0
     th[bridge] = th_r1 + ih
-    th[hi] = th_r1 + _bridge(2.0)[4]
-    return v, dv, ddv, dddv, th
+    th[rho >= 2.0] = th_r1 + _bridge(2.0)[4]
+    return ddv, dddv, th
 
 
-def build_vartheta_psi(R: float, grid: RadialGrid) -> CutoffProfile:
-    """The quintic cutoff psi_R with psi'' <= 2, psi'/r <= 2, lap psi <= 2N."""
+def _psi_rho(R: float, grid: RadialGrid) -> np.ndarray:
+    """rho = r/R on grid, once R and the bridge of vartheta pass their
+    checks."""
     if R <= 0:
         raise ValueError("R must be positive")
-    v, dv, ddv, dddv, th = _vartheta_family(grid.r / R)
     # bridge monotonicity is structural for the cubic Hermite; verify anyway
     br = np.linspace(_R1 + 1e-9, 2.0 - 1e-9, 1001)
     if np.any(_bridge(br)[1] >= 0.0):
         raise AssertionError("bridge of vartheta failed to be decreasing")
+    return grid.r / R
+
+
+def _check_psi(d2psi, psi_over_r, lap, N):
+    """Raise unless psi'' <= 2, psi'/r <= 2 and lap psi <= 2N on the grid."""
+    tol = _INVARIANT_TOL
+    if (np.any(d2psi > 2.0 + tol) or np.any(psi_over_r > 2.0 + tol)
+            or np.any(lap > 2.0 * N + tol)):
+        raise AssertionError("cutoff invariants violated for PsiR")
+
+
+def build_vartheta_psi(R: float, grid: RadialGrid) -> CutoffProfile:
+    """The quintic cutoff psi_R with psi'' <= 2, psi'/r <= 2, lap psi <= 2N."""
+    rho = _psi_rho(R, grid)
+    v, dv = _vartheta_family(rho)
+    ddv, dddv, th = _vartheta_higher(rho)
     # psi'' = vartheta'(rho): generator profile is dv, its derivative ddv
     prof = _assemble(R, grid, dv, ddv, dddv, v, th)
-    tol = _INVARIANT_TOL
-    if (np.any(prof.d2phi > 2.0 + tol) or np.any(prof.phi_over_r() > 2.0 + tol)
-            or np.any(prof.lap > 2.0 * grid.N + tol)):
-        raise AssertionError("cutoff invariants violated for PsiR")
+    _check_psi(prof.d2phi, prof.phi_over_r(), prof.lap, grid.N)
     return prof
 
 
@@ -293,21 +331,35 @@ def psi2_closed_form(rho, params: Params):
 
 def psi12(R: float, params: Params, grid: RadialGrid):
     """psi_1 = 2 - psi_R'' and psi_2 = (4+2b)/N (2N - lap psi) - 2b(2 - psi'/r),
-    cross-checked against the closed form on the quintic annulus."""
+    cross-checked against the closed form on the quintic annulus.
+
+    Builds vartheta and vartheta' alone (psi'' = vartheta'(r/R) and
+    psi' = R vartheta(r/R)): besides the grid's r and weights, four
+    full-length arrays, rho = r/R, vartheta, vartheta' and lap psi.  rho is
+    dropped once lap psi is formed; then vartheta becomes psi'/r, psi_2
+    overwrites lap psi and psi_1 overwrites vartheta', each in place.
+    build_vartheta_psi's checks run on the same values, and the result is
+    the one its profile gives, bit for bit: each in-place step only swaps
+    the operands of a product or a sum."""
     _mass_critical_p(params)
-    return _psi12_of(build_vartheta_psi(R, grid), params)
-
-
-def _psi12_of(prof: CutoffProfile, params: Params):
-    """psi_1 and psi_2 of the tabulated cutoff prof = psi_R (see psi12)."""
     N, b = params.N, params.b
-    psi1 = 2.0 - prof.d2phi
-    por = prof.phi_over_r()
-    psi2 = (4.0 + 2.0 * b) / N * (2.0 * N - prof.lap) - 2.0 * b * (2.0 - por)
-    rho = prof.grid.r / prof.R
+    rho = _psi_rho(R, grid)
+    v, dv = _vartheta_family(rho)
+    lap = _laplacian(dv, v, rho, grid.N)
     annulus = (rho > 1.0 + 1e-12) & (rho <= _R1)
-    if np.any(annulus):
-        ref = psi2_closed_form(rho[annulus], params)
+    rho_annulus = rho[annulus]
+    del rho
+    v *= R
+    por = _over_r(v, dv, grid.r, v)
+    _check_psi(dv, por, lap, grid.N)
+    psi2 = np.subtract(2.0 * N, lap, out=lap)
+    psi2 *= (4.0 + 2.0 * b) / N
+    np.subtract(2.0, por, out=por)
+    por *= 2.0 * b
+    psi2 -= por
+    psi1 = np.subtract(2.0, dv, out=dv)
+    if rho_annulus.size:
+        ref = psi2_closed_form(rho_annulus, params)
         err = np.max(np.abs(psi2[annulus] - ref))
         if err > 1e-8:
             raise AssertionError(
@@ -318,8 +370,9 @@ def _psi12_of(prof: CutoffProfile, params: Params):
 
 def _lemma_grid(R: float, N: int) -> RadialGrid:
     """Probe grid on [0, 4R] with the R-independent spacing 16/99999 (100000
-    points at R = 4), so an R-sweep samples genuinely different points of
-    the scaled profiles."""
+    points at R = 4 and 199999 at R = 8, the largest grid `verify` builds),
+    so an R-sweep samples genuinely different points of the scaled
+    profiles."""
     return make_grid(4.0 * R, 16.0 / 99999, N)
 
 
@@ -329,8 +382,7 @@ def lemma52_check(R: float, params: Params) -> float:
     if not 0 < params.b < 2 * (params.N - 1):
         raise ValueError("requires 0 < b < 2(N-1)")
     grid = _lemma_grid(R, params.N)
-    _, psi2 = psi12(R, params, grid)
-    y = psi2 ** (1.0 / (p_star - 1.0))
+    y = psi12(R, params, grid)[1] ** (1.0 / (p_star - 1.0))
     dy = radial_derivative(y, grid)
     mask = grid.r > R * (1.0 + 1e-9)
     return float(np.max(np.abs(dy[mask])) * R)
@@ -415,8 +467,7 @@ def virial_dynamic_check(states, params: Params, cutoff: CutoffProfile,
     states: sequence of (t, RadialField) at uniform spacing.  Deviations are
     normalized by the largest |rhs| over the run.
     """
-    if len(states) < 3:
-        raise ValueError("need at least 3 saved states for a second difference")
+    _require_second_difference(states)
     ts, _, _, d2V, _ = _measured_series(states, cutoff)
     dts = np.diff(ts)
     if not np.allclose(dts, dts[0], rtol=1e-8):
@@ -454,6 +505,11 @@ def bound_rows_to_csv(rows, path) -> None:
     write_csv(path, ("t", "V", "Vp", "Vpp_measured", "rhs_bound", "slack"),
               ((r.t, r.V, r.Vp, r.Vpp_measured, r.rhs_bound, r.slack)
                for r in rows))
+
+
+def _require_second_difference(states):
+    if len(states) < 3:
+        raise ValueError("need at least 3 saved states for a second difference")
 
 
 def _measured_series(states, cutoff):
@@ -511,7 +567,7 @@ def _leading_terms(kind: RegimeKind, fields, params: Params, E0: float,
     if kind == RegimeKind.MASS_CRITICAL:
         # 16 E0 plus the computable gradient tail of the mass-critical estimate,
         # -2 int_{r>R} (2 psi_1 - N eps/(2N+4+2b) psi_2^{N/(2+b)}) |grad u|^2
-        form = _lemma53_form(*_psi12_of(cutoff, params), params, eps)
+        form = _lemma53_form(*psi12(cutoff.R, params, cutoff.grid), params, eps)
         tail = np.where(cutoff.grid.r > cutoff.R, form, 0.0)
         return np.array([16.0 * E0 - 2.0 * _edge_weighted_grad_sq(u, tail)
                          for u in fields])
@@ -524,6 +580,7 @@ def _resolved_stencils(states, params: Params, R: float, eps: float):
     """The measured series of V = int psi_R |u|^2 and, for each V'' stencil
     lying entirely inside the resolved window, (i, t, leading terms,
     remainder scale) at its centre state i + 1."""
+    _require_second_difference(states)
     grid = states[0][1].grid
     kind = classify(params).kind
     if kind not in (RegimeKind.MASS_CRITICAL, RegimeKind.INTERCRITICAL,
@@ -550,8 +607,12 @@ def _resolved_stencils(states, params: Params, R: float, eps: float):
 def fit_envelope_constant(states, params: Params, R: float, eps: float) -> float:
     """Calibrate the absolute remainder constant of the localized virial
     bound on a reference run: the smallest C making the bound hold with 5%
-    headroom at every resolved sample."""
+    headroom at every resolved sample.  Raises ValueError for fewer than 3
+    states or when no V'' stencil is resolved: no sample, no constant."""
     (_, _, _, Vpp, _), stencils = _resolved_stencils(states, params, R, eps)
+    if not stencils:
+        raise ValueError("no V'' stencil lies inside the resolved window: "
+                         "nothing to calibrate on")
     c_needed = 0.0
     for i, _, lead, scale in stencils:
         c_needed = max(c_needed, (Vpp[i] - lead) / scale)
@@ -569,7 +630,8 @@ def blowup_bound_check(states, params: Params, R: float, eps: float,
     leading terms plus fitted R-decay remainders.  Rows are emitted only for
     V'' stencils lying entirely inside the resolved window (energy drift
     within _DRIFT_TOL): past that point the state no longer approximates the
-    PDE solution.
+    PDE solution, so a run without one gives no rows.  Raises ValueError for
+    fewer than 3 states.
     """
     (_, V, Vp, Vpp, tol), stencils = _resolved_stencils(states, params, R, eps)
     rows = []

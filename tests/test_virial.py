@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,19 @@ class TestPsi12:
         with pytest.raises(ValueError):
             psi12(2.0, P314, g)
 
+    def test_equals_the_full_profile(self):
+        # psi12 builds vartheta and vartheta' alone and works in place; its
+        # result is the one the full psi_R profile gives, bit for bit
+        R, N, b = 2.0, P313.N, P313.b
+        g = make_grid(4.0 * R, 4.0 * R / 99999, 3)
+        prof = build_vartheta_psi(R, g)
+        psi1, psi2 = psi12(R, P313, g)
+        assert len(g) == 100000
+        assert np.array_equal(psi1, 2.0 - prof.d2phi)
+        assert np.array_equal(
+            psi2, (4.0 + 2.0 * b) / N * (2.0 * N - prof.lap)
+            - 2.0 * b * (2.0 - prof.phi_over_r()))
+
 
 class TestLemmaChecks:
     def test_lemma52_bounded_R_independent(self):
@@ -159,6 +173,28 @@ class TestLemmaChecks:
     def test_lemma53_large_eps_fails(self):
         ok, margin = lemma53_check(1.0, P313, 10.0)
         assert not ok and margin < 0.0
+
+    def test_lemma52_values(self):
+        # bit for bit the values of the full-profile build
+        assert [lemma52_check(R, P313) for R in (1.0, 2.0, 4.0, 8.0)] == [
+            80.50386234825373, 80.78607602615695, 81.01198282926731,
+            81.155696770306]
+
+    def test_lemma53_values(self):
+        assert lemma53_check(1.0, P313, 1e-3) == (True, 1.3319123581823078e-14)
+        assert lemma53_check(1.0, P313, 10.0) == (False, -53.78090060354979)
+
+    def test_lemma52_peak_memory(self):
+        # the 199,999-node grid at R = 8 sets the peak; the full psi_R
+        # profile took 24.4 MiB there, vartheta and vartheta' alone about
+        # 10 MiB (numpy reports its buffers to tracemalloc)
+        tracemalloc.start()
+        try:
+            lemma52_check(8.0, P313)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +275,29 @@ class TestDynamicCheck:
         z = RadialField(evo_grid, np.zeros(len(evo_grid), dtype=complex))
         with pytest.raises(ValueError):
             virial_dynamic_check([(0.0, z)], P313, quadratic_cutoff(evo_grid))
+
+
+class TestEnvelopeInputs:
+    # Gaussians at (3,1,3) whose amplitude grows from state to state: their
+    # energies drift apart from the first, so no V'' stencil is resolved
+
+    @pytest.fixture(scope="class")
+    def drifting(self):
+        g = make_grid(20.0, 0.05, 3)
+        return [(0.01 * k, RadialField(g, (1.0 + 0.1 * k) * np.exp(-g.r**2)))
+                for k in range(4)]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_few_states(self, drifting, n):
+        with pytest.raises(ValueError, match="at least 3 saved states"):
+            fit_envelope_constant(drifting[:n], P313, 2.0, 0.1)
+        with pytest.raises(ValueError, match="at least 3 saved states"):
+            blowup_bound_check(drifting[:n], P313, 2.0, 0.1, 1.0)
+
+    def test_no_resolved_stencil(self, drifting):
+        with pytest.raises(ValueError, match="no V'' stencil"):
+            fit_envelope_constant(drifting, P313, 2.0, 0.1)
+        assert blowup_bound_check(drifting, P313, 2.0, 0.1, 1.0) == []
 
 
 class TestBlowupEnvelope:
