@@ -165,24 +165,19 @@ class TestLemmaChecks:
         sups = [lemma52_check(R, P313) for R in (1.0, 2.0, 4.0, 8.0)]
         assert all(np.isfinite(s) for s in sups)
         assert (max(sups) - min(sups)) / max(sups) < 0.10
+        # bit for bit the values of the full-profile build
+        assert sups == [80.50386234825373, 80.78607602615695,
+                        81.01198282926731, 81.155696770306]
 
     def test_lemma53_small_eps_holds(self):
         ok, margin = lemma53_check(1.0, P313, 1e-3)
         assert ok and margin >= 0.0
+        assert margin == 1.3319123581823078e-14
 
     def test_lemma53_large_eps_fails(self):
         ok, margin = lemma53_check(1.0, P313, 10.0)
         assert not ok and margin < 0.0
-
-    def test_lemma52_values(self):
-        # bit for bit the values of the full-profile build
-        assert [lemma52_check(R, P313) for R in (1.0, 2.0, 4.0, 8.0)] == [
-            80.50386234825373, 80.78607602615695, 81.01198282926731,
-            81.155696770306]
-
-    def test_lemma53_values(self):
-        assert lemma53_check(1.0, P313, 1e-3) == (True, 1.3319123581823078e-14)
-        assert lemma53_check(1.0, P313, 10.0) == (False, -53.78090060354979)
+        assert margin == -53.78090060354979
 
     def test_lemma52_peak_memory(self):
         # the 199,999-node grid at R = 8 sets the peak; the full psi_R
