@@ -42,6 +42,7 @@ The converged profile is the trajectory of the final undershoot end.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -117,9 +118,7 @@ def _tail(r, c, N):
 _REFINED_NODES = 16
 _SUBSTEPS = 16
 
-_last_radii: tuple | None = None  # (key, table) of the last (N, b, dr, r_max) shot
-
-
+@functools.lru_cache(maxsize=1)
 def _radii(N: int, b: float, dr: float, r_max: float) -> tuple:
     """The radius terms r^b and (N-1)/r of every RK4 step on (N, b, dr, r_max).
 
@@ -133,28 +132,24 @@ def _radii(N: int, b: float, dr: float, r_max: float) -> tuple:
     start.  Only the last table is kept, and shoot releases it when its
     bisection ends.
     """
-    global _last_radii
-    key = (N, b, dr, r_max)
-    if _last_radii is None or _last_radii[0] != key:
-        n = int(round(r_max / dr)) + 1
-        refined = min(_REFINED_NODES, n - 2)  # nodes after the series start
-        nm1 = N - 1.0
-        r = dr
-        segments = []
-        for h, per_node, steps in ((dr / _SUBSTEPS, _SUBSTEPS, _SUBSTEPS * refined),
-                                   (dr, 1, n - 2 - refined)):
-            hh = 0.5 * h
-            mid_b, mid_c, end_b, end_c = (array("d") for _ in range(4))
-            for _ in range(steps):
-                rh = r + hh
-                r = r + h
-                mid_b.append(rh**b)
-                mid_c.append(nm1 / rh)
-                end_b.append(r**b)
-                end_c.append(nm1 / r)
-            segments.append((h, per_node, mid_b, mid_c, end_b, end_c))
-        _last_radii = (key, (dr**b, nm1 / dr, segments))
-    return _last_radii[1]
+    n = int(round(r_max / dr)) + 1
+    refined = min(_REFINED_NODES, n - 2)  # nodes after the series start
+    nm1 = N - 1.0
+    r = dr
+    segments = []
+    for h, per_node, steps in ((dr / _SUBSTEPS, _SUBSTEPS, _SUBSTEPS * refined),
+                               (dr, 1, n - 2 - refined)):
+        hh = 0.5 * h
+        mid_b, mid_c, end_b, end_c = (array("d") for _ in range(4))
+        for _ in range(steps):
+            rh = r + hh
+            r = r + h
+            mid_b.append(rh**b)
+            mid_c.append(nm1 / rh)
+            end_b.append(r**b)
+            end_c.append(nm1 / r)
+        segments.append((h, per_node, mid_b, mid_c, end_b, end_c))
+    return dr**b, nm1 / dr, segments
 
 
 def _shoot_trajectory(a: float, N: int, b: float, p: float, dr: float, r_max: float):
@@ -470,8 +465,7 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
         )
     trajectories = 10 - k + len(table)  # the sweep integrated 2^10 .. 2^k
     # the radius table (32 B per node) is not read again: release it
-    global _last_radii
-    _last_radii = None
+    _radii.cache_clear()
 
     n = len(grid)
     q_full = np.zeros(n)

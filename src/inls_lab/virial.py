@@ -9,8 +9,14 @@ Two cutoff families flatten |x|^2 outside radius R:
   vartheta = 2r, then 2[r - (r-1)^5], then a monotone bridge to 0, with
   psi'' <= 2, psi'/r <= 2, lap psi <= 2N.
 
-All derivatives are tabulated from closed forms, so the grid checks probe
-the inequalities themselves, not differentiation noise.
+Both are R^2 theta(r/R) with theta = rho^2 on rho <= 1, so a family is a
+table of the pieces beyond that: (mask, values) pairs whose values give
+theta and its first four derivatives in closed form on the mask's slice of
+rho.  One tabulator (``_tabulate``) lays the pieces over the inner piece,
+for just the derivative orders a caller reads, and one check
+(``_check_cutoff``) tests the inequalities of either family.  As no
+derivative is taken numerically, the grid checks probe the inequalities
+themselves, not differentiation noise.
 """
 
 from __future__ import annotations
@@ -97,63 +103,100 @@ def _laplacian(f, f1, rho, N):
 
 
 # ---------------------------------------------------------------------------
-# smoothstep machinery for the phi_R family
+# the piece tables of the two families
 # ---------------------------------------------------------------------------
 
-def _smoothstep(x):
-    return 6 * x**5 - 15 * x**4 + 10 * x**3
+def _phi_step(rho):
+    """theta on 1 < rho < 2 of phi_R, whose phi'' = zeta = 2[1 - S(x)] steps
+    from 2 down to 0 by the degree-5 smoothstep S = 6x^5 - 15x^4 + 10x^3,
+    x = rho - 1: theta' = 2 + 2[x - int S] and theta = (1 + x)^2 - 2 int int S,
+    the integrals taken from x = 0."""
+    x = rho - 1.0
+    return (1.0 + 2.0 * x + x ** 2 - 2.0 * (x**7 / 7.0 - 0.5 * x**6 + 0.5 * x**5),
+            2.0 + 2.0 * (x - (x**6 - 3 * x**5 + 2.5 * x**4)),
+            2.0 * (1.0 - (6 * x**5 - 15 * x**4 + 10 * x**3)),
+            -2.0 * (30 * x**4 - 60 * x**3 + 30 * x**2),
+            -2.0 * (120 * x**3 - 180 * x**2 + 60 * x))
 
 
-def _smoothstep_d(x):
-    return 30 * x**4 - 60 * x**3 + 30 * x**2
+def _psi_quintic(rho):
+    """theta on 1 < rho <= _R1 of psi_R: vartheta = theta' = 2[rho - (rho-1)^5]."""
+    x = rho - 1.0
+    return (rho ** 2 - x ** 6 / 3.0, 2.0 * (rho - x ** 5),
+            2.0 * (1.0 - 5.0 * x ** 4), -40.0 * x ** 3, -120.0 * x ** 2)
 
 
-def _smoothstep_dd(x):
-    return 120 * x**3 - 180 * x**2 + 60 * x
+_L = 2.0 - _R1  # length of the bridge
+_H0 = 2.0 * (_R1 - (_R1 - 1.0) ** 5)  # vartheta at the start of the bridge
+_TH_R1 = _R1**2 - (_R1 - 1.0) ** 6 / 3.0  # theta at the start of the bridge
 
 
-def _smoothstep_i1(x):
-    # integral of smoothstep from 0
-    return x**6 - 3 * x**5 + 2.5 * x**4
+def _psi_bridge(rho):
+    """theta on _R1 < rho < 2 of psi_R: vartheta is the cubic Hermite bridge
+    from _H0 down to 0 at rho = 2, flat at both ends."""
+    s = (rho - _R1) / _L
+    return (_TH_R1 + _H0 * _L * (0.5 * s**4 - s**3 + s),
+            _H0 * (2.0 * s**3 - 3.0 * s**2 + 1.0),
+            _H0 * (6.0 * s**2 - 6.0 * s) / _L,
+            _H0 * (12.0 * s - 6.0) / _L**2,
+            _H0 * 12.0 / _L**3)
 
 
-def _smoothstep_i2(x):
-    # double integral of smoothstep from 0
-    return x**7 / 7.0 - 0.5 * x**6 + 0.5 * x**5
+# A family writes its cutoff as R^2 theta(r/R): the common inner piece
+# theta = rho^2 on rho <= 1, then a table of (mask, values) pieces, where
+# values(rho[mask]) gives theta and its first four derivatives.
+_PHI_TABLE = (
+    (lambda rho: (rho > 1.0) & (rho < 2.0), _phi_step),
+    (lambda rho: rho >= 2.0,
+     lambda rho: (26.0 / 7.0 + 3.0 * (rho - 2.0), 3.0, 0.0, 0.0, 0.0)),
+)
+_PSI_TABLE = (
+    (lambda rho: (rho > 1.0) & (rho <= _R1), _psi_quintic),
+    (lambda rho: (rho > _R1) & (rho < 2.0), _psi_bridge),
+    (lambda rho: rho >= 2.0,
+     lambda rho: (_psi_bridge(2.0)[0], 0.0, 0.0, 0.0, 0.0)),
+)
+# the inner piece's theta, theta', ..., theta'''' as full-length arrays
+_INNER = (lambda rho: rho**2, lambda rho: 2.0 * rho,
+          lambda rho: np.full_like(rho, 2.0), np.zeros_like, np.zeros_like)
 
 
-def _zeta_family(rho):
-    """zeta, zeta', zeta'', zeta1 = int zeta, theta = int int zeta at rho."""
+def _tabulate(table, rho, orders):
+    """theta^(k) of the family table at rho for each k in orders: one
+    full-length array per order, the inner piece overwritten on each piece's
+    mask.  Scalars for a scalar rho."""
     rho = np.asarray(rho, dtype=float)
-    mid = (rho > 1.0) & (rho < 2.0)
-    hi = rho >= 2.0
-    x = np.where(mid, rho - 1.0, 0.0)
-
-    zeta = np.full_like(rho, 2.0)
-    zeta[mid] = 2.0 * (1.0 - _smoothstep(x[mid]))
-    zeta[hi] = 0.0
-
-    dzeta = np.zeros_like(rho)
-    dzeta[mid] = -2.0 * _smoothstep_d(x[mid])
-
-    ddzeta = np.zeros_like(rho)
-    ddzeta[mid] = -2.0 * _smoothstep_dd(x[mid])
-
-    zeta1 = 2.0 * rho
-    zeta1[mid] = 2.0 + 2.0 * (x[mid] - _smoothstep_i1(x[mid]))
-    zeta1[hi] = 3.0
-
-    theta = rho**2
-    theta[mid] = 1.0 + 2.0 * x[mid] + x[mid] ** 2 - 2.0 * _smoothstep_i2(x[mid])
-    theta[hi] = 26.0 / 7.0 + 3.0 * (rho[hi] - 2.0)
-    return zeta, dzeta, ddzeta, zeta1, theta
+    if rho.ndim == 0:
+        return tuple(a[0] for a in _tabulate(table, rho[None], orders))
+    out = [_INNER[k](rho) for k in orders]
+    for mask, values in table:
+        m = mask(rho)
+        piece = values(rho[m])
+        for a, k in zip(out, orders):
+            a[m] = piece[k]
+    return tuple(out)
 
 
-def _assemble(R, grid, f, df, ddf, f1, theta):
-    """Build a CutoffProfile from the generator profile f = phi''(rho)."""
+def vartheta(rho):
+    """The piecewise slope profile: 2 rho, then 2[rho - (rho-1)^5], then a
+    cubic Hermite bridge down to 0 at rho = 2."""
+    return _tabulate(_PSI_TABLE, rho, (1,))[0]
+
+
+def _check_cutoff(name, d2phi, phi_over_r, lap, N, convex=False):
+    """Raise unless phi'' <= 2, phi'/r <= 2 and lap phi <= 2N on the grid,
+    and phi'' >= 0 too if convex."""
+    tol = _INVARIANT_TOL
+    if (np.any(d2phi > 2.0 + tol) or (convex and np.any(d2phi < -tol))
+            or np.any(phi_over_r > 2.0 + tol) or np.any(lap > 2.0 * N + tol)):
+        raise AssertionError(f"cutoff invariants violated for {name}")
+
+
+def _assemble(R, grid, rho, table):
+    """Build a CutoffProfile from the family table at rho = r/R."""
     N = grid.N
-    rho = grid.r / R
     n = len(rho)
+    theta, f1, f, df, ddf = _tabulate(table, rho, range(5))
     phi = R**2 * theta
     dphi = R * f1
     d2phi = f
@@ -174,86 +217,9 @@ def build_zeta_theta_phi(R: float, grid: RadialGrid) -> CutoffProfile:
     beyond 2R, with 0 <= phi'' <= 2 throughout."""
     if R <= 0:
         raise ValueError("R must be positive")
-    prof = _assemble(R, grid, *_zeta_family(grid.r / R))
-    tol = _INVARIANT_TOL
-    if (np.any(prof.d2phi > 2.0 + tol) or np.any(prof.d2phi < -tol)
-            or np.any(2.0 - prof.phi_over_r() < -tol)
-            or np.any(2.0 * grid.N - prof.lap < -tol)):
-        raise AssertionError("cutoff invariants violated for PhiR")
+    prof = _assemble(R, grid, grid.r / R, _PHI_TABLE)
+    _check_cutoff("PhiR", prof.d2phi, prof.phi_over_r(), prof.lap, grid.N, convex=True)
     return prof
-
-
-# ---------------------------------------------------------------------------
-# quintic family psi_R
-# ---------------------------------------------------------------------------
-
-def vartheta(rho):
-    """The piecewise slope profile: 2 rho, then 2[rho - (rho-1)^5], then a
-    cubic Hermite bridge down to 0 at rho = 2."""
-    return _vartheta_family(rho)[0]
-
-
-def _bridge(rho):
-    """The cubic Hermite bridge h of vartheta from rho = _R1 down to 0 at
-    rho = 2: h, h', h'', h''' and the integral of h from _R1, at rho."""
-    L = 2.0 - _R1
-    h0 = 2.0 * (_R1 - (_R1 - 1.0) ** 5)  # vartheta at the start of the bridge
-    s = (rho - _R1) / L
-    return (h0 * (2.0 * s**3 - 3.0 * s**2 + 1.0),
-            h0 * (6.0 * s**2 - 6.0 * s) / L,
-            h0 * (12.0 * s - 6.0) / L**2,
-            h0 * 12.0 / L**3,
-            h0 * L * (0.5 * s**4 - s**3 + s))
-
-
-def _pieces(rho):
-    """The quintic and bridge masks of the array rho, rho - 1 on the quintic
-    and the bridge's h, h', h'', h''' and int h (see _bridge)."""
-    quint = (rho > 1.0) & (rho <= _R1)
-    bridge = (rho > _R1) & (rho < 2.0)
-    return quint, bridge, rho[quint] - 1.0, _bridge(rho[bridge])
-
-
-def _vartheta_family(rho):
-    """vartheta and vartheta', all that psi_1 and psi_2 read; scalars for a
-    scalar rho.  _vartheta_higher tabulates the rest of the family."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim == 0:
-        return tuple(a[0] for a in _vartheta_family(rho[None]))
-    quint, bridge, x, (h, dh, *_) = _pieces(rho)
-    hi = rho >= 2.0
-
-    v = 2.0 * rho
-    v[quint] = 2.0 * (rho[quint] - x ** 5)
-    v[bridge] = h
-    v[hi] = 0.0
-
-    dv = np.full_like(rho, 2.0)
-    dv[quint] = 2.0 * (1.0 - 5.0 * x ** 4)
-    dv[bridge] = dh
-    dv[hi] = 0.0
-    return v, dv
-
-
-def _vartheta_higher(rho):
-    """vartheta'', vartheta''' and theta = int vartheta at the array rho,
-    which only the full profile psi_R reads."""
-    quint, bridge, x, (_, _, ddh, dddh, ih) = _pieces(rho)
-
-    ddv = np.zeros_like(rho)
-    ddv[quint] = -40.0 * x ** 3
-    ddv[bridge] = ddh
-
-    dddv = np.zeros_like(rho)
-    dddv[quint] = -120.0 * x ** 2
-    dddv[bridge] = dddh
-
-    th = rho**2
-    th[quint] = rho[quint] ** 2 - x ** 6 / 3.0
-    th_r1 = _R1**2 - (_R1 - 1.0) ** 6 / 3.0
-    th[bridge] = th_r1 + ih
-    th[rho >= 2.0] = th_r1 + _bridge(2.0)[4]
-    return ddv, dddv, th
 
 
 def _psi_rho(R: float, grid: RadialGrid) -> np.ndarray:
@@ -263,27 +229,15 @@ def _psi_rho(R: float, grid: RadialGrid) -> np.ndarray:
         raise ValueError("R must be positive")
     # bridge monotonicity is structural for the cubic Hermite; verify anyway
     br = np.linspace(_R1 + 1e-9, 2.0 - 1e-9, 1001)
-    if np.any(_bridge(br)[1] >= 0.0):
+    if np.any(_psi_bridge(br)[2] >= 0.0):
         raise AssertionError("bridge of vartheta failed to be decreasing")
     return grid.r / R
 
 
-def _check_psi(d2psi, psi_over_r, lap, N):
-    """Raise unless psi'' <= 2, psi'/r <= 2 and lap psi <= 2N on the grid."""
-    tol = _INVARIANT_TOL
-    if (np.any(d2psi > 2.0 + tol) or np.any(psi_over_r > 2.0 + tol)
-            or np.any(lap > 2.0 * N + tol)):
-        raise AssertionError("cutoff invariants violated for PsiR")
-
-
 def build_vartheta_psi(R: float, grid: RadialGrid) -> CutoffProfile:
     """The quintic cutoff psi_R with psi'' <= 2, psi'/r <= 2, lap psi <= 2N."""
-    rho = _psi_rho(R, grid)
-    v, dv = _vartheta_family(rho)
-    ddv, dddv, th = _vartheta_higher(rho)
-    # psi'' = vartheta'(rho): generator profile is dv, its derivative ddv
-    prof = _assemble(R, grid, dv, ddv, dddv, v, th)
-    _check_psi(prof.d2phi, prof.phi_over_r(), prof.lap, grid.N)
+    prof = _assemble(R, grid, _psi_rho(R, grid), _PSI_TABLE)
+    _check_cutoff("PsiR", prof.d2phi, prof.phi_over_r(), prof.lap, grid.N)
     return prof
 
 
@@ -344,14 +298,14 @@ def psi12(R: float, params: Params, grid: RadialGrid):
     _mass_critical_p(params)
     N, b = params.N, params.b
     rho = _psi_rho(R, grid)
-    v, dv = _vartheta_family(rho)
+    v, dv = _tabulate(_PSI_TABLE, rho, (1, 2))
     lap = _laplacian(dv, v, rho, grid.N)
     annulus = (rho > 1.0 + 1e-12) & (rho <= _R1)
     rho_annulus = rho[annulus]
     del rho
     v *= R
     por = _over_r(v, dv, grid.r, v)
-    _check_psi(dv, por, lap, grid.N)
+    _check_cutoff("PsiR", dv, por, lap, grid.N)
     psi2 = np.subtract(2.0 * N, lap, out=lap)
     psi2 *= (4.0 + 2.0 * b) / N
     np.subtract(2.0, por, out=por)
@@ -418,7 +372,8 @@ def virial_V(u: RadialField, cutoff: CutoffProfile) -> float:
 
 
 def _check_grid(u: RadialField, cutoff: CutoffProfile):
-    if len(u.grid) != len(cutoff.grid) or u.grid.dr != cutoff.grid.dr:
+    if (len(u.grid) != len(cutoff.grid) or u.grid.dr != cutoff.grid.dr
+            or u.grid.N != cutoff.grid.N):
         raise ValueError("cutoff is tabulated on a different grid than the field")
 
 
@@ -468,10 +423,7 @@ def virial_dynamic_check(states, params: Params, cutoff: CutoffProfile,
     normalized by the largest |rhs| over the run.
     """
     _require_second_difference(states)
-    ts, _, _, d2V, _ = _measured_series(states, cutoff)
-    dts = np.diff(ts)
-    if not np.allclose(dts, dts[0], rtol=1e-8):
-        raise ValueError("saved states must be uniformly spaced in time")
+    _, _, _, d2V, _ = _measured_series(states, cutoff)
     rhs = np.array(
         [virial_rhs(u, params, cutoff, linear_only) for _, u in states[1:-1]]
     )
@@ -513,8 +465,13 @@ def _require_second_difference(states):
 
 
 def _measured_series(states, cutoff):
+    """t, V, V', V'' and the allowance for the error of V'' over states, which must
+    be uniformly spaced in time."""
     ts = np.array([t for t, _ in states])
-    dt = float(ts[1] - ts[0])
+    dts = np.diff(ts)
+    if not np.allclose(dts, dts[0], rtol=1e-8):
+        raise ValueError("saved states must be uniformly spaced in time")
+    dt = float(dts[0])
     V = np.array([virial_V(u, cutoff) for _, u in states])
     Vp = (V[2:] - V[:-2]) / (2.0 * dt)
     Vpp = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / dt**2
@@ -608,7 +565,8 @@ def fit_envelope_constant(states, params: Params, R: float, eps: float) -> float
     """Calibrate the absolute remainder constant of the localized virial
     bound on a reference run: the smallest C making the bound hold with 5%
     headroom at every resolved sample.  Raises ValueError for fewer than 3
-    states or when no V'' stencil is resolved: no sample, no constant."""
+    states, for states not uniformly spaced in time, or when no V'' stencil
+    is resolved: no sample, no constant."""
     (_, _, _, Vpp, _), stencils = _resolved_stencils(states, params, R, eps)
     if not stencils:
         raise ValueError("no V'' stencil lies inside the resolved window: "
@@ -631,7 +589,7 @@ def blowup_bound_check(states, params: Params, R: float, eps: float,
     V'' stencils lying entirely inside the resolved window (energy drift
     within _DRIFT_TOL): past that point the state no longer approximates the
     PDE solution, so a run without one gives no rows.  Raises ValueError for
-    fewer than 3 states.
+    fewer than 3 states or for states not uniformly spaced in time.
     """
     (_, V, Vp, Vpp, tol), stencils = _resolved_stencils(states, params, R, eps)
     rows = []

@@ -229,14 +229,18 @@ class TestTrajectory:
         assert qs[1] <= 0.0
 
     def test_one_radius_table_kept(self):
+        radii = ground_state._radii
         for r_max in (0.2, 0.3, 0.4):
             _shoot_trajectory(1.0, 3, 1.0, 4.0, 1e-2, r_max)
-        key, table = ground_state._last_radii
-        assert key == (3, 1.0, 1e-2, 0.4)
+        kept = radii.cache_info()
+        assert kept.currsize == 1
+        # the kept table is the last one built, and a trajectory on its
+        # radii reads it instead of building another
         _shoot_trajectory(2.0, 3, 1.0, 4.0, 1e-2, 0.4)
-        assert ground_state._last_radii[1] is table
+        info = radii.cache_info()
+        assert (info.hits, info.misses) == (kept.hits + 1, kept.misses)
         shoot(P214, dr=1e-2)
-        assert ground_state._last_radii is None
+        assert radii.cache_info().currsize == 0
 
     def test_shoot_value_pinned(self):
         assert shoot(P214, dr=1e-2).shoot_value == 1.6721923293443979

@@ -69,8 +69,8 @@ class TestCutoffPsi:
     # below 1, in the quintic, in the bridge, at and past 2
     @pytest.mark.parametrize("rho", [0.5, 1.5, 1.8, 2.0, 2.5])
     def test_scalar_rho(self, rho):
-        family = virial._vartheta_family(rho)
-        as_array = virial._vartheta_family(np.array([rho]))
+        family = virial._tabulate(virial._PSI_TABLE, rho, (1, 2))
+        as_array = virial._tabulate(virial._PSI_TABLE, np.array([rho]), (1, 2))
         for got, ref in zip(family, as_array, strict=True):
             assert np.ndim(got) == 0 and got == ref[0]
         assert vartheta(rho) == family[0]
@@ -86,28 +86,46 @@ class TestCutoffPsi:
         assert np.all(prof.lap <= 2.0 * g.N + 1e-12)
 
 
+class TestProfilesPinned:
+    # phi, phi', phi'', lap phi and lap^2 phi of each family, byte for byte
+    @pytest.mark.parametrize("build, digest", [
+        (build_zeta_theta_phi,
+         "70ee1d57d1e911248b2f04db463e0f9eacbaf16b94f8b8e08aefa85fbc6aba4e"),
+        (build_vartheta_psi,
+         "793fff18e0bfa55b9d35e292662ff2e11f5eb050e9d557a92c752a2e84d1bc79"),
+    ])
+    def test_sha256(self, build, digest):
+        prof = build(2.0, make_grid(8.0, 8.0 / 99999, 3))
+        data = b"".join(a.tobytes() for a in (
+            prof.phi, prof.dphi, prof.d2phi, prof.lap, prof.bilap))
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _scale_order(monkeypatch, order, scale):
+    """Make _tabulate return scale theta^(order) in place of theta^(order)."""
+    tabulate = virial._tabulate
+
+    def broken(table, rho, orders):
+        return tuple(scale * a if k == order else a
+                     for a, k in zip(tabulate(table, rho, orders), orders))
+
+    monkeypatch.setattr(virial, "_tabulate", broken)
+
+
 class TestBuildersCheckInvariants:
     # each builder raises, naming its family, when its generator profile
     # breaks one of the family's inequalities
 
     @pytest.mark.parametrize("scale", [1.5, -1.0])  # phi'' > 2, phi'' < 0
     def test_phi_family(self, monkeypatch, scale):
-        family = virial._zeta_family
-        monkeypatch.setattr(virial, "_zeta_family", lambda rho: (
-            scale * family(rho)[0], *family(rho)[1:]))
+        _scale_order(monkeypatch, 2, scale)
         with pytest.raises(AssertionError, match="violated for PhiR"):
             build_zeta_theta_phi(2.0, make_grid(8.0, 1e-2, 3))
 
-    @pytest.mark.parametrize("slot", [0, 1])  # psi'/r > 2, psi'' > 2
+    # slot 0 is vartheta = theta' (psi'/r > 2), slot 1 vartheta' (psi'' > 2)
+    @pytest.mark.parametrize("slot", [0, 1])
     def test_psi_family(self, monkeypatch, slot):
-        family = virial._vartheta_family
-
-        def broken(rho):
-            out = list(family(rho))
-            out[slot] = 1.5 * out[slot]
-            return tuple(out)
-
-        monkeypatch.setattr(virial, "_vartheta_family", broken)
+        _scale_order(monkeypatch, 1 + slot, 1.5)
         with pytest.raises(AssertionError, match="violated for PsiR"):
             build_vartheta_psi(2.0, make_grid(8.0, 1e-2, 3))
 
@@ -217,6 +235,16 @@ class TestVirialRHS:
         ) / 5.0 * potential(synthetic_state, P314)
         assert rhs == pytest.approx(pred, rel=1e-10)
 
+    def test_dimension_mismatch(self):
+        # same radii, but the cutoff's lap phi and lap^2 phi are those of N = 3
+        g = make_grid(8.0, 1e-2, 2)
+        u = RadialField(g, np.exp(-g.r**2))
+        cut = build_zeta_theta_phi(2.0, make_grid(8.0, 1e-2, 3))
+        with pytest.raises(ValueError, match="different grid"):
+            virial_rhs(u, P314, cut)
+        with pytest.raises(ValueError, match="different grid"):
+            virial.virial_V(u, cut)
+
     def test_locality_matches_quadratic(self):
         g = make_grid(8.0, 1e-3, 3)
         t = g.r / 1.5
@@ -293,6 +321,17 @@ class TestEnvelopeInputs:
         with pytest.raises(ValueError, match="no V'' stencil"):
             fit_envelope_constant(drifting, P313, 2.0, 0.1)
         assert blowup_bound_check(drifting, P313, 2.0, 0.1, 1.0) == []
+
+    def test_uneven_spacing(self):
+        # one Gaussian saved at uneven times: every stencil is resolved, but
+        # no step dt makes its second differences V''
+        g = make_grid(20.0, 0.05, 3)
+        u = RadialField(g, np.exp(-g.r**2))
+        states = [(t, u) for t in (0.0, 0.1, 0.3, 0.35, 0.5, 0.9)]
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            fit_envelope_constant(states, P313, 2.0, 0.1)
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            blowup_bound_check(states, P313, 2.0, 0.1, 1.0)
 
 
 class TestBlowupEnvelope:
