@@ -465,8 +465,8 @@ def _require_second_difference(states):
 
 
 def _measured_series(states, cutoff):
-    """t, V, V', V'' and the allowance for the error of V'' over states, which must
-    be uniformly spaced in time."""
+    """t, V, V', V'' and the allowance for the error of V'' over states,
+    which must be uniformly spaced in time."""
     ts = np.array([t for t, _ in states])
     dts = np.diff(ts)
     if not np.allclose(dts, dts[0], rtol=1e-8):
