@@ -71,7 +71,7 @@ import numpy as np
 from . import functionals as fn
 from .exponents import morawetz_beta
 from .grids import (NonFiniteError, Params, RadialField, RadialGrid, RegimeKind,
-                    classify, grad_sq_edges, write_csv)
+                    classify, dot, grad_sq_edges, require_same_N, write_csv)
 
 __all__ = [
     "StepperConfig",
@@ -361,6 +361,7 @@ def step(u: RadialField, params: Params, dt: float,
     plan at entry and stored only once the new state is accepted.
     """
     g = u.grid
+    require_same_N(g, params)
     plan = _plan(g, params.b, dt)
     carry, plan.carry = plan.carry, None
     v = u.values
@@ -422,12 +423,13 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig, *,
     gradient_growth are those of the full run, bit for bit;
     energy_drift_max and boundary_flagged are None (not measured).
     """
+    g = u0.grid
+    require_same_N(g, params)
     if classify(params).lwp_side < 0:
         raise ValueError(
             f"local well-posedness needs p >= 1 + 2b/(N-1) = "
             f"{params.lwp_lower_p:.6g}"
         )
-    g = u0.grid
     diag = DiagnosticsSeries(radii=LOCAL_MASS_RADII)
     states = []
     walls = []  # the wall mass of each state (full record)
@@ -450,10 +452,10 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig, *,
         grad_sq = float(np.sum(grad_sq_edges(v, g)))
         av, pot, E = energy(v, grad_sq)
         av2 = av**2
-        local = [fn.mass_of(w[:k], av2[:k]) for k in ends]
-        diag.append(t, fn.mass_of(w, av2), E, grad_sq, pot, local,
-                    fn.virial_V_of(w, phi, av2), fn.virial_Vprime_of(g.N, kdphi, v))
-        walls.append(fn.mass_of(w[wall:], av2[wall:]))
+        local = [float(dot(w[:k], av2[:k])) for k in ends]
+        diag.append(t, float(dot(w, av2)), E, grad_sq, pot, local,
+                    float(dot(w, phi * av2)), fn.virial_Vprime_of(g.N, kdphi, v))
+        walls.append(float(dot(w[wall:], av2[wall:])))
         return grad_sq, lambda: E
 
     def outcome_row(t, v):

@@ -24,8 +24,10 @@ from .grids import (
     RadialField,
     RegimeKind,
     classify,
+    dot,
     gradient_sq_norm,
     require_finite,
+    require_same_N,
     sphere_area,
 )
 
@@ -52,14 +54,9 @@ __all__ = [
 # state
 # ---------------------------------------------------------------------------
 
-def mass_of(w: np.ndarray, av2: np.ndarray) -> float:
-    """int |u|^2 from av2 = |u|^2."""
-    return float(np.dot(w, av2))
-
-
 def potential_of(w: np.ndarray, rb: np.ndarray, av: np.ndarray, p: float) -> float:
     """int r^b |u|^{p+1} from rb = r^b and av = |u|."""
-    return float(np.dot(w, rb * av ** (p + 1.0)))
+    return float(dot(w, rb * av ** (p + 1.0)))
 
 
 def energy_of(grad_sq: float, pot: float, p: float) -> float:
@@ -72,27 +69,25 @@ def energy_drift(E, E0):
     return abs(E - E0) / (abs(E0) + 1.0)
 
 
-def virial_V_of(w: np.ndarray, phi: np.ndarray, av2: np.ndarray) -> float:
-    """V_phi = int phi |u|^2 from av2 = |u|^2."""
-    return float(np.dot(w, phi * av2))
-
-
 def virial_Vprime_of(N: int, kdphi: np.ndarray, v: np.ndarray) -> float:
     """V'_phi = 2 Im int phi' (d_r u) conj(u) as the scheme's own dV_phi/dt,
     2 sum omega_{N-1} kappa_i (phi_{i+1} - phi_i) Im(conj(u_i) u_{i+1}), from
     the edge weights kdphi = kappa * diff(phi[1:])."""
     flux = np.imag(np.conj(v[1:-1]) * v[2:])
-    return 2.0 * sphere_area(N) * float(np.dot(kdphi, flux))
+    return 2.0 * sphere_area(N) * float(dot(kdphi, flux))
 
 
 def mass(u: RadialField) -> float:
     """M(u) = ||u||_{L^2}^2."""
-    return require_finite(mass_of(u.grid.weights, np.abs(u.values) ** 2))
+    return require_finite(float(dot(u.grid.weights, np.abs(u.values) ** 2)))
 
 
 def potential(u: RadialField, params: Params) -> float:
-    """The potential term int r^b |u|^{p+1}."""
+    """The potential term int r^b |u|^{p+1}.  Every public function here
+    that takes (u, params) reads the potential, so this is where u's grid
+    is checked against params's N."""
     g = u.grid
+    require_same_N(g, params)
     return require_finite(
         potential_of(g.weights, g.r**params.b, np.abs(u.values), params.p))
 

@@ -4,11 +4,13 @@ Everything downstream works with radial profiles u(r) sampled on a uniform
 grid over [0, r_max].  The quadrature weights carry the full N-dimensional
 surface measure, so ``integrate`` realizes integrals over R^N of radial
 integrands: sum(w_i * f(r_i)) with w_i = omega_{N-1} r_i^{N-1} dr times the
-trapezoid end coefficients.  Every |grad u|^2 is the Crank-Nicolson edge
-form: ``grad_sq_edges`` gives its per-edge terms
+trapezoid end coefficients.  Every weighted sum over the grid is ``dot``,
+which alone fixes the order of summation.  Every |grad u|^2 is the
+Crank-Nicolson edge form: ``grad_sq_edges`` gives its per-edge terms
 omega_{N-1} kappa_i |u_{i+1} - u_i|^2 with the grid's edge conductances
-kappa_i = (r_i + dr/2)^{N-1}/dr.  ``write_csv`` holds the one number format
-(%.12e) of every CSV file the package writes.
+kappa_i = (r_i + dr/2)^{N-1}/dr.  ``require_same_N`` is the one check
+where a grid meets a Params or another grid.  ``write_csv`` holds the one
+number format (%.12e) of every CSV file the package writes.
 """
 
 from __future__ import annotations
@@ -29,16 +31,21 @@ __all__ = [
     "NonFiniteError",
     "classify",
     "make_grid",
+    "dot",
     "integrate",
     "gradient_sq_norm",
     "grad_sq_edges",
     "require_finite",
+    "require_same_N",
     "sphere_area",
     "write_csv",
 ]
 
 # relative tolerance within which p is at a critical power
 _CRIT_RTOL = 1e-12
+# elements per np.dot in ``dot``: fewer than the 10,000 past which
+# OpenBLAS splits a dot product across threads
+_DOT_BLOCK = 8192
 
 
 def sphere_area(N: int) -> float:
@@ -231,6 +238,28 @@ class RadialField:
         return bool(np.all(self.values == 0))
 
 
+def require_same_N(grid: RadialGrid, other) -> None:
+    """Raise ValueError, naming both dimensions, unless the grid's N is that
+    of other: the Params or the grid it is used with."""
+    if grid.N != other.N:
+        raise ValueError(f"dimension mismatch: the grid has N = {grid.N}, "
+                         f"the {type(other).__name__} N = {other.N}")
+
+
+def dot(a: np.ndarray, b: np.ndarray):
+    """sum a_i b_i, the one weighted sum over grid samples: np.dot for up to
+    _DOT_BLOCK elements, and np.dot of consecutive _DOT_BLOCK-element blocks
+    added in order beyond.  A BLAS may split a long dot product across
+    threads, which makes its last bits depend on the thread count; no block
+    is long enough to be split, so the sum is the same whatever the count."""
+    if len(a) <= _DOT_BLOCK:
+        return np.dot(a, b)
+    total = np.dot(a[:_DOT_BLOCK], b[:_DOT_BLOCK])
+    for k in range(_DOT_BLOCK, len(a), _DOT_BLOCK):
+        total += np.dot(a[k:k + _DOT_BLOCK], b[k:k + _DOT_BLOCK])
+    return total
+
+
 def integrate(v, grid: RadialGrid) -> float:
     """Integral over R^N of a radial integrand sampled on the grid.
 
@@ -242,7 +271,7 @@ def integrate(v, grid: RadialGrid) -> float:
         raise ValueError("sample count does not match grid")
     if not np.isfinite(v).all():
         raise NonFiniteError("non-finite sample in integrand")
-    return float(np.real(np.dot(grid.weights, v)))
+    return float(np.real(dot(grid.weights, v)))
 
 
 def radial_derivative(v: np.ndarray, grid: RadialGrid) -> np.ndarray:

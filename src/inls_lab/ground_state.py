@@ -59,6 +59,7 @@ from .grids import (
     gradient_sq_norm,
     integrate,
     make_grid,
+    require_same_N,
 )
 from . import functionals
 
@@ -95,6 +96,7 @@ class GroundState:
 
     def resample(self, grid: RadialGrid) -> RadialField:
         """Profile on another grid: interpolated inside, analytic tail beyond."""
+        require_same_N(grid, self.params)
         src = self.profile.grid
         vals = np.interp(grid.r, src.r, np.real(self.profile.values))
         beyond = grid.r > src.r_max
@@ -540,6 +542,7 @@ def W_prime(r, N: int, b: float):
 
 def explicit_W(params: Params, grid: RadialGrid) -> RadialField:
     """The explicit algebraic-decay solution of the energy-critical equation."""
+    require_same_N(grid, params)
     if params.N < 3:
         raise ValueError("the explicit profile W requires N >= 3")
     if classify(params).kind != RegimeKind.ENERGY_CRITICAL:
@@ -556,6 +559,7 @@ def W_identities(params: Params, grid: RadialGrid) -> dict[str, float]:
     the sharp_sobolev_constant they give, and the relative deviations dev_511
     of (5.11) potential = grad_sq and dev_512 of (5.12)
     E(W) = (b+2)/(2N+2b) grad_sq."""
+    require_same_N(grid, params)
     if classify(params).kind != RegimeKind.ENERGY_CRITICAL:
         raise ValueError("the W identities and the sharp Sobolev constant "
                          "require energy-critical parameters")

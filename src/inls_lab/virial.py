@@ -32,12 +32,14 @@ from .grids import (
     RadialGrid,
     RegimeKind,
     classify,
+    dot,
     grad_sq_edges,
     gradient_sq_norm,
     integrate,
     make_grid,
     radial_derivative,
     require_finite,
+    require_same_N,
     write_csv,
 )
 from . import functionals
@@ -295,6 +297,7 @@ def psi12(R: float, params: Params, grid: RadialGrid):
     build_vartheta_psi's checks run on the same values, and the result is
     the one its profile gives, bit for bit: each in-place step only swaps
     the operands of a product or a sum."""
+    require_same_N(grid, params)
     _mass_critical_p(params)
     N, b = params.N, params.b
     rho = _psi_rho(R, grid)
@@ -367,21 +370,20 @@ def virial_V(u: RadialField, cutoff: CutoffProfile) -> float:
     """V_phi = int phi |u|^2."""
     _check_grid(u, cutoff)
     return require_finite(
-        functionals.virial_V_of(u.grid.weights, cutoff.phi, np.abs(u.values) ** 2)
-    )
+        float(dot(u.grid.weights, cutoff.phi * np.abs(u.values) ** 2)))
 
 
 def _check_grid(u: RadialField, cutoff: CutoffProfile):
-    if (len(u.grid) != len(cutoff.grid) or u.grid.dr != cutoff.grid.dr
-            or u.grid.N != cutoff.grid.N):
+    require_same_N(u.grid, cutoff.grid)
+    if len(u.grid) != len(cutoff.grid) or u.grid.dr != cutoff.grid.dr:
         raise ValueError("cutoff is tabulated on a different grid than the field")
 
 
 def _edge_weighted_grad_sq(u: RadialField, f: np.ndarray) -> float:
     """int f |d_r u|^2 as the edge sum of grad_sq_edges, each edge weighted
     by the average (f_i + f_{i+1})/2 of its node weights."""
-    return require_finite(float(np.dot(0.5 * (f[1:-1] + f[2:]),
-                                       grad_sq_edges(u.values, u.grid))))
+    return require_finite(float(dot(0.5 * (f[1:-1] + f[2:]),
+                                    grad_sq_edges(u.values, u.grid))))
 
 
 def virial_rhs(u: RadialField, params: Params, cutoff: CutoffProfile,
@@ -399,6 +401,7 @@ def virial_rhs(u: RadialField, params: Params, cutoff: CutoffProfile,
     """
     _check_grid(u, cutoff)
     g = u.grid
+    require_same_N(g, params)
     b, p = params.b, params.p
     av2 = np.abs(u.values) ** 2
     out = (-integrate(cutoff.bilap * av2, g)
@@ -539,6 +542,7 @@ def _resolved_stencils(states, params: Params, R: float, eps: float):
     remainder scale) at its centre state i + 1."""
     _require_second_difference(states)
     grid = states[0][1].grid
+    require_same_N(grid, params)
     kind = classify(params).kind
     if kind not in (RegimeKind.MASS_CRITICAL, RegimeKind.INTERCRITICAL,
                     RegimeKind.ENERGY_CRITICAL):

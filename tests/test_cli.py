@@ -397,12 +397,42 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+_THREADS_SCRIPT = """
+from inls_lab.cli import main
+for argv in (["verify", "--suite", "all", "--out", "verify.json"],
+             ["ground-state", "--dim", "3", "--b", "1", "--p", "4", "--out", "gs"],
+             ["ground-state", "--dim", "4", "--b", "2", "--p", "5", "--out", "w"]):
+    assert main(argv) == 0, argv
+"""
+
+
 class TestVerifyDeterminism:
     def test_all_suites_report_pinned(self, tmp_path):
         out = tmp_path / "verify.json"
         assert run(["verify", "--suite", "all", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "edfce18d566c5e85cf7725e7fcdea29506dbbfe75926ab70d7c66a08a681c64b")
+            "825546eacfbb5fab52c7dec4ec5b833a26ebc6995ea0b7a9958cc3b15fec13f0")
+
+    def test_reports_independent_of_blas_threads(self, tmp_path):
+        # OpenBLAS splits a dot product of more than 10,000 elements across
+        # threads; grids.dot never hands it one, so verify's 100,000-node
+        # sums and the 20,001-node ground-state norms write the same bytes
+        # under one BLAS thread and two, each in a fresh interpreter
+        src = str(Path(inls_lab.__file__).resolve().parents[1])
+        payloads = []
+        for threads in ("1", "2"):
+            work = tmp_path / threads
+            work.mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
+                                  cwd=work, env=env, capture_output=True,
+                                  text=True)
+            assert proc.returncode == 0, proc.stderr
+            payloads.append([(work / name).read_bytes() for name in (
+                "verify.json", "gs/ground_state.json", "w/ground_state.json")])
+        assert payloads[0] == payloads[1]
 
     def test_byte_identical_reports(self, tmp_path):
         payloads = []

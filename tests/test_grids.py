@@ -5,8 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from inls_lab import functionals, virial
+from inls_lab.evolution import StepperConfig, evolve, step
 from inls_lab.exponents import morawetz_beta, scattering_alpha_window, table
-from inls_lab.ground_state import shoot, uniqueness_constants
+from inls_lab.ground_state import (W_identities, explicit_W, shoot,
+                                   sharp_sobolev_constant, uniqueness_constants)
 from inls_lab.inequalities import gn_check
 from inls_lab.grids import (
     NonFiniteError,
@@ -14,6 +17,7 @@ from inls_lab.grids import (
     RadialField,
     RegimeKind,
     classify,
+    dot,
     grad_sq_edges,
     gradient_sq_norm,
     integrate,
@@ -191,6 +195,76 @@ class TestQuadrature:
         bad[3] = np.nan
         with pytest.raises(ValueError):
             integrate(bad, g)
+
+
+class TestDot:
+    def test_one_block_is_one_np_dot(self):
+        # up to one block, the sum is np.dot's, bit for bit
+        rng = np.random.default_rng(0)
+        for n in (1, 8001, 8192):
+            a, b = rng.standard_normal(n), rng.standard_normal(n)
+            assert dot(a, b) == np.dot(a, b)
+
+    def test_blocks_added_in_order(self):
+        # beyond one block, np.dot of each 8192-element block, added left
+        # to right, for real and complex samples
+        rng = np.random.default_rng(1)
+        for n in (8193, 20001, 100000):
+            a = rng.standard_normal(n)
+            for b in (rng.standard_normal(n),
+                      rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+                ref = np.dot(a[:8192], b[:8192])
+                for k in range(8192, n, 8192):
+                    ref = ref + np.dot(a[k:k + 8192], b[k:k + 8192])
+                assert dot(a, b) == ref
+
+    def test_integrate_is_the_weighted_dot(self):
+        g = make_grid(10.0, 1e-4, 3)
+        v = np.exp(-g.r**2)
+        assert integrate(v, g) == float(dot(g.weights, v))
+
+
+# grids and fields met with Params of another N: an N = 2 field with
+# Params(3, 1, 3), and an N = 3 grid with the W triple (4, 2, 5)
+_G2 = make_grid(8.0, 1e-2, 2)
+_U2 = RadialField(_G2, np.exp(-_G2.r**2).astype(complex))
+_P313 = Params(3, 1.0, 3.0)
+_STATES2 = [(0.0, _U2), (1e-3, _U2), (2e-3, _U2)]
+_N_MISMATCH = {
+    "step": lambda: step(_U2, _P313, 1e-3),
+    "evolve": lambda: evolve(_U2, _P313, StepperConfig(dt=1e-3, t_end=1e-3)),
+    "potential": lambda: functionals.potential(_U2, _P313),
+    "energy": lambda: functionals.energy(_U2, _P313),
+    "grad_mass_energy": lambda: functionals.grad_mass_energy(_U2, _P313),
+    "weinstein": lambda: functionals.weinstein(_U2, _P313),
+    "pohozaev_residuals": lambda: functionals.pohozaev_residuals(_U2, _P313),
+    "threshold_report": lambda: functionals.threshold_report(
+        _U2, Params(3, 1.0, 4.0), _U2),
+    "virial_rhs": lambda: virial.virial_rhs(
+        _U2, _P313, virial.quadratic_cutoff(_G2)),
+    "psi12": lambda: virial.psi12(2.0, _P313, make_grid(8.0, 1e-3, 2)),
+    "virial_dynamic_check": lambda: virial.virial_dynamic_check(
+        _STATES2, _P313, virial.quadratic_cutoff(_G2)),
+    "fit_envelope_constant": lambda: virial.fit_envelope_constant(
+        _STATES2, _P313, 2.0, 0.1),
+    "blowup_bound_check": lambda: virial.blowup_bound_check(
+        _STATES2, _P313, 2.0, 0.1, 1.0),
+    "explicit_W": lambda: explicit_W(Params(4, 2.0, 5.0), make_grid(8.0, 1e-2, 3)),
+    "W_identities": lambda: W_identities(Params(4, 2.0, 5.0),
+                                         make_grid(8.0, 1e-2, 3)),
+    "sharp_sobolev_constant": lambda: sharp_sobolev_constant(
+        Params(4, 2.0, 5.0), make_grid(8.0, 1e-2, 3)),
+}
+
+
+@pytest.mark.parametrize("call", _N_MISMATCH.values(), ids=_N_MISMATCH.keys())
+def test_grid_and_params_dimensions_must_agree(call):
+    # each entry point where a grid meets a Params raises, naming both N:
+    # without the check the N = 2 stepper and weights met the N = 3
+    # regime, and psi12 blamed its closed-form cross-check
+    with pytest.raises(ValueError, match=r"the grid has N = [23], the Params "
+                                         r"N = [34]$"):
+        call()
 
 
 class TestGradient:

@@ -120,6 +120,11 @@ class TestShoot:
             gradient_sq_norm(q314.profile), rel=1e-3
         )
 
+    def test_resample_checks_dimension(self, q314):
+        # Q of N = 3 laid on an N = 2 grid would be a wrong profile
+        with pytest.raises(ValueError, match="the grid has N = 2, the Params N = 3"):
+            q314.resample(make_grid(8.0, 1e-2, 2))
+
 
 def _reference_trajectory(a, N, b, p, dr, r_max):
     """The shooting trajectory as a closure-per-step RK4 loop that takes its

@@ -17,22 +17,25 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert at lines {lines}"
 
 
+def _owned_nodes(node, owner=None):
+    """(outermost enclosing function name or None, node) for each node of
+    the tree under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+        owner = node.name
+    yield owner, node
+    for child in ast.iter_child_nodes(node):
+        yield from _owned_nodes(child, owner)
+
+
 def _calls_by_function(tree):
     """(outermost enclosing function name or None, dotted callee) for each
     call and each attribute reference of the module."""
     found = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
-            owner = node.name
+    for owner, node in _owned_nodes(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             found.append((owner, f"{node.value.id}.{node.attr}"))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             found.append((owner, node.func.id))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(tree, None)
     return found
 
 
@@ -55,6 +58,34 @@ def test_one_discrete_gradient():
                 derivative_callers.add((path.name, owner))
     assert gradient_uses == {_GRADIENT_OWNER}
     assert derivative_callers <= _RADIAL_DERIVATIVE_CALLERS
+
+
+# every weighted grid sum is grids.dot, whose fixed blocks make it the same
+# whatever the BLAS thread count; no other code takes a BLAS product
+_REDUCTION_OWNER = ("grids.py", "dot")
+_BLAS_PRODUCTS = ("dot", "vdot", "inner", "matmul")
+
+
+def _takes_blas_product(node):
+    """Whether node names np.dot, np.vdot, np.inner or np.matmul, as an
+    attribute or a from-import, or applies the @ operator."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id in ("np", "numpy") and node.attr in _BLAS_PRODUCTS
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module == "numpy"
+                and any(a.name in _BLAS_PRODUCTS for a in node.names))
+    return False
+
+
+def test_one_weighted_sum():
+    owners = set()
+    for path in SRC:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners |= {(path.name, owner) for owner, node in _owned_nodes(tree)
+                   if _takes_blas_product(node)}
+    assert owners == {_REDUCTION_OWNER}
 
 
 def _private_top_level_names(tree):

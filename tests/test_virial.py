@@ -240,9 +240,10 @@ class TestVirialRHS:
         g = make_grid(8.0, 1e-2, 2)
         u = RadialField(g, np.exp(-g.r**2))
         cut = build_zeta_theta_phi(2.0, make_grid(8.0, 1e-2, 3))
-        with pytest.raises(ValueError, match="different grid"):
+        mismatch = "the grid has N = 2, the RadialGrid N = 3"
+        with pytest.raises(ValueError, match=mismatch):
             virial_rhs(u, P314, cut)
-        with pytest.raises(ValueError, match="different grid"):
+        with pytest.raises(ValueError, match=mismatch):
             virial.virial_V(u, cut)
 
     def test_locality_matches_quadratic(self):
