@@ -5,8 +5,8 @@ grid over [0, r_max].  The quadrature weights carry the full N-dimensional
 surface measure, so ``integrate`` realizes integrals over R^N of radial
 integrands: sum(w_i * f(r_i)) with w_i = omega_{N-1} r_i^{N-1} dr times the
 trapezoid end coefficients.  Every weighted sum over the grid is ``dot``,
-which alone fixes the order of summation.  Every |grad u|^2 is the
-Crank-Nicolson edge form: ``grad_sq_edges`` gives its per-edge terms
+which alone fixes the order of summation: over the fixed node ``blocks``,
+which a long scan can run over too.  Every |grad u|^2 is the Crank-Nicolson edge form: ``grad_sq_edges`` gives its per-edge terms
 omega_{N-1} kappa_i |u_{i+1} - u_i|^2 with the grid's edge conductances
 kappa_i = (r_i + dr/2)^{N-1}/dr.  ``require_same_N`` is the one check
 where a grid meets a Params or another grid.  ``write_csv`` holds the one
@@ -31,6 +31,7 @@ __all__ = [
     "NonFiniteError",
     "classify",
     "make_grid",
+    "blocks",
     "dot",
     "integrate",
     "gradient_sq_norm",
@@ -199,9 +200,11 @@ def make_grid(r_max: float, dr: float, N: int) -> RadialGrid:
         raise ValueError("grid needs at least 3 points")
     r = np.linspace(0.0, r_max, n)
     dr_actual = r_max / (n - 1)
-    coeff = np.ones(n)
-    coeff[0] = coeff[-1] = 0.5
-    weights = sphere_area(N) * r ** (N - 1) * coeff * dr_actual
+    # formed in place, so that r and weights are the only grid-length arrays
+    weights = r ** (N - 1)
+    weights *= sphere_area(N)
+    weights[[0, -1]] *= 0.5
+    weights *= dr_actual
     for a in (r, weights):
         a.setflags(write=False)
     return RadialGrid(N=N, r=r, dr=dr_actual, r_max=r_max, weights=weights)
@@ -246,32 +249,40 @@ def require_same_N(grid: RadialGrid, other) -> None:
                          f"the {type(other).__name__} N = {other.N}")
 
 
+def blocks(n: int) -> list[slice]:
+    """The consecutive _DOT_BLOCK-node slices of range(n) (the last may be
+    shorter) that dot sums in order, so block sums added in order are dot's."""
+    return [slice(k, min(k + _DOT_BLOCK, n)) for k in range(0, n, _DOT_BLOCK)]
+
+
 def dot(a: np.ndarray, b: np.ndarray):
     """sum a_i b_i, the one weighted sum over grid samples: np.dot for up to
-    _DOT_BLOCK elements, and np.dot of consecutive _DOT_BLOCK-element blocks
-    added in order beyond.  A BLAS may split a long dot product across
-    threads, which makes its last bits depend on the thread count; no block
-    is long enough to be split, so the sum is the same whatever the count."""
+    _DOT_BLOCK elements, and np.dot of each of the blocks added in order
+    beyond.  A BLAS may split a long dot product across threads, which makes
+    its last bits depend on the thread count; no block is long enough to be
+    split, so the sum is the same whatever the count."""
     if len(a) <= _DOT_BLOCK:
         return np.dot(a, b)
     total = np.dot(a[:_DOT_BLOCK], b[:_DOT_BLOCK])
-    for k in range(_DOT_BLOCK, len(a), _DOT_BLOCK):
-        total += np.dot(a[k:k + _DOT_BLOCK], b[k:k + _DOT_BLOCK])
+    for s in blocks(len(a))[1:]:
+        total += np.dot(a[s], b[s])
     return total
 
 
-def integrate(v, grid: RadialGrid) -> float:
-    """Integral over R^N of a radial integrand sampled on the grid.
+def integrate(v, grid: RadialGrid, block: slice = slice(None)) -> float:
+    """Integral over R^N of a radial integrand sampled on the grid, or its
+    part over grid.r[block] for v sampled there.
 
     Exact for piecewise-linear radial integrands up to trapezoid error in the
     weight; second-order in dr for smooth integrands.
     """
     v = np.asarray(v)
-    if len(v) != len(grid):
+    w = grid.weights[block]
+    if len(v) != len(w):
         raise ValueError("sample count does not match grid")
     if not np.isfinite(v).all():
         raise NonFiniteError("non-finite sample in integrand")
-    return float(np.real(dot(grid.weights, v)))
+    return float(np.real(dot(w, v)))
 
 
 def radial_derivative(v: np.ndarray, grid: RadialGrid) -> np.ndarray:

@@ -582,7 +582,9 @@ def sharp_sobolev_constant(params: Params, grid: RadialGrid) -> float:
 
         C_sha = int r^b W^{(2N+2b)/(N-2)}  /  (||grad W||^2)^{(N+b)/(N-2)},
 
-    evaluated by quadrature with the analytic derivative of W.
+    evaluated by quadrature with the analytic derivative of W.  No code in
+    the package calls it, but it is not dead: benchmarks/child.py installs
+    its tracer on this name and fails if it is gone.
     """
     return W_identities(params, grid)["sharp_sobolev_constant"]
 

@@ -31,6 +31,7 @@ from .grids import (
     RadialField,
     RadialGrid,
     RegimeKind,
+    blocks,
     classify,
     dot,
     grad_sq_edges,
@@ -72,6 +73,8 @@ _DRIFT_TOL = 1e-5
 
 @dataclass(frozen=True)
 class CutoffProfile:
+    """A cutoff and its derivatives at grid.r[block], the whole grid unless
+    a block of it is given."""
     R: float
     grid: RadialGrid
     phi: np.ndarray = field(repr=False)
@@ -79,26 +82,35 @@ class CutoffProfile:
     d2phi: np.ndarray = field(repr=False)     # phi''
     lap: np.ndarray = field(repr=False)       # lap phi
     bilap: np.ndarray = field(repr=False)     # lap^2 phi
+    block: slice = field(default_factory=lambda: slice(None))
 
     def phi_over_r(self) -> np.ndarray:
         """phi'(r)/r with its r -> 0 limit phi''(0)."""
-        return _over_r(self.dphi, self.d2phi, self.grid.r, np.empty_like(self.dphi))
+        return _over_r(self.dphi, self.d2phi, self.grid.r[self.block],
+                       np.empty_like(self.dphi))
+
+
+def _off_origin(r):
+    """r[1:] if r, a slice of a grid's r, starts at the origin, else r[:]."""
+    return slice(int(r[0] == 0.0), None)
 
 
 def _over_r(dphi, d2phi, r, out):
     """phi'/r with its r -> 0 limit phi''(0), written into out (which may be
     dphi itself)."""
-    np.divide(dphi[1:], r[1:], out=out[1:])
-    out[0] = d2phi[0]
+    s = _off_origin(r)
+    np.divide(dphi[s], r[s], out=out[s])
+    out[:s.start] = d2phi[:s.start]
     return out
 
 
 def _laplacian(f, f1, rho, N):
     """lap phi = phi'' + (N-1) phi'/r of a cutoff with phi'' = f(rho) and
     phi' = R f1(rho), where f1/rho -> f at the origin."""
+    s = _off_origin(rho)
     lap = np.empty_like(f)
-    lap[0] = f[0]
-    np.divide(f1[1:], rho[1:], out=lap[1:])
+    lap[:s.start] = f[:s.start]
+    np.divide(f1[s], rho[s], out=lap[s])
     lap *= N - 1
     lap += f
     return lap
@@ -194,51 +206,49 @@ def _check_cutoff(name, d2phi, phi_over_r, lap, N, convex=False):
         raise AssertionError(f"cutoff invariants violated for {name}")
 
 
-def _assemble(R, grid, rho, table):
-    """Build a CutoffProfile from the family table at rho = r/R."""
+def _assemble(R, grid, block, rho, table):
+    """Build the CutoffProfile at grid.r[block] from the family table at
+    rho = r/R there."""
     N = grid.N
-    n = len(rho)
     theta, f1, f, df, ddf = _tabulate(table, rho, range(5))
-    phi = R**2 * theta
-    dphi = R * f1
-    d2phi = f
     lap = _laplacian(f, f1, rho, N)
     # lap^2 phi = (1/R^2) [g'' + (N-1) g'/rho] with g = lap theta; the
     # origin value is 0 exactly (phi = r^2 there)
-    rr = rho[1:]
-    gp = df[1:] + (N - 1) * (f[1:] * rr - f1[1:]) / rr**2
-    gpp = ddf[1:] + (N - 1) * (df[1:] * rr**2 - 2 * f[1:] * rr + 2 * f1[1:]) / rr**3
-    bilap = np.zeros(n)
-    bilap[1:] = (gpp + (N - 1) * gp / rr) / R**2
-    return CutoffProfile(R=R, grid=grid, phi=phi, dphi=dphi, d2phi=d2phi,
-                         lap=lap, bilap=bilap)
+    s = _off_origin(rho)
+    rr = rho[s]
+    gp = df[s] + (N - 1) * (f[s] * rr - f1[s]) / rr**2
+    gpp = ddf[s] + (N - 1) * (df[s] * rr**2 - 2 * f[s] * rr + 2 * f1[s]) / rr**3
+    bilap = np.zeros(len(rho))
+    bilap[s] = (gpp + (N - 1) * gp / rr) / R**2
+    return CutoffProfile(R=R, grid=grid, phi=R**2 * theta, dphi=R * f1,
+                         d2phi=f, lap=lap, bilap=bilap, block=block)
 
 
-def build_zeta_theta_phi(R: float, grid: RadialGrid) -> CutoffProfile:
-    """The smoothstep cutoff phi_R: equal to r^2 for r <= R, slope-linear
-    beyond 2R, with 0 <= phi'' <= 2 throughout."""
+def build_zeta_theta_phi(R: float, grid: RadialGrid,
+                         block: slice = slice(None)) -> CutoffProfile:
+    """The smoothstep cutoff phi_R at grid.r[block]: equal to r^2 for
+    r <= R, slope-linear beyond 2R, with 0 <= phi'' <= 2 throughout."""
     if R <= 0:
         raise ValueError("R must be positive")
-    prof = _assemble(R, grid, grid.r / R, _PHI_TABLE)
+    prof = _assemble(R, grid, block, grid.r[block] / R, _PHI_TABLE)
     _check_cutoff("PhiR", prof.d2phi, prof.phi_over_r(), prof.lap, grid.N, convex=True)
     return prof
 
 
-def _psi_rho(R: float, grid: RadialGrid) -> np.ndarray:
-    """rho = r/R on grid, once R and the bridge of vartheta pass their
-    checks."""
+def _psi_rho(R: float, r: np.ndarray) -> np.ndarray:
+    """rho = r/R, once R and the bridge of vartheta pass their checks."""
     if R <= 0:
         raise ValueError("R must be positive")
     # bridge monotonicity is structural for the cubic Hermite; verify anyway
     br = np.linspace(_R1 + 1e-9, 2.0 - 1e-9, 1001)
     if np.any(_psi_bridge(br)[2] >= 0.0):
         raise AssertionError("bridge of vartheta failed to be decreasing")
-    return grid.r / R
+    return r / R
 
 
 def build_vartheta_psi(R: float, grid: RadialGrid) -> CutoffProfile:
     """The quintic cutoff psi_R with psi'' <= 2, psi'/r <= 2, lap psi <= 2N."""
-    prof = _assemble(R, grid, _psi_rho(R, grid), _PSI_TABLE)
+    prof = _assemble(R, grid, slice(None), _psi_rho(R, grid.r), _PSI_TABLE)
     _check_cutoff("PsiR", prof.d2phi, prof.phi_over_r(), prof.lap, grid.N)
     return prof
 
@@ -285,29 +295,31 @@ def psi2_closed_form(rho, params: Params):
     )
 
 
-def psi12(R: float, params: Params, grid: RadialGrid):
-    """psi_1 = 2 - psi_R'' and psi_2 = (4+2b)/N (2N - lap psi) - 2b(2 - psi'/r),
-    cross-checked against the closed form on the quintic annulus.
+def psi12(R: float, params: Params, grid: RadialGrid,
+          block: slice = slice(None)):
+    """psi_1 = 2 - psi_R'' and psi_2 = (4+2b)/N (2N - lap psi) - 2b(2 - psi'/r)
+    at grid.r[block], cross-checked against the closed form on the quintic
+    annulus.
 
     Builds vartheta and vartheta' alone (psi'' = vartheta'(r/R) and
-    psi' = R vartheta(r/R)): besides the grid's r and weights, four
-    full-length arrays, rho = r/R, vartheta, vartheta' and lap psi.  rho is
-    dropped once lap psi is formed; then vartheta becomes psi'/r, psi_2
-    overwrites lap psi and psi_1 overwrites vartheta', each in place.
-    build_vartheta_psi's checks run on the same values, and the result is
-    the one its profile gives, bit for bit: each in-place step only swaps
-    the operands of a product or a sum."""
+    psi' = R vartheta(r/R)): four arrays as long as the block, rho = r/R,
+    vartheta, vartheta' and lap psi.  rho is dropped once lap psi is formed;
+    then vartheta becomes psi'/r, psi_2 overwrites lap psi and psi_1
+    overwrites vartheta', each in place.  build_vartheta_psi's checks run on
+    the same values, and the result is the one its profile gives, bit for
+    bit: each in-place step only swaps the operands of a product or a sum."""
     require_same_N(grid, params)
     _mass_critical_p(params)
     N, b = params.N, params.b
-    rho = _psi_rho(R, grid)
+    r = grid.r[block]
+    rho = _psi_rho(R, r)
     v, dv = _tabulate(_PSI_TABLE, rho, (1, 2))
     lap = _laplacian(dv, v, rho, grid.N)
     annulus = (rho > 1.0 + 1e-12) & (rho <= _R1)
     rho_annulus = rho[annulus]
     del rho
     v *= R
-    por = _over_r(v, dv, grid.r, v)
+    por = _over_r(v, dv, r, v)
     _check_cutoff("PsiR", dv, por, lap, grid.N)
     psi2 = np.subtract(2.0 * N, lap, out=lap)
     psi2 *= (4.0 + 2.0 * b) / N
@@ -334,24 +346,31 @@ def _lemma_grid(R: float, N: int) -> RadialGrid:
 
 
 def lemma52_check(R: float, params: Params) -> float:
-    """sup over r > R of |d_r(psi_2^{1/(p-1)})| R; bounded independently of R."""
+    """sup over r > R of |d_r(psi_2^{1/(p-1)})| R; bounded independently of R.
+    Scanned block by block, each block widened by the grid's nodes next to
+    it, so that its derivative is radial_derivative's of the whole."""
     p_star = _mass_critical_p(params)
     if not 0 < params.b < 2 * (params.N - 1):
         raise ValueError("requires 0 < b < 2(N-1)")
     grid = _lemma_grid(R, params.N)
-    y = psi12(R, params, grid)[1] ** (1.0 / (p_star - 1.0))
-    dy = radial_derivative(y, grid)
-    mask = grid.r > R * (1.0 + 1e-9)
-    return float(np.max(np.abs(dy[mask])) * R)
+    sup = 0.0
+    for blk in blocks(len(grid)):
+        lo, hi = max(blk.start - 1, 0), min(blk.stop + 1, len(grid))
+        y = psi12(R, params, grid, slice(lo, hi))[1] ** (1.0 / (p_star - 1.0))
+        dy = radial_derivative(y, grid)[blk.start - lo:blk.stop - lo]
+        sup = np.max(np.abs(dy[grid.r[blk] > R * (1.0 + 1e-9)]), initial=sup)
+    return float(sup * R)
 
 
 def lemma53_check(R: float, params: Params, eps: float) -> tuple[bool, float]:
-    """Grid minimum over r > R of 2 psi_1 - [N eps/(2N+4+2b)] psi_2^{N/(2+b)}."""
+    """Grid minimum over r > R of 2 psi_1 - [N eps/(2N+4+2b)] psi_2^{N/(2+b)},
+    scanned over the grid's blocks."""
     _mass_critical_p(params)
     grid = _lemma_grid(R, params.N)
-    expr = _lemma53_form(*psi12(R, params, grid), params, eps)
-    mask = grid.r > R * (1.0 + 1e-9)
-    margin = float(np.min(expr[mask]))
+    margin = math.inf
+    for blk in blocks(len(grid)):
+        expr = _lemma53_form(*psi12(R, params, grid, blk), params, eps)
+        margin = float(np.min(expr[grid.r[blk] > R * (1.0 + 1e-9)], initial=margin))
     return margin >= 0.0, margin
 
 
@@ -375,7 +394,7 @@ def virial_V(u: RadialField, cutoff: CutoffProfile) -> float:
 
 def _check_grid(u: RadialField, cutoff: CutoffProfile):
     require_same_N(u.grid, cutoff.grid)
-    if len(u.grid) != len(cutoff.grid) or u.grid.dr != cutoff.grid.dr:
+    if len(u.grid) != len(cutoff.phi) or u.grid.dr != cutoff.grid.dr:
         raise ValueError("cutoff is tabulated on a different grid than the field")
 
 
@@ -472,7 +491,7 @@ def _measured_series(states, cutoff):
     which must be uniformly spaced in time."""
     ts = np.array([t for t, _ in states])
     dts = np.diff(ts)
-    if not np.allclose(dts, dts[0], rtol=1e-8):
+    if not np.allclose(dts, dts[0], rtol=1e-8, atol=0.0):
         raise ValueError("saved states must be uniformly spaced in time")
     dt = float(dts[0])
     V = np.array([virial_V(u, cutoff) for _, u in states])

@@ -122,9 +122,10 @@ FAULTS = {
     # virial
     "cutoff_invariants_R_sweep": ("virial", lambda mp: _wrap(
         mp, vir, "_tabulate", _zeta_off)),
+    # the sweep builds phi_R one block of the grid at a time
     "bilaplacian_green_identity": ("virial", lambda mp: _wrap(
-        mp, vir, "build_zeta_theta_phi",
-        lambda f, R, g: dataclasses.replace(f(R, g), bilap=1.01 * f(R, g).bilap))),
+        mp, vir, "build_zeta_theta_phi", lambda f, R, g, blk: dataclasses.replace(
+            f(R, g, blk), bilap=1.01 * f(R, g, blk).bilap))),
     "vartheta_junction_value": ("virial", lambda mp: _wrap(
         mp, vir, "vartheta", lambda f, rho: (1 + 1e-9) * f(rho))),
     "lemma52_R_independence": ("virial", lambda mp: _wrap(
@@ -156,10 +157,11 @@ def test_fault_fails_its_row(monkeypatch, name):
 
 
 def test_green_identity_reads_a_wrong_R_power(monkeypatch):
-    # lap^2 phi_R scaled as R^-1 instead of R^-2: the defect is R - 1,
-    # largest at R = 8
+    # lap^2 phi_R scaled as R^-1 instead of R^-2 on every block: the defect
+    # is R - 1, largest at R = 8
     _wrap(monkeypatch, vir, "build_zeta_theta_phi",
-          lambda f, R, g: dataclasses.replace(f(R, g), bilap=R * f(R, g).bilap))
+          lambda f, R, g, blk: dataclasses.replace(f(R, g, blk),
+                                                   bilap=R * f(R, g, blk).bilap))
     assert _rows("virial")["bilaplacian_green_identity"].value == pytest.approx(
         7.0, rel=1e-6)
 

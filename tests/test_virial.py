@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from inls_lab import virial
-from inls_lab.grids import Params, RadialField, gradient_sq_norm, make_grid
+from inls_lab import verify, virial
+from inls_lab.grids import (Params, RadialField, gradient_sq_norm, integrate,
+                            make_grid, radial_derivative)
 from inls_lab.functionals import energy, potential
 from inls_lab.virial import (
     blowup_bound_check,
@@ -198,16 +199,81 @@ class TestLemmaChecks:
         assert margin == -53.78090060354979
 
     def test_lemma52_peak_memory(self):
-        # the 199,999-node grid at R = 8 sets the peak; the full psi_R
-        # profile took 24.4 MiB there, vartheta and vartheta' alone about
-        # 10 MiB (numpy reports its buffers to tracemalloc)
-        tracemalloc.start()
-        try:
-            lemma52_check(8.0, P313)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 14 * 2**20
+        # the 199,999-node grid at R = 8 sets the peak, 3.05 MiB of it its r
+        # and weights; the full psi_R profile took 24.4 MiB there, vartheta
+        # and vartheta' of the whole grid about 10 MiB, of its blocks 3.9 MiB
+        # (numpy reports its buffers to tracemalloc)
+        assert _traced_peak(lambda: lemma52_check(8.0, P313)) < 4.5 * 2**20
+
+
+def _traced_peak(fn):
+    """The peak of the memory numpy and Python allocate during fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedScans:
+    # the verify scans run over grids.blocks; each equals the scan of the
+    # whole profile, bit for bit
+
+    @staticmethod
+    def _whole_green_defect(R, g):
+        phi = build_zeta_theta_phi(R, g)
+        a = 2.0 / R**2
+        f = np.exp(-a * g.r**2)
+        lhs = integrate(phi.bilap * f, g)
+        rhs = integrate(phi.lap * (4.0 * a * a * g.r**2 - 2.0 * a * g.N) * f, g)
+        return abs(lhs - rhs) / abs(rhs)
+
+    # shorter than one block, exactly one block, and verify's 100,000 nodes
+    @pytest.mark.parametrize("n", [5000, 8192, 100000])
+    @pytest.mark.parametrize("R", [1.0, 8.0])
+    def test_green_defect(self, R, n):
+        g = make_grid(4.0 * R, 4.0 * R / (n - 1), 3)
+        assert len(g) == n
+        if n == 100000:
+            assert len(verify._cutoff_grid(R)) == n
+        assert verify._green_defect(R, g) == self._whole_green_defect(R, g)
+
+    # R = 16384 dr / 4 gives 2 blocks and a last block of one node, whose
+    # derivative takes its left neighbour from the block before; at the two
+    # R below 0.8 the sup lies at the last node of the first block and at the
+    # first node of the second, where the centred difference reaches into
+    # the next block
+    @pytest.mark.parametrize("R, n, argmax", [
+        (1.0, None, None), (8.0, 199999, None),
+        (16384 * 16.0 / 99999 / 4, 2 * 8192 + 1, None),
+        (0.7851914392981528, None, 8191), (0.7852873083423576, None, 8192)])
+    def test_lemma52(self, R, n, argmax):
+        grid = virial._lemma_grid(R, P313.N)
+        mask = grid.r > R * (1.0 + 1e-9)
+        # psi_2 rounds to -4e-16 at some nodes of r < R at these R: NaN there
+        with np.errstate(invalid="ignore"):
+            y = psi12(R, P313, grid)[1] ** (1.0 / (P313.p - 1.0))
+            blocked = lemma52_check(R, P313)
+        dy = np.abs(radial_derivative(y, grid))
+        assert blocked == float(np.max(dy[mask]) * R)
+        if argmax is not None:
+            assert np.argmax(np.where(mask, dy, 0.0)) == argmax
+        if n is not None:
+            assert len(grid) == n
+
+    @pytest.mark.parametrize("R, eps", [(1.0, 1e-3), (1.0, 10.0), (8.0, 1e-3)])
+    def test_lemma53(self, R, eps):
+        grid = virial._lemma_grid(R, P313.N)
+        expr = virial._lemma53_form(*psi12(R, P313, grid), P313, eps)
+        margin = float(np.min(expr[grid.r > R * (1.0 + 1e-9)]))
+        assert lemma53_check(R, P313, eps) == (margin >= 0.0, margin)
+
+    def test_virial_suite_peak_memory(self):
+        # besides a grid's r and weights (3.05 MiB for the 199,999-node
+        # Lemma 5.2 grid) no array is longer than a block; the scans of
+        # whole profiles peaked at 11.5 MiB
+        assert _traced_peak(verify.suite_virial) <= 4.5 * 2**20
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +311,15 @@ class TestVirialRHS:
             virial_rhs(u, P314, cut)
         with pytest.raises(ValueError, match=mismatch):
             virial.virial_V(u, cut)
+
+    def test_block_profile_refused(self):
+        # a profile of one block of the field's grid is not the whole cutoff
+        g = make_grid(4.0, 4.0 / 9999, 3)
+        u = RadialField(g, np.exp(-g.r**2))
+        cut = build_zeta_theta_phi(1.0, g, slice(0, 8192))
+        for check in (lambda: virial_rhs(u, P313, cut), lambda: virial.virial_V(u, cut)):
+            with pytest.raises(ValueError, match="different grid"):
+                check()
 
     def test_locality_matches_quadratic(self):
         g = make_grid(8.0, 1e-3, 3)
@@ -325,14 +400,16 @@ class TestEnvelopeInputs:
 
     def test_uneven_spacing(self):
         # one Gaussian saved at uneven times: every stencil is resolved, but
-        # no step dt makes its second differences V''
+        # no step dt makes its second differences V''; the second set's
+        # steps, 1e-10 and 2e-10, differ by less than np.allclose's default atol
         g = make_grid(20.0, 0.05, 3)
         u = RadialField(g, np.exp(-g.r**2))
-        states = [(t, u) for t in (0.0, 0.1, 0.3, 0.35, 0.5, 0.9)]
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            fit_envelope_constant(states, P313, 2.0, 0.1)
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            blowup_bound_check(states, P313, 2.0, 0.1, 1.0)
+        for times in ((0.0, 0.1, 0.3, 0.35, 0.5, 0.9), (0.0, 1e-10, 3e-10, 4e-10)):
+            states = [(t, u) for t in times]
+            with pytest.raises(ValueError, match="uniformly spaced"):
+                fit_envelope_constant(states, P313, 2.0, 0.1)
+            with pytest.raises(ValueError, match="uniformly spaced"):
+                blowup_bound_check(states, P313, 2.0, 0.1, 1.0)
 
 
 class TestBlowupEnvelope:
