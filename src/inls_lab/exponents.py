@@ -1,8 +1,12 @@
 """Exact rational arithmetic for Strichartz-type exponent relations.
 
-Everything here runs on fractions.Fraction; no floating comparison anywhere.
-A pair (q, r) is Schrodinger admissible when 2/q + N/r = N/2 with r in the
-dimension-dependent range; q = infinity is encoded as the reciprocal 1/q = 0
+Results are fractions.Fraction values.  The scattering exponents
+(q, r, k, m) and (l, delta) are each built once from integer polynomials in
+alpha's numerator and denominator, and their identities and admissibility
+are tested by integer cross-multiplication of the results' numerators and
+denominators; the rest is Fraction arithmetic, so no comparison anywhere is
+floating.  A pair (q, r) is Schrodinger admissible when 2/q + N/r = N/2 with
+r in the dimension-dependent range; q = infinity is encoded as the reciprocal 1/q = 0
 (``q=None`` in signatures), which keeps the arithmetic total.
 """
 
@@ -26,13 +30,14 @@ __all__ = [
 ]
 
 
-def _inv(q: Fraction | None) -> Fraction:
-    """Reciprocal with the q = infinity encoding 1/q = 0."""
+def _inv(q: Fraction | None) -> tuple[int, int]:
+    """Numerator and denominator of 1/q, with the q = infinity encoding
+    1/q = 0/1."""
     if q is None:
-        return Fraction(0)
-    if q <= 0:
+        return 0, 1
+    if q.numerator <= 0:
         raise ValueError("exponents must be positive (or None for infinity)")
-    return 1 / q
+    return q.denominator, q.numerator
 
 
 def _require(holds: bool, identity: str) -> None:
@@ -46,17 +51,18 @@ def admissible_check(q: Fraction | None, r: Fraction | None, N: int) -> bool:
     """Exact check of 2/q + N/r = N/2 plus the r-range case split.
 
     r in [2, 2N/(N-2)] for N >= 3, [2, inf) for N = 2, [2, inf] for N = 1.
+    With 1/q = a/b and 1/r = c/e the relation reads 2(2ae + Ncb) = Nbe.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    qi, ri = _inv(q), _inv(r)
-    if 2 * qi + N * ri != Fraction(N, 2):
+    (a, b), (c, e) = _inv(q), _inv(r)
+    if 2 * (2 * a * e + N * c * b) != N * b * e:
         return False
     if N >= 3:
-        return Fraction(N - 2, 2 * N) <= ri <= Fraction(1, 2)
+        return (N - 2) * e <= 2 * N * c and 2 * c <= e
     if N == 2:
-        return Fraction(0) < ri <= Fraction(1, 2)
-    return Fraction(0) <= ri <= Fraction(1, 2)
+        return 0 < c and 2 * c <= e
+    return 0 <= c and 2 * c <= e
 
 
 def scattering_alpha_window(N: int) -> tuple[Fraction, Fraction | None]:
@@ -67,11 +73,12 @@ def scattering_alpha_window(N: int) -> tuple[Fraction, Fraction | None]:
 
 
 def _require_window(alpha: Fraction, N: int) -> None:
-    lo, hi = scattering_alpha_window(N)
-    if not alpha > lo:
-        raise ValueError(f"alpha = {alpha} must exceed 4/N = {lo}")
-    if hi is not None and not alpha < hi:
-        raise ValueError(f"alpha = {alpha} must be below 4/(N-2) = {hi}")
+    # alpha - 4/N = (nN - 4d)/(dN) and 4/(N-2) - alpha = (4d - n(N-2))/(d(N-2))
+    n, d = alpha.numerator, alpha.denominator
+    if not (n * N - 4 * d) * N > 0:
+        raise ValueError(f"alpha = {alpha} must exceed 4/N = {Fraction(4, N)}")
+    if N >= 3 and not 4 * d - n * (N - 2) > 0:
+        raise ValueError(f"alpha = {alpha} must be below 4/(N-2) = {Fraction(4, N - 2)}")
 
 
 def scattering_exponents(alpha: Fraction, N: int) -> tuple[Fraction, ...]:
@@ -81,22 +88,27 @@ def scattering_exponents(alpha: Fraction, N: int) -> tuple[Fraction, ...]:
         m = 2a(a+2)/(Na^2+(N-2)a-4),
 
     verified to satisfy 1/k + 1/m = 2/q exactly, k > q/2, and (q, r)
-    admissible.
+    admissible.  With a = n/d and s = n + 2d each is one quotient of
+    integers, e.g. k = 2ns/(d(4d - (N-2)n)).
     """
     alpha = Fraction(alpha)
     _require_window(alpha, N)
-    q = 4 * (alpha + 2) / (N * alpha)
-    r = alpha + 2
-    k_den = 4 - (N - 2) * alpha
+    n, d = alpha.numerator, alpha.denominator
+    s = n + 2 * d
+    q, r = Fraction(4 * s, N * n), Fraction(s, d)
+    k_den = 4 * d - (N - 2) * n
     if k_den <= 0:
         raise ValueError("k degenerates: 4 - (N-2) alpha must be positive")
-    k = 2 * alpha * (alpha + 2) / k_den
-    m_den = N * alpha**2 + (N - 2) * alpha - 4
+    k = Fraction(2 * n * s, d * k_den)
+    m_den = N * n * n + (N - 2) * n * d - 4 * d * d
     if m_den <= 0:
         raise ValueError("m degenerates: N alpha^2 + (N-2) alpha - 4 must be positive")
-    m = 2 * alpha * (alpha + 2) / m_den
-    _require(1 / k + 1 / m == 2 / q, "1/k + 1/m = 2/q")
-    _require(k > q / 2, "k > q/2")
+    m = Fraction(2 * n * s, m_den)
+    qn, qd, kn, kd, mn, md = (q.numerator, q.denominator, k.numerator,
+                              k.denominator, m.numerator, m.denominator)
+    # each identity times the product of its denominators, all positive
+    _require((kd * mn + md * kn) * qn == 2 * qd * kn * mn, "1/k + 1/m = 2/q")
+    _require(2 * kn * qd > qn * kd, "k > q/2")
     _require(admissible_check(q, r, N), "(q, r) admissible")
     return q, r, k, m
 
@@ -111,15 +123,19 @@ def auxiliary_exponents(alpha: Fraction, N: int) -> tuple[Fraction, Fraction]:
     """
     alpha = Fraction(alpha)
     _, r, k, _ = scattering_exponents(alpha, N)
-    l_den = N * alpha**2 + 4 * (N - 1) * alpha - 8
+    n, d = alpha.numerator, alpha.denominator
+    l_den = N * n * n + 4 * (N - 1) * n * d - 8 * d * d
     if l_den <= 0:
         raise ValueError("l degenerates in the given window")
-    l = 2 * N * alpha * (alpha + 2) / l_den
-    delta = (N * alpha - 4) / (2 * alpha)
-    # the fractional Sobolev embedding behind the linear-part estimate
-    _require(1 / r == 1 / l - delta / N, "1/r = 1/l - delta/N")
-    _require(l <= r, "l <= r")
-    _require(Fraction(0) < delta < Fraction(1), "0 < delta < 1")
+    l = Fraction(2 * N * n * (n + 2 * d), l_den)
+    delta = Fraction(N * n - 4 * d, 2 * n)
+    rn, rd, ln, ld, dn, dd = (r.numerator, r.denominator, l.numerator,
+                              l.denominator, delta.numerator, delta.denominator)
+    # the fractional Sobolev embedding behind the linear-part estimate, times
+    # N dd rn ln
+    _require(N * dd * rd * ln == (N * dd * ld - dn * ln) * rn, "1/r = 1/l - delta/N")
+    _require(ln * rd <= rn * ld, "l <= r")
+    _require(0 < dn < dd, "0 < delta < 1")
     _require(admissible_check(k, l, N), "(k, l) admissible")
     return l, delta
 

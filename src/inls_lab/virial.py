@@ -356,7 +356,10 @@ def lemma52_check(R: float, params: Params) -> float:
     sup = 0.0
     for blk in blocks(len(grid)):
         lo, hi = max(blk.start - 1, 0), min(blk.stop + 1, len(grid))
-        y = psi12(R, params, grid, slice(lo, hi))[1] ** (1.0 / (p_star - 1.0))
+        # psi_2 is 0 for r <= R but can round to -4e-16 there: clamped, its
+        # power is 0 rather than NaN
+        psi2 = psi12(R, params, grid, slice(lo, hi))[1]
+        y = np.maximum(psi2, 0.0, out=psi2) ** (1.0 / (p_star - 1.0))
         dy = radial_derivative(y, grid)[blk.start - lo:blk.stop - lo]
         sup = np.max(np.abs(dy[grid.r[blk] > R * (1.0 + 1e-9)]), initial=sup)
     return float(sup * R)

@@ -1,13 +1,16 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import inls_lab
+import inls_lab.exponents as expo
 from inls_lab.grids import Params, classify
 from inls_lab.exponents import (
     admissible_check,
@@ -176,3 +179,166 @@ class TestOptimizedInterpreter:
     def test_verify_exponents_under_O(self):
         proc = self._run_O("-m", "inls_lab.cli", "verify", "--suite", "exponents")
         assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-arithmetic formulas the integer core replaced, kept verbatim
+# as its oracle
+# ---------------------------------------------------------------------------
+
+def _ref_inv(q):
+    if q is None:
+        return F(0)
+    if q <= 0:
+        raise ValueError("exponents must be positive (or None for infinity)")
+    return 1 / q
+
+
+def _ref_require(holds, identity):
+    if not holds:
+        raise AssertionError(f"exact identity failed: {identity}")
+
+
+def _ref_admissible_check(q, r, N):
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    qi, ri = _ref_inv(q), _ref_inv(r)
+    if 2 * qi + N * ri != F(N, 2):
+        return False
+    if N >= 3:
+        return F(N - 2, 2 * N) <= ri <= F(1, 2)
+    if N == 2:
+        return F(0) < ri <= F(1, 2)
+    return F(0) <= ri <= F(1, 2)
+
+
+def _ref_require_window(alpha, N):
+    lo = F(4, N)
+    hi = F(4, N - 2) if N >= 3 else None
+    if not alpha > lo:
+        raise ValueError(f"alpha = {alpha} must exceed 4/N = {lo}")
+    if hi is not None and not alpha < hi:
+        raise ValueError(f"alpha = {alpha} must be below 4/(N-2) = {hi}")
+
+
+def _ref_scattering_exponents(alpha, N):
+    alpha = F(alpha)
+    _ref_require_window(alpha, N)
+    q = 4 * (alpha + 2) / (N * alpha)
+    r = alpha + 2
+    k_den = 4 - (N - 2) * alpha
+    if k_den <= 0:
+        raise ValueError("k degenerates: 4 - (N-2) alpha must be positive")
+    k = 2 * alpha * (alpha + 2) / k_den
+    m_den = N * alpha**2 + (N - 2) * alpha - 4
+    if m_den <= 0:
+        raise ValueError("m degenerates: N alpha^2 + (N-2) alpha - 4 must be positive")
+    m = 2 * alpha * (alpha + 2) / m_den
+    _ref_require(1 / k + 1 / m == 2 / q, "1/k + 1/m = 2/q")
+    _ref_require(k > q / 2, "k > q/2")
+    _ref_require(_ref_admissible_check(q, r, N), "(q, r) admissible")
+    return q, r, k, m
+
+
+def _ref_auxiliary_exponents(alpha, N):
+    alpha = F(alpha)
+    _, r, k, _ = _ref_scattering_exponents(alpha, N)
+    l_den = N * alpha**2 + 4 * (N - 1) * alpha - 8
+    if l_den <= 0:
+        raise ValueError("l degenerates in the given window")
+    l = 2 * N * alpha * (alpha + 2) / l_den
+    delta = (N * alpha - 4) / (2 * alpha)
+    _ref_require(1 / r == 1 / l - delta / N, "1/r = 1/l - delta/N")
+    _ref_require(l <= r, "l <= r")
+    _ref_require(F(0) < delta < F(1), "0 < delta < 1")
+    _ref_require(_ref_admissible_check(k, l, N), "(k, l) admissible")
+    return l, delta
+
+
+def _outcome(f, *args):
+    """What f(*args) gives: its value with the type of each entry, or the
+    type and message of what it raises."""
+    try:
+        value = f(*args)
+    except (ValueError, AssertionError, ZeroDivisionError) as e:
+        return "raised", type(e), str(e)
+    kinds = tuple(map(type, value)) if isinstance(value, tuple) else type(value)
+    return "returned", value, kinds
+
+
+def _alpha_cases(rng, N):
+    """Alphas inside the window, exactly at and just past both of its ends,
+    where the k, m or l denominator is <= 0, and anywhere."""
+    lo, hi = F(4, N), F(4, N - 2) if N >= 3 else None
+    tiny = F(rng.choice((-1, 1)), 10 ** rng.randint(1, 12))
+    yield lo + (F(rng.randint(1, 4000), rng.randint(1, 500)) if hi is None
+                else (hi - lo) * F(rng.randint(1, 999), 1000))
+    yield lo
+    yield lo + tiny
+    yield hi if hi is not None else lo + 10 ** rng.randint(1, 6)
+    yield hi + tiny if hi is not None else lo + abs(tiny)
+    # 4 - (N-2) a <= 0 from 4/(N-2) on; N a^2 + (N-2) a - 4 <= 0 up to 2/N,
+    # and N a^2 + 4(N-1) a - 8 <= 0 below it
+    yield (hi if hi is not None else lo) + F(rng.randint(0, 100), rng.randint(1, 9))
+    yield F(2, N) * F(rng.randint(0, 1000), 1000)
+    yield F(rng.randint(-50, 400), rng.randint(1, 60))
+
+
+class TestIntegerCoreOracle:
+    """The integer core returns what the Fraction formulas return, as
+    Fractions, and raises what they raise, with the same message."""
+
+    def test_seeded_alpha_N_pairs(self):
+        rng = random.Random(28)
+        seen, pairs = set(), 0
+        for _ in range(100):
+            for N in range(1, 8):
+                for alpha in _alpha_cases(rng, N):
+                    for new, ref in ((scattering_exponents, _ref_scattering_exponents),
+                                     (auxiliary_exponents, _ref_auxiliary_exponents)):
+                        got = _outcome(new, alpha, N)
+                        assert got == _outcome(ref, alpha, N), (new.__name__, alpha, N)
+                        if got[0] == "returned":
+                            assert all(t is F for t in got[2])
+                        seen.add(got[0] if got[0] == "returned"
+                                 else re.search("must (exceed|be below)", got[2])[1])
+                    pairs += 1
+        assert pairs >= 5000
+        # for N >= 1 a k, m or l denominator <= 0 lies outside the window, and
+        # only the window's two messages are raised
+        assert seen == {"returned", "exceed", "be below"}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(alpha=st.fractions(max_denominator=10**6), N=st.integers(1, 7))
+    def test_any_alpha(self, alpha, N):
+        for new, ref in ((scattering_exponents, _ref_scattering_exponents),
+                         (auxiliary_exponents, _ref_auxiliary_exponents)):
+            got = _outcome(new, alpha, N)
+            assert got == _outcome(ref, alpha, N)
+            assert got[0] == "raised" or all(t is F for t in got[2])
+
+    def test_seeded_admissible_pairs(self):
+        rng = random.Random(2801)
+        admissible = 0
+        for _ in range(2000):
+            N = rng.randint(-1, 7)
+            r = rng.choice((None, F(rng.randint(-2, 60), rng.randint(1, 12))))
+            q = rng.choice((None, F(rng.randint(-2, 60), rng.randint(1, 12))))
+            if N >= 1 and r is not None and r > 0 and rng.random() < 0.7:
+                # q from 2/q = N/2 - N/r, so that the relation holds
+                qi = F(N, 4) - F(N, 2) / r
+                q = None if qi == 0 else 1 / qi if qi > 0 else q
+            got = _outcome(admissible_check, q, r, N)
+            assert got == _outcome(_ref_admissible_check, q, r, N), (q, r, N)
+            admissible += got[:3] == ("returned", True, bool)
+        assert admissible > 150
+
+    @pytest.mark.parametrize("identity", [
+        "1/k + 1/m = 2/q", "k > q/2", "(q, r) admissible",
+        "1/r = 1/l - delta/N", "l <= r", "0 < delta < 1", "(k, l) admissible"])
+    def test_each_identity_goes_through_require(self, monkeypatch, identity):
+        require = expo._require
+        monkeypatch.setattr(expo, "_require", lambda holds, name: require(
+            holds and name != identity, name))
+        with pytest.raises(AssertionError, match=re.escape(identity)):
+            auxiliary_exponents(F(2), 3)

@@ -17,6 +17,22 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert at lines {lines}"
 
 
+def test_exponents_stay_exact():
+    # the exponent identities are tested in integers and Fractions: a float
+    # literal or numpy there would make a check approximate (an int / int
+    # shows in the oracle test of test_exponents, as a float result)
+    path = next(p for p in SRC if p.name == "exponents.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    floats = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+    numpy = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "numpy" for a in node.names))
+             or (isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "numpy")]
+    assert (floats, numpy) == ([], [])
+
+
 def _owned_nodes(node, owner=None):
     """(outermost enclosing function name or None, node) for each node of
     the tree under node."""

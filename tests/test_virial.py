@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,17 @@ class TestLemmaChecks:
         # bit for bit the values of the full-profile build
         assert sups == [80.50386234825373, 80.78607602615695,
                         81.01198282926731, 81.155696770306]
+
+    # psi_2 is 0 for r <= R but rounds to -4e-16 at some of those nodes at
+    # these R; its power there read NaN, and the centred difference at the
+    # first node past R carried it into the sup
+    @pytest.mark.parametrize("R", [1.9, 3.5, 5.0, 10.0])
+    def test_lemma52_finite_off_powers_of_two(self, R):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sup = lemma52_check(R, P313)
+        assert np.isfinite(sup)
+        assert abs(sup - 80.50386234825373) / sup < 0.10
 
     def test_lemma53_small_eps_holds(self):
         ok, margin = lemma53_check(1.0, P313, 1e-3)
