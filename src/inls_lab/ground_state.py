@@ -131,8 +131,8 @@ def _radii(N: int, b: float, dr: float, r_max: float) -> tuple:
     round like libm's pow).  The table is (dr^b, (N-1)/dr, segments): per
     segment, h, the steps per sampled node, and r^b and (N-1)/r at each
     step's midpoint r + h/2 and end r + h; a step's end is the next step's
-    start.  Only the last table is kept, and shoot releases it when its
-    bisection ends.
+    start.  Only the last table is kept, and shoot releases it once its
+    bisection ends or it raises before that.
     """
     n = int(round(r_max / dr)) + 1
     refined = min(_REFINED_NODES, n - 2)  # nodes after the series start
@@ -428,46 +428,49 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
 
     grid = make_grid(r_max, dr, N)  # rejects a grid of fewer than 3 nodes
 
-    # geometric sweep from the top for an (undershoot, overshoot) bracket
-    above = None
-    for k in range(10, -11, -1):
-        run = _fated(2.0**k, N, b, p, dr, r_max)
-        if above is not None:
-            if run[0] == _UNDERSHOOT and above[0] == _OVERSHOOT:
-                break
-            if run[0] == _OVERSHOOT and above[0] == _UNDERSHOOT:
-                raise RuntimeError(
-                    "shooting fates are not monotone in Q(0) on the sweep"
-                )
-        above = run
-    else:
-        raise RuntimeError(
-            f"no undershoot/overshoot bracket found for Q(0) in [2^-10, 2^10] "
-            f"at (N, b, p) = ({N}, {b}, {p})"
-        )
-    lo, hi = 2.0**k, 2.0 ** (k + 1)  # lo undershoots, hi overshoots
-    # every later read is of a Q(0) in [lo, hi): the table starts from lo
-    table = {lo: run}
-    U, O = _search(lo, hi, above, table, N, b, p, dr, r_max, tol)
+    # the radius table (32 B per node) is read only by the sweep, the
+    # search and the bisection: release it when they end, raised or not
+    try:
+        # geometric sweep from the top for an (undershoot, overshoot) bracket
+        above = None
+        for k in range(10, -11, -1):
+            run = _fated(2.0**k, N, b, p, dr, r_max)
+            if above is not None:
+                if run[0] == _UNDERSHOOT and above[0] == _OVERSHOOT:
+                    break
+                if run[0] == _OVERSHOOT and above[0] == _UNDERSHOOT:
+                    raise RuntimeError(
+                        "shooting fates are not monotone in Q(0) on the sweep"
+                    )
+            above = run
+        else:
+            raise RuntimeError(
+                f"no undershoot/overshoot bracket found for Q(0) in "
+                f"[2^-10, 2^10] at (N, b, p) = ({N}, {b}, {p})"
+            )
+        lo, hi = 2.0**k, 2.0 ** (k + 1)  # lo undershoots, hi overshoots
+        # every later read is of a Q(0) in [lo, hi): the table starts from lo
+        table = {lo: run}
+        U, O = _search(lo, hi, above, table, N, b, p, dr, r_max, tol)
 
-    def low(mid):
-        # replay: a midpoint <= U goes low and one >= O high unread; inside,
-        # an undershoot or a run that reached r_max cleanly (taken as
-        # decayed from above) goes low
-        if not U < mid < O:
-            return mid <= U
-        return _trajectory(mid, table, N, b, p, dr, r_max)[0] != _OVERSHOOT
+        def low(mid):
+            # replay: a midpoint <= U goes low and one >= O high unread;
+            # inside, an undershoot or a run that reached r_max cleanly
+            # (taken as decayed from above) goes low
+            if not U < mid < O:
+                return mid <= U
+            return _trajectory(mid, table, N, b, p, dr, r_max)[0] != _OVERSHOOT
 
-    lo, hi, bisections = _bisect(lo, hi, tol, low)
-    fate, qs, vs = _trajectory(lo, table, N, b, p, dr, r_max)
-    if fate == _OVERSHOOT:
-        raise RuntimeError(
-            f"shooting fates are not monotone in Q(0): {lo!r} overshoots "
-            f"below the undershoot {U!r}"
-        )
+        lo, hi, bisections = _bisect(lo, hi, tol, low)
+        fate, qs, vs = _trajectory(lo, table, N, b, p, dr, r_max)
+        if fate == _OVERSHOOT:
+            raise RuntimeError(
+                f"shooting fates are not monotone in Q(0): {lo!r} overshoots "
+                f"below the undershoot {U!r}"
+            )
+    finally:
+        _radii.cache_clear()
     trajectories = 10 - k + len(table)  # the sweep integrated 2^10 .. 2^k
-    # the radius table (32 B per node) is not read again: release it
-    _radii.cache_clear()
 
     n = len(grid)
     q_full = np.zeros(n)

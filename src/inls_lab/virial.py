@@ -86,8 +86,7 @@ class CutoffProfile:
 
     def phi_over_r(self) -> np.ndarray:
         """phi'(r)/r with its r -> 0 limit phi''(0)."""
-        return _over_r(self.dphi, self.d2phi, self.grid.r[self.block],
-                       np.empty_like(self.dphi))
+        return _over_r(self.dphi, self.d2phi, self.grid.r[self.block])
 
 
 def _off_origin(r):
@@ -95,10 +94,10 @@ def _off_origin(r):
     return slice(int(r[0] == 0.0), None)
 
 
-def _over_r(dphi, d2phi, r, out):
-    """phi'/r with its r -> 0 limit phi''(0), written into out (which may be
-    dphi itself)."""
+def _over_r(dphi, d2phi, r):
+    """phi'/r with its r -> 0 limit phi''(0), in a new array."""
     s = _off_origin(r)
+    out = np.empty_like(dphi)
     np.divide(dphi[s], r[s], out=out[s])
     out[:s.start] = d2phi[:s.start]
     return out
@@ -107,13 +106,7 @@ def _over_r(dphi, d2phi, r, out):
 def _laplacian(f, f1, rho, N):
     """lap phi = phi'' + (N-1) phi'/r of a cutoff with phi'' = f(rho) and
     phi' = R f1(rho), where f1/rho -> f at the origin."""
-    s = _off_origin(rho)
-    lap = np.empty_like(f)
-    lap[:s.start] = f[:s.start]
-    np.divide(f1[s], rho[s], out=lap[s])
-    lap *= N - 1
-    lap += f
-    return lap
+    return (N - 1) * _over_r(f1, f, rho) + f
 
 
 # ---------------------------------------------------------------------------
@@ -301,34 +294,24 @@ def psi12(R: float, params: Params, grid: RadialGrid,
     at grid.r[block], cross-checked against the closed form on the quintic
     annulus.
 
-    Builds vartheta and vartheta' alone (psi'' = vartheta'(r/R) and
-    psi' = R vartheta(r/R)): four arrays as long as the block, rho = r/R,
-    vartheta, vartheta' and lap psi.  rho is dropped once lap psi is formed;
-    then vartheta becomes psi'/r, psi_2 overwrites lap psi and psi_1
-    overwrites vartheta', each in place.  build_vartheta_psi's checks run on
-    the same values, and the result is the one its profile gives, bit for
-    bit: each in-place step only swaps the operands of a product or a sum."""
+    Tabulates vartheta and vartheta' alone: psi'' = vartheta'(r/R) and
+    psi' = R vartheta(r/R) are all it reads.  build_vartheta_psi's checks
+    run on the same values, and the result is the one its profile gives,
+    bit for bit."""
     require_same_N(grid, params)
     _mass_critical_p(params)
     N, b = params.N, params.b
     r = grid.r[block]
     rho = _psi_rho(R, r)
     v, dv = _tabulate(_PSI_TABLE, rho, (1, 2))
-    lap = _laplacian(dv, v, rho, grid.N)
+    lap = _laplacian(dv, v, rho, N)
+    por = _over_r(R * v, dv, r)
+    _check_cutoff("PsiR", dv, por, lap, N)
+    psi1 = 2.0 - dv
+    psi2 = (4.0 + 2.0 * b) / N * (2.0 * N - lap) - 2.0 * b * (2.0 - por)
     annulus = (rho > 1.0 + 1e-12) & (rho <= _R1)
-    rho_annulus = rho[annulus]
-    del rho
-    v *= R
-    por = _over_r(v, dv, r, v)
-    _check_cutoff("PsiR", dv, por, lap, grid.N)
-    psi2 = np.subtract(2.0 * N, lap, out=lap)
-    psi2 *= (4.0 + 2.0 * b) / N
-    np.subtract(2.0, por, out=por)
-    por *= 2.0 * b
-    psi2 -= por
-    psi1 = np.subtract(2.0, dv, out=dv)
-    if rho_annulus.size:
-        ref = psi2_closed_form(rho_annulus, params)
+    if np.any(annulus):
+        ref = psi2_closed_form(rho[annulus], params)
         err = np.max(np.abs(psi2[annulus] - ref))
         if err > 1e-8:
             raise AssertionError(
@@ -379,8 +362,10 @@ def lemma53_check(R: float, params: Params, eps: float) -> tuple[bool, float]:
 
 def _lemma53_form(psi1: np.ndarray, psi2: np.ndarray, params: Params,
                   eps: float) -> np.ndarray:
-    """2 psi_1 - [N eps/(2N+4+2b)] psi_2^{N/(2+b)}."""
+    """2 psi_1 - [N eps/(2N+4+2b)] psi_2^{N/(2+b)}.  psi_2 is 0 for r <= R
+    but can round to -4e-16 next to R: clamped, its power is 0, not NaN."""
     N, b = params.N, params.b
+    psi2 = np.maximum(psi2, 0.0)
     return 2.0 * psi1 - N * eps / (2.0 * N + 4.0 + 2.0 * b) * psi2 ** (N / (2.0 + b))
 
 
@@ -490,8 +475,8 @@ def _require_second_difference(states):
 
 
 def _measured_series(states, cutoff):
-    """t, V, V', V'' and the allowance for the error of V'' over states,
-    which must be uniformly spaced in time."""
+    """t, V, V', V'' and the time step dt over states, which must be
+    uniformly spaced in time."""
     ts = np.array([t for t, _ in states])
     dts = np.diff(ts)
     if not np.allclose(dts, dts[0], rtol=1e-8, atol=0.0):
@@ -500,18 +485,7 @@ def _measured_series(states, cutoff):
     V = np.array([virial_V(u, cutoff) for _, u in states])
     Vp = (V[2:] - V[:-2]) / (2.0 * dt)
     Vpp = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / dt**2
-    # leading discretization error of the central second difference is
-    # dt^2 V'''' / 12; estimate V'''' by fourth differences (edges replicated)
-    tol = np.full(len(Vpp), np.nan)
-    if len(V) >= 5:
-        v4 = (V[:-4] - 4 * V[1:-3] + 6 * V[2:-2] - 4 * V[3:-1] + V[4:]) / dt**4
-        tol[1:-1] = np.abs(v4)
-        tol[0] = tol[1]
-        tol[-1] = tol[-2]
-    else:
-        tol[:] = 0.0
-    tol = 1.5 * dt**2 * tol / 12.0 + 1e-9 * (1.0 + np.abs(Vpp))
-    return ts, V, Vp, Vpp, tol
+    return ts, V, Vp, Vpp, dt
 
 
 def _resolved_mask(E: np.ndarray) -> np.ndarray:
@@ -617,11 +591,13 @@ def blowup_bound_check(states, params: Params, R: float, eps: float,
     PDE solution, so a run without one gives no rows.  Raises ValueError for
     fewer than 3 states or for states not uniformly spaced in time.
     """
-    (_, V, Vp, Vpp, tol), stencils = _resolved_stencils(states, params, R, eps)
+    (_, V, Vp, Vpp, dt), stencils = _resolved_stencils(states, params, R, eps)
+    # dt^2 V''''/12 leads the error of V''; the fourth difference v4[i - 1]
+    # about state i + 1 estimates V'''' at row i, so rows 1 .. len(v4) are kept
+    v4 = (V[:-4] - 4 * V[1:-3] + 6 * V[2:-2] - 4 * V[3:-1] + V[4:]) / dt**4
     rows = []
-    interior = range(1, len(states) - 3)  # rows with a genuine V'''' estimate
     for i, t, lead, scale in stencils:
-        if i not in interior:
+        if not 1 <= i <= len(v4):
             continue
         rhs = lead + C_envelope * scale
         rows.append(
@@ -632,7 +608,8 @@ def blowup_bound_check(states, params: Params, R: float, eps: float,
                 Vpp_measured=float(Vpp[i]),
                 rhs_bound=float(rhs),
                 slack=float(rhs - Vpp[i]),
-                num_tol=float(tol[i]),
+                num_tol=float(1.5 * dt**2 * abs(v4[i - 1]) / 12.0
+                              + 1e-9 * (1.0 + abs(Vpp[i]))),
             )
         )
     return rows

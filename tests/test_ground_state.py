@@ -247,6 +247,15 @@ class TestTrajectory:
         shoot(P214, dr=1e-2)
         assert radii.cache_info().currsize == 0
 
+    # a shoot that raises releases the table too
+    @pytest.mark.parametrize("params, match", [
+        (Params(5, 1, 1.51), "no undershoot/overshoot bracket"),
+        (Params(4, 1, 1.67), "ran away")])
+    def test_failed_shoot_releases_its_radius_table(self, params, match):
+        with pytest.raises(RuntimeError, match=match):
+            shoot(params, dr=1e-2)
+        assert ground_state._radii.cache_info().currsize == 0
+
     def test_shoot_value_pinned(self):
         assert shoot(P214, dr=1e-2).shoot_value == 1.6721923293443979
 

@@ -167,8 +167,8 @@ class TestPsi12:
             psi12(2.0, P314, g)
 
     def test_equals_the_full_profile(self):
-        # psi12 builds vartheta and vartheta' alone and works in place; its
-        # result is the one the full psi_R profile gives, bit for bit
+        # psi12 tabulates vartheta and vartheta' alone; its result is the
+        # one the full psi_R profile gives, bit for bit
         R, N, b = 2.0, P313.N, P313.b
         g = make_grid(4.0 * R, 4.0 * R / 99999, 3)
         prof = build_vartheta_psi(R, g)
@@ -199,6 +199,16 @@ class TestLemmaChecks:
             sup = lemma52_check(R, P313)
         assert np.isfinite(sup)
         assert abs(sup - 80.50386234825373) / sup < 0.10
+
+    # at (3, 1/2, 8/3) the power N/(2+b) = 6/5 of psi_2 is not whole, and
+    # psi_2, 0 for r <= R, rounds to -2e-16 next to R: its power read NaN
+    @pytest.mark.parametrize("R", [1.9, 3.5, 5.0, 10.0])
+    def test_lemma53_finite_off_whole_powers(self, R):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ok, margin = lemma53_check(R, Params(3, 0.5, 8 / 3), 1e-3)
+        assert np.isfinite(margin)
+        assert ok == (margin >= 0.0)
 
     def test_lemma53_small_eps_holds(self):
         ok, margin = lemma53_check(1.0, P313, 1e-3)
@@ -443,6 +453,26 @@ class TestBlowupEnvelope:
         digest = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
         assert digest == ("49cdfce735614e3750e48ba08cdaf4f7"
                           "9e05ae000b247bd527fe521f3a77f1de")
+
+    def test_num_tol_is_the_fourth_difference(self, blowup_runs_mc):
+        # each row's allowance is 1.5 dt^2 |V''''|/12 + 1e-9 (1 + |V''|),
+        # V'''' the fourth difference about the row's centre state, bit for bit
+        states = blowup_runs_mc[1.2].states
+        C = fit_envelope_constant(blowup_runs_mc[1.6].states, P313, 32.0, 0.1)
+        rows = blowup_bound_check(states, P313, 32.0, 0.1, C)
+        cutoff = build_vartheta_psi(32.0, states[0][1].grid)
+        ts = [t for t, _ in states]
+        V = [virial.virial_V(u, cutoff) for _, u in states]
+        dt = ts[1] - ts[0]
+        assert len(rows) > 10
+        for row in rows:
+            j = ts.index(row.t)
+            assert 2 <= j <= len(V) - 3
+            v4 = (V[j - 2] - 4 * V[j - 1] + 6 * V[j] - 4 * V[j + 1]
+                  + V[j + 2]) / dt**4
+            vpp = (V[j + 1] - 2.0 * V[j] + V[j - 1]) / dt**2
+            assert row.num_tol == (1.5 * dt**2 * abs(v4) / 12.0
+                                   + 1e-9 * (1.0 + abs(vpp)))
 
     def test_remainder_smaller_than_8E(self, blowup_runs_mc):
         from inls_lab.grids import RegimeKind
