@@ -317,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ground_state)
 
     sp = sub.add_parser("verify", help="run the machine-checkable suites")
-    sp.add_argument("--suite", default="all",
-                    choices=["inequalities", "virial", "exponents", "all"])
+    sp.add_argument("--suite", default="all", choices=[*ver.SUITES, "all"])
     sp.add_argument("--out", default=None, help="write the JSON report here")
     sp.set_defaults(func=cmd_verify)
 

@@ -43,12 +43,14 @@ product of |u|'s when p - 1 is a whole number and a pow otherwise
 5, ... move at roundoff.
 The phase leaves |u| unchanged, so adjacent half-phases of consecutive
 steps multiply by the same factor exp(h |u|^{p-1}) (Strang splitting's
-merged half-steps): a step reuses the trailing factor of the step before
-when it is given the very values array that step returned.  Returned
-arrays are read-only, so that array still holds the state the factor was
-taken from; any other field, a copy included, takes its own factor.  The
-carried factor is taken from the CN output before the trailing multiply,
-so a chain of steps moves at roundoff against steps taking both factors.
+merged half-steps): the plan's factor buffer still holds the trailing
+factor of the step before when a step is given the very values array that
+step returned.  Returned arrays are read-only, so that array still holds
+the state the factor was taken from; for any other field, a copy included,
+the step writes its own factor there first.  Either way the leading
+half-phase is one multiply by the buffer.  The carried factor is taken from
+the CN output before the trailing multiply, so a chain of steps moves at
+roundoff against steps taking both factors.
 Blow-up on a fixed grid can only be certified as
 "self-focusing beyond resolution": detection requires gradient growth AND
 energy drift together.  energy_drift_max and boundary_flagged are taken over
@@ -237,10 +239,10 @@ class _CrankNicolson:
     by D_0 = a_0, L_i = e_i / D_i, D_{i+1} = a_{i+1} - L_i e_i on A's
     diagonal a and off-diagonal e (no pivot is needed: Re(y^H A y) =
     y^H M y > 0 for y != 0), and a solve is ztbtrs on L, a multiply by 2/D
-    and ztbtrs on L^T.  ``factor`` holds the trailing phase factor of the
-    last nonlinear step, and ``carry`` is (a weak reference to the array
-    that step returned, p) or None: a strong reference to the last state,
-    allocated at the top of the heap, kept a finished run's freed saved
+    and ztbtrs on L^T.  ``factor`` buffers every phase factor (after a
+    nonlinear step, its trailing one), and ``carry`` is (a weak reference
+    to the array that step returned, p) or None: a strong reference to the
+    last state, on top of the heap, kept a finished run's freed saved
     states resident (64 MB after the 1.6 Q collapse at dt 2.5e-4)."""
 
     def __init__(self, grid: RadialGrid, b: float, dt: float):
@@ -339,12 +341,6 @@ def _phase_factor(v: np.ndarray, h: np.ndarray, p: float,
     return x
 
 
-def _phase(v: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
-    """The half-phase v exp(h |v|^{p-1}) into a new array."""
-    x = _phase_factor(v, h, p)
-    return np.multiply(v, x, out=x)
-
-
 def step(u: RadialField, params: Params, dt: float,
          linear_only: bool = False) -> RadialField:
     """One Strang step: half nonlinear phase, CN free flow, half phase.
@@ -355,10 +351,11 @@ def step(u: RadialField, params: Params, dt: float,
     the first two interior nodes.  The returned field is the step's one
     finiteness check: a non-finite state raises NonFiniteError.
 
-    The leading half-phase reuses the trailing factor of the step before
-    when u.values is the (read-only) array that step returned, from the same
-    plan and p; any other field takes its own.  The carry is taken off the
-    plan at entry and stored only once the new state is accepted.
+    The leading half-phase is one multiply by plan.factor, which still
+    holds the trailing factor of the step before when u.values is the
+    (read-only) array that step returned, from the same plan and p; for any
+    other field u's own factor is written there first.  The carry is taken
+    off the plan at entry and stored only once the new state is accepted.
     """
     g = u.grid
     require_same_N(g, params)
@@ -366,10 +363,9 @@ def step(u: RadialField, params: Params, dt: float,
     carry, plan.carry = plan.carry, None
     v = u.values
     if not linear_only:
-        if carry is not None and carry[0]() is v and carry[1] == params.p:
-            v = np.multiply(v, plan.factor, out=plan.factor)
-        else:
-            v = _phase(v, plan.h, params.p)
+        if carry is None or carry[0]() is not v or carry[1] != params.p:
+            _phase_factor(v, plan.h, params.p, out=plan.factor)
+        v = np.multiply(v, plan.factor, out=plan.factor)
     v = plan.apply(v)
     if not linear_only:
         v *= _phase_factor(v, plan.h, params.p, out=plan.factor)

@@ -32,11 +32,11 @@ so two overshoots place a*.  It shoots only midpoints of the bisection's
 own path, walked with the estimate standing in for the fates it has not
 integrated.  The replay runs the bisection loop unchanged (``_bisect``
 serves both), except that a midpoint <= U is an undershoot and one >= O
-an overshoot without being read.  The sweep's lo and every trajectory
-after the sweep go into one table keyed by Q(0), which the replay and the
-final lo read before they integrate, so no Q(0) is integrated twice; the
-table keeps an undershoot's samples and an overshoot's fate, nothing at or
-above the sweep's hi, and goes when shoot returns.
+an overshoot without being read.  Every trajectory, the sweep's too, goes
+into one table keyed by Q(0) that each phase reads before it integrates,
+so no Q(0) is integrated twice and the table's size is the trajectory
+count.  It keeps an overshoot's fate alone (the sweep's above lo as well)
+and any other trajectory whole, and goes when shoot returns.
 The converged profile is the trajectory of the final undershoot end.
 """
 
@@ -257,26 +257,21 @@ _AIM = 3e-4
 _OVERSHOT = (_OVERSHOOT, None, None)  # an overshoot's entry in a shoot's table
 
 
-def _fated(a: float, N: int, b: float, p: float, dr: float, r_max: float):
-    """The trajectory of Q(0) = a, raising RuntimeError if it runs away."""
-    run = _shoot_trajectory(a, N, b, p, dr, r_max)
-    if run[0] == _RUNAWAY:
-        raise RuntimeError(
-            f"shooting trajectory Q(0) = {a!r} ran away: it passed 50 Q(0) at "
-            f"r = {(len(run[1]) - 1) * dr:.6g} before it first turned over, "
-            f"at (N, b, p) = ({N}, {b}, {p})"
-        )
-    return run
-
-
 def _trajectory(a: float, table: dict, N: int, b: float, p: float, dr: float,
                 r_max: float):
-    """The trajectory of Q(0) = a from the shoot's table, integrated
-    (_fated) and entered on a miss.  The table keeps an undershoot whole and
-    an overshoot as its fate alone; a fresh integration is returned whole."""
+    """The trajectory of Q(0) = a from the shoot's table, integrated and
+    entered on a miss; a runaway raises RuntimeError.  Every phase of shoot
+    reads through it.  The table keeps an overshoot (the sweep's above lo
+    too) as its fate alone and any other trajectory whole."""
     run = table.get(a)
     if run is None:
-        run = _fated(a, N, b, p, dr, r_max)
+        run = _shoot_trajectory(a, N, b, p, dr, r_max)
+        if run[0] == _RUNAWAY:
+            raise RuntimeError(
+                f"shooting trajectory Q(0) = {a!r} ran away: it passed 50 Q(0) "
+                f"at r = {(len(run[1]) - 1) * dr:.6g} before it first turned "
+                f"over, at (N, b, p) = ({N}, {b}, {p})"
+            )
         table[a] = _OVERSHOT if run[0] == _OVERSHOOT else run
     return run
 
@@ -404,11 +399,12 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
 
     The bisection is searched, then replayed (see the module docstring); its
     lo, hi and step count are those of integrating every midpoint, as long
-    as fates are monotone in Q(0) outside the search's bracket.  The search,
-    the replay and the final lo share one table of trajectories, so no Q(0)
-    is integrated twice.  Beyond the radius where the profile has decayed
-    below 1e-8 Q(0), the linearized tail c r^{-(N-1)/2} e^{-r} is grafted in
-    place of the bisection-noise tail.
+    as fates are monotone in Q(0) outside the search's bracket.  The sweep,
+    the search, the replay and the final lo share one table of trajectories,
+    so no Q(0) is integrated twice and its size is the trajectory count.
+    Beyond the radius where the profile has decayed below 1e-8 Q(0), the
+    linearized tail c r^{-(N-1)/2} e^{-r} is grafted in place of the
+    bisection-noise tail.
     """
     N, b, p = params.N, params.b, params.p
     if not 0 < tol < math.inf:
@@ -432,9 +428,10 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
     # search and the bisection: release it when they end, raised or not
     try:
         # geometric sweep from the top for an (undershoot, overshoot) bracket
+        table = {}
         above = None
         for k in range(10, -11, -1):
-            run = _fated(2.0**k, N, b, p, dr, r_max)
+            run = _trajectory(2.0**k, table, N, b, p, dr, r_max)
             if above is not None:
                 if run[0] == _UNDERSHOOT and above[0] == _OVERSHOOT:
                     break
@@ -449,8 +446,6 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
                 f"[2^-10, 2^10] at (N, b, p) = ({N}, {b}, {p})"
             )
         lo, hi = 2.0**k, 2.0 ** (k + 1)  # lo undershoots, hi overshoots
-        # every later read is of a Q(0) in [lo, hi): the table starts from lo
-        table = {lo: run}
         U, O = _search(lo, hi, above, table, N, b, p, dr, r_max, tol)
 
         def low(mid):
@@ -470,7 +465,6 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
             )
     finally:
         _radii.cache_clear()
-    trajectories = 10 - k + len(table)  # the sweep integrated 2^10 .. 2^k
 
     n = len(grid)
     q_full = np.zeros(n)
@@ -515,7 +509,7 @@ def shoot(params: Params, r_max: float = 20.0, tol: float = 1e-12,
         decay_rate=decay_rate,
         params=params,
         r_match=float(r_match),
-        trajectories=trajectories,
+        trajectories=len(table),
         bisection_steps=bisections,
         bracket=(lo, hi),
     )

@@ -149,6 +149,10 @@ def _psi_bridge(rho):
             _H0 * 12.0 / _L**3)
 
 
+# bridge monotonicity is structural for the cubic Hermite; verify it once
+if np.any(_psi_bridge(np.linspace(_R1 + 1e-9, 2.0 - 1e-9, 1001))[2] >= 0.0):
+    raise AssertionError("bridge of vartheta failed to be decreasing")
+
 # A family writes its cutoff as R^2 theta(r/R): the common inner piece
 # theta = rho^2 on rho <= 1, then a table of (mask, values) pieces, where
 # values(rho[mask]) gives theta and its first four derivatives.
@@ -229,13 +233,9 @@ def build_zeta_theta_phi(R: float, grid: RadialGrid,
 
 
 def _psi_rho(R: float, r: np.ndarray) -> np.ndarray:
-    """rho = r/R, once R and the bridge of vartheta pass their checks."""
+    """rho = r/R, once R is checked (the bridge is checked at import)."""
     if R <= 0:
         raise ValueError("R must be positive")
-    # bridge monotonicity is structural for the cubic Hermite; verify anyway
-    br = np.linspace(_R1 + 1e-9, 2.0 - 1e-9, 1001)
-    if np.any(_psi_bridge(br)[2] >= 0.0):
-        raise AssertionError("bridge of vartheta failed to be decreasing")
     return r / R
 
 
@@ -297,7 +297,7 @@ def psi12(R: float, params: Params, grid: RadialGrid,
     Tabulates vartheta and vartheta' alone: psi'' = vartheta'(r/R) and
     psi' = R vartheta(r/R) are all it reads.  build_vartheta_psi's checks
     run on the same values, and the result is the one its profile gives,
-    bit for bit."""
+    bit for bit, with psi_2 clamped at 0 after the cross-check."""
     require_same_N(grid, params)
     _mass_critical_p(params)
     N, b = params.N, params.b
@@ -317,7 +317,9 @@ def psi12(R: float, params: Params, grid: RadialGrid,
             raise AssertionError(
                 f"assembled psi_2 deviates from its closed form by {err:.2e}"
             )
-    return psi1, psi2
+    # psi_2 is 0 for r <= R but rounds to -4e-16 next to R: clamped here,
+    # its powers are 0 rather than NaN for every reader
+    return psi1, np.maximum(psi2, 0.0, out=psi2)
 
 
 def _lemma_grid(R: float, N: int) -> RadialGrid:
@@ -339,10 +341,7 @@ def lemma52_check(R: float, params: Params) -> float:
     sup = 0.0
     for blk in blocks(len(grid)):
         lo, hi = max(blk.start - 1, 0), min(blk.stop + 1, len(grid))
-        # psi_2 is 0 for r <= R but can round to -4e-16 there: clamped, its
-        # power is 0 rather than NaN
-        psi2 = psi12(R, params, grid, slice(lo, hi))[1]
-        y = np.maximum(psi2, 0.0, out=psi2) ** (1.0 / (p_star - 1.0))
+        y = psi12(R, params, grid, slice(lo, hi))[1] ** (1.0 / (p_star - 1.0))
         dy = radial_derivative(y, grid)[blk.start - lo:blk.stop - lo]
         sup = np.max(np.abs(dy[grid.r[blk] > R * (1.0 + 1e-9)]), initial=sup)
     return float(sup * R)
@@ -362,10 +361,9 @@ def lemma53_check(R: float, params: Params, eps: float) -> tuple[bool, float]:
 
 def _lemma53_form(psi1: np.ndarray, psi2: np.ndarray, params: Params,
                   eps: float) -> np.ndarray:
-    """2 psi_1 - [N eps/(2N+4+2b)] psi_2^{N/(2+b)}.  psi_2 is 0 for r <= R
-    but can round to -4e-16 next to R: clamped, its power is 0, not NaN."""
+    """2 psi_1 - [N eps/(2N+4+2b)] psi_2^{N/(2+b)}, on psi12's psi_2,
+    which is clamped at 0."""
     N, b = params.N, params.b
-    psi2 = np.maximum(psi2, 0.0)
     return 2.0 * psi1 - N * eps / (2.0 * N + 4.0 + 2.0 * b) * psi2 ** (N / (2.0 + b))
 
 

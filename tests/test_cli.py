@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import inls_lab
-from inls_lab import cli
+from inls_lab import cli, verify
 from inls_lab.cli import main
 from inls_lab.evolution import StepperConfig, evolve
 from inls_lab.grids import Params, RadialField, make_grid
@@ -74,6 +74,13 @@ class TestVerifyCommand:
     def test_bad_suite_is_usage_error(self):
         with pytest.raises(SystemExit):
             run(["verify", "--suite", "nonsense"])
+
+    def test_suite_choices_are_the_library_suites(self):
+        # the suite names live in verify.SUITES alone
+        sub = next(a for a in cli.build_parser()._actions
+                   if a.dest == "command").choices["verify"]
+        suite = next(a for a in sub._actions if a.dest == "suite")
+        assert set(suite.choices) == set(verify.SUITES) | {"all"}
 
 
 class TestGroundStateCommand:

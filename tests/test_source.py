@@ -259,3 +259,16 @@ def test_imports_at_module_level(path):
              for inner in ast.walk(node)
              if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert lines == [], f"{path.name}: import inside a function at lines {lines}"
+
+
+def test_one_trajectory_reader():
+    # shoot reads every trajectory, the sweep's included, through its table
+    # (ground_state._trajectory), the one caller of the RK4 integrator
+    callers = []
+    for path in SRC:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers += [(path.name, owner) for owner, node in _owned_nodes(tree)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "_shoot_trajectory"]
+    assert callers == [("ground_state.py", "_trajectory")]

@@ -168,7 +168,7 @@ class TestPsi12:
 
     def test_equals_the_full_profile(self):
         # psi12 tabulates vartheta and vartheta' alone; its result is the
-        # one the full psi_R profile gives, bit for bit
+        # one the full psi_R profile gives, bit for bit, psi_2 clamped at 0
         R, N, b = 2.0, P313.N, P313.b
         g = make_grid(4.0 * R, 4.0 * R / 99999, 3)
         prof = build_vartheta_psi(R, g)
@@ -176,8 +176,15 @@ class TestPsi12:
         assert len(g) == 100000
         assert np.array_equal(psi1, 2.0 - prof.d2phi)
         assert np.array_equal(
-            psi2, (4.0 + 2.0 * b) / N * (2.0 * N - prof.lap)
-            - 2.0 * b * (2.0 - prof.phi_over_r()))
+            psi2, np.maximum((4.0 + 2.0 * b) / N * (2.0 * N - prof.lap)
+                             - 2.0 * b * (2.0 - prof.phi_over_r()), 0.0))
+
+    # psi_2 is 0 for r <= R, and its formula rounds to -4.4e-16 (3,1,3) and
+    # -2.2e-16 (3, 1/2, 8/3) next to R at these R: psi12 clamps it once
+    @pytest.mark.parametrize("P", [P313, Params(3, 0.5, 8 / 3)])
+    @pytest.mark.parametrize("R", [1.9, 3.5])
+    def test_psi2_never_negative(self, R, P):
+        assert psi12(R, P, virial._lemma_grid(R, 3))[1].min() >= 0.0
 
 
 class TestLemmaChecks:
@@ -273,10 +280,8 @@ class TestBlockedScans:
     def test_lemma52(self, R, n, argmax):
         grid = virial._lemma_grid(R, P313.N)
         mask = grid.r > R * (1.0 + 1e-9)
-        # psi_2 rounds to -4e-16 at some nodes of r < R at these R: NaN there
-        with np.errstate(invalid="ignore"):
-            y = psi12(R, P313, grid)[1] ** (1.0 / (P313.p - 1.0))
-            blocked = lemma52_check(R, P313)
+        y = psi12(R, P313, grid)[1] ** (1.0 / (P313.p - 1.0))
+        blocked = lemma52_check(R, P313)
         dy = np.abs(radial_derivative(y, grid))
         assert blocked == float(np.max(dy[mask]) * R)
         if argmax is not None:
