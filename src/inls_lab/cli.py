@@ -51,10 +51,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(_json_text(payload))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # ground-state
 # ---------------------------------------------------------------------------
@@ -69,9 +65,9 @@ def cmd_ground_state(args) -> int:
         grid = make_grid(args.rmax, args.dr, params.N)
         W = gs.explicit_W(params, grid)
         ids = gs.W_identities(params, make_grid(2000.0, 2e-2, params.N))
-        _write_profile_csv(out / "profile.csv", grid.r, np.real(W.values))
+        write_csv(out / "profile.csv", ("r", "Q"), zip(grid.r, np.real(W.values)))
         _write_json(out / "ground_state.json", {
-            "params": {"N": params.N, "b": params.b, "p": params.p},
+            "params": dataclasses.asdict(params),
             "profile": "W",
             "shoot_value": 1.0,
             "mass": fn.mass(W),
@@ -86,8 +82,8 @@ def cmd_ground_state(args) -> int:
 
     ground = gs.shoot(params, r_max=args.rmax, tol=args.tol, dr=args.dr)
     res1, res2 = fn.pohozaev_residuals(ground.profile, params)
-    _write_profile_csv(out / "profile.csv", ground.profile.grid.r,
-                       np.real(ground.profile.values))
+    write_csv(out / "profile.csv", ("r", "Q"),
+              zip(ground.profile.grid.r, np.real(ground.profile.values)))
     _write_json(out / "ground_state.json", gs.ground_state_fixture(ground))
     print(f"ground state written to {out}")
     print(f"Q(0) = {ground.shoot_value:.12e}  ode residual {ground.ode_residual:.3e}"
@@ -106,10 +102,6 @@ def cmd_ground_state(args) -> int:
               f"rel dev {abs(w - c) / c:.3e}")
     ok = res1 < 1e-4 and res2 < 1e-4
     return 0 if ok else CHECK_FAILURE
-
-
-def _write_profile_csv(path: Path, r, q) -> None:
-    write_csv(path, ("r", "Q"), zip(r, q))
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +158,13 @@ def _outcome_json(outcome) -> dict:
 
 
 def _cfg_json(cfg: StepperConfig, grid) -> dict:
-    """The run's settings: cfg, the stepped grid's r_max and dr, and the
-    fixed thresholds."""
+    """The run's settings: every cfg field, the stepped grid's r_max and dr,
+    and the fixed thresholds."""
     return {
-        "dt": cfg.dt, "r_max": grid.r_max, "dr": grid.dr, "t_end": cfg.t_end,
+        **dataclasses.asdict(cfg), "r_max": grid.r_max, "dr": grid.dr,
         "blowup_gradient_factor": BLOWUP_GRADIENT_FACTOR,
         "energy_drift_tol": ENERGY_DRIFT_TOL,
         "local_mass_radii": list(LOCAL_MASS_RADII),
-        "save_every": cfg.save_every, "linear_only": cfg.linear_only,
     }
 
 
@@ -223,11 +214,12 @@ def cmd_evolve(args) -> int:
         bound_49 = _bound_49_all_true(result.diagnostics, params, ground)
     _write_json(out / "summary.json", {
         "schema": 1,
-        "params": {"N": params.N, "b": params.b, "p": params.p},
+        "params": dataclasses.asdict(params),
         "cfg": _cfg_json(cfg, grid),
         "outcome": _outcome_json(result.outcome),
         "bound_49_all_true": bound_49,
-        "fixture_hashes": {"diagnostics.csv": _sha256(diag_path)},
+        "fixture_hashes": {
+            "diagnostics.csv": hashlib.sha256(diag_path.read_bytes()).hexdigest()},
     })
     print(f"run written to {out}: status {result.outcome.status.value} "
           f"at t = {result.outcome.t_final:g}")

@@ -2,60 +2,15 @@
 
 Strang splitting: the nonlinearity is a pointwise phase (the nonlinear flow
 preserves |u|), applied exactly for half a step on each side of a
-Crank-Nicolson solve of the free flow.  The CN generator is the lumped
-finite-element form of the radial Laplacian: a symmetric stiffness matrix
-K (edge coefficients (r_{i+1/2})^{N-1}/dr) against the diagonal trapezoid
-mass matrix M, with a natural (zero-flux) origin closure and a Dirichlet
-wall at r_max.  Because K is exactly self-adjoint in the M inner product,
-the Cayley step conserves the recorded mass to solver roundoff, for every
-dimension N.  The recorded |grad u|^2 is K itself (``grids.grad_sq_edges``),
-so the recorded energy is the one the scheme conserves: its drift measures
-the splitting and the resolution, not a mismatch between two stencils.
-The free flow is taken in Cayley form, x = 2 A^{-1}(M u) - u with
-A = M + i dt/2 K, so the right-hand side is one multiply by the lumped mass.
-A is complex symmetric and its Hermitian part M is positive definite, so
-A = L D L^T exists without pivoting: L and D are built once per
-(grid, b, dt), and a solve is two unit-diagonal bidiagonal sweeps with a
-multiply by 2/D between them, dividing nowhere; ``step`` and ``evolve``
-share the factors and the phase coefficient of the last (grid, b, dt)
-stepped.  The sweeps are LAPACK's ztbtrs from scipy's f2py module
-scipy.linalg._flapack, loaded by the first plan without the scipy.linalg
-package: the package adds no routine (scipy.linalg.lapack re-exports these
-objects) but about 0.29 s and 22 MB, mostly numpy.testing, numpy.f2py,
-numpy.ma and numpy.random loaded by scipy's array-API layer; the module
-alone takes 5 ms and 2.4 MB (2-core host, scipy 1.17).  BLAS's ztbsv
-solves the same sweeps bit for bit, but scipy.linalg._fblas would add
-1.3 MB to every stepping process.  The commands that never take a step
-load no scipy at all.
-The half-phase multiplies by exp(x), x = h |u|^{p-1} with h purely
-imaginary, and takes np.exp only on the prefix of nodes that ends at the
-last one with |theta| = |Im x| not below 2^-27 (a NaN or inf fails that
-test, so it stays on the prefix).  Below 2^-27, theta^2/2 is under half an
-ulp of 1 and theta^3/6 under half an ulp of theta, so the correctly rounded
-cos(theta) is exactly 1.0 and sin(theta) exactly theta: the tail factor is
-written as 1 + i theta, bit for bit what np.exp gives.  The test is on
-|theta| because a negative dt makes theta <= 0, and the tail keeps Im x
-itself rather than adding 1.0 to x, which would turn a theta of -0.0 into
-+0.0.  Decaying states keep most nodes in that tail.  |u|^{p-1} is a
-product of |u|'s when p - 1 is a whole number and a pow otherwise
-(``_abs_power``): at p = 4 and 8001 nodes, about 7 us against 23 us
-(2-core host, numpy 2.4).  p = 3 steps bit for bit as with pow; p = 4,
-5, ... move at roundoff.
-The phase leaves |u| unchanged, so adjacent half-phases of consecutive
-steps multiply by the same factor exp(h |u|^{p-1}) (Strang splitting's
-merged half-steps): the plan's factor buffer still holds the trailing
-factor of the step before when a step is given the very values array that
-step returned.  Returned arrays are read-only, so that array still holds
-the state the factor was taken from; for any other field, a copy included,
-the step writes its own factor there first.  Either way the leading
-half-phase is one multiply by the buffer.  The carried factor is taken from
-the CN output before the trailing multiply, so a chain of steps moves at
-roundoff against steps taking both factors.
-Blow-up on a fixed grid can only be certified as
-"self-focusing beyond resolution": detection requires gradient growth AND
-energy drift together.  energy_drift_max and boundary_flagged are taken over
-the stepped states (the initial state's wall mass is not checked), and a run
-with record=False leaves both None.
+Crank-Nicolson solve of the free flow.  ``step`` takes one such step and
+says when it reuses the phase factor of the step before.  ``_CrankNicolson``
+is the free flow's plan: the lumped finite-element Laplacian, its Cayley
+form and the L D L^T factors that LAPACK sweeps solve, from the module that
+``_flapack`` loads without the scipy.linalg package.  ``_phase_factor``
+forms the half-phase factor, bit for bit, with np.exp on a prefix of the
+nodes only, and ``_abs_power`` the power of |u| it needs.  ``evolve``
+marches a run with its per-step record and its blow-up detector; on a fixed
+grid, blow-up can only be certified as "self-focusing beyond resolution".
 """
 
 from __future__ import annotations
@@ -172,19 +127,15 @@ class DiagnosticsSeries:
         self.virial_V.append(V)
         self.virial_Vp.append(Vp)
 
-    def column_names(self) -> list[str]:
-        locals_ = [f"local_mass_{R:g}" for R in self.radii]
-        return ["t", "mass", "energy", "grad_sq", "potential", *locals_,
-                "virial_V", "virial_Vp"]
+    def columns(self) -> dict[str, list]:
+        """Each diagnostics.csv column by name, in file order."""
+        return {"t": self.t, "mass": self.mass, "energy": self.energy,
+                "grad_sq": self.grad_sq, "potential": self.potential,
+                **{f"local_mass_{R:g}": self.local_mass[R] for R in self.radii},
+                "virial_V": self.virial_V, "virial_Vp": self.virial_Vp}
 
-    def rows(self):
-        for i in range(len(self.t)):
-            yield (
-                self.t[i], self.mass[i], self.energy[i], self.grad_sq[i],
-                self.potential[i],
-                *(self.local_mass[R][i] for R in self.radii),
-                self.virial_V[i], self.virial_Vp[i],
-            )
+    def column_names(self) -> list[str]:
+        return list(self.columns())
 
     @property
     def outcome_only(self) -> bool:
@@ -195,7 +146,8 @@ class DiagnosticsSeries:
         if self.outcome_only:
             raise ValueError("an outcome-only series (evolve with record=False) "
                              "holds t and grad_sq alone; it has no rows to write")
-        write_csv(path, self.column_names(), self.rows())
+        columns = self.columns()
+        write_csv(path, columns.keys(), zip(*columns.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +159,12 @@ def _flapack():
     the scipy or scipy.linalg packages.  The extension is loaded from scipy's
     linalg directory under its full name and registered in sys.modules, so a
     later ``import scipy.linalg`` reuses it: scipy.linalg.lapack's routines
-    are then the very objects a plan holds."""
+    are then the very objects a plan holds.  The package would add no
+    routine, only scipy's array-API layer (numpy.testing, numpy.f2py,
+    numpy.ma and numpy.random), many times the module's own import time and
+    memory; the commands that never take a step load no scipy at all.
+    BLAS's ztbsv solves the same sweeps bit for bit, but loading
+    scipy.linalg._fblas would add to every stepping process's memory."""
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
         scipy = importlib.util.find_spec("scipy")
@@ -235,11 +192,20 @@ def _ldl(a: np.ndarray, e: np.ndarray):
 class _CrankNicolson:
     """The step plan for one (grid, b, dt): the Cayley free flow
     x = 2 A^{-1}(M u) - u of nodes 1 .. n-2, A = M + i dt/2 K, and the
-    half-step phase coefficient h = 0.5j dt r^b.  A = L D L^T is built once
-    by D_0 = a_0, L_i = e_i / D_i, D_{i+1} = a_{i+1} - L_i e_i on A's
-    diagonal a and off-diagonal e (no pivot is needed: Re(y^H A y) =
-    y^H M y > 0 for y != 0), and a solve is ztbtrs on L, a multiply by 2/D
-    and ztbtrs on L^T.  ``factor`` buffers every phase factor (after a
+    half-step phase coefficient h = 0.5j dt r^b.  K is the symmetric
+    stiffness matrix of the radial Laplacian (edge coefficients
+    ``grid.kappa``) and M the diagonal trapezoid mass, with a natural
+    (zero-flux) origin closure and a Dirichlet wall at r_max.  K is
+    self-adjoint in the M inner product, so the step conserves the recorded
+    mass to solver roundoff for every N; and the recorded |grad u|^2 is K
+    itself (``grids.grad_sq_edges``), so the recorded energy is the one the
+    scheme conserves: its drift measures the splitting and the resolution,
+    not a mismatch between two stencils.  The right-hand side is one
+    multiply by the lumped mass.  A = L D L^T is built once by D_0 = a_0,
+    L_i = e_i / D_i, D_{i+1} = a_{i+1} - L_i e_i on A's diagonal a and
+    off-diagonal e (no pivot is needed: Re(y^H A y) = y^H M y > 0 for
+    y != 0), and a solve is ztbtrs on L, a multiply by 2/D and ztbtrs on
+    L^T, dividing nowhere.  ``factor`` buffers every phase factor (after a
     nonlinear step, its trailing one), and ``carry`` is (a weak reference
     to the array that step returned, p) or None: a strong reference to the
     last state, on top of the heap, kept a finished run's freed saved
@@ -309,10 +275,11 @@ def _abs_power(v: np.ndarray, k: float) -> np.ndarray:
     binary digit of k after the leading one, y = y * y, then y = y * a if
     the digit is 1), so k = 1 is a, 2 is a * a (numpy's a ** 2.0, bit for
     bit), 3 is (a * a) * a, 4 is (a * a) * (a * a) and 5 is
-    ((a * a) * (a * a)) * a; any other k is a ** k.  A multiply costs under
-    1 ns per node and pow about 3 ns, so k = 3 saves about 16 us at 8001
-    nodes; a whole k >= 3 rounds differently from pow in the last bit of
-    some nodes.  Only the result outlives the call, as with np.abs(v) ** k."""
+    ((a * a) * (a * a)) * a; any other k is a ** k.  A multiply costs a
+    fraction of a pow; a whole k >= 3 rounds differently from pow in the
+    last bit of some nodes, so p = 3 steps bit for bit as with pow and
+    p = 4, 5, ... move at roundoff.  Only the result outlives the call, as
+    with np.abs(v) ** k."""
     a = np.abs(v)
     if not k.is_integer():
         return a ** k
@@ -328,7 +295,13 @@ def _phase_factor(v: np.ndarray, h: np.ndarray, p: float,
                   out: np.ndarray | None = None) -> np.ndarray:
     """exp(x) for x = h |v|^{p-1}, bit for bit, with the transcendental
     taken only on the prefix of nodes up to the last one whose |Im x| is not
-    below _EXACT_PHASE; past it the factor is written as 1 + i Im x.
+    below _EXACT_PHASE; past it the factor is written as 1 + i Im x.  h is
+    purely imaginary, so x = i theta; below 2^-27, theta^2/2 is under half an ulp of 1 and theta^3/6 under half an
+    ulp of theta, so the correctly rounded cos(theta) is exactly 1.0 and
+    sin(theta) exactly theta: 1 + i theta is bit for bit what np.exp gives.
+    The test is on |theta| because a negative dt makes theta <= 0, and the
+    tail keeps Im x itself rather than adding 1.0 to x, which would turn a
+    theta of -0.0 into +0.0.  Decaying states keep most nodes in that tail.
     |v|^{p-1} is a product of |v|'s when p - 1 is a whole number (p > 1, so
     at least 1), and a pow otherwise (``_abs_power``).  Written into out
     when it is given."""
@@ -351,11 +324,17 @@ def step(u: RadialField, params: Params, dt: float,
     the first two interior nodes.  The returned field is the step's one
     finiteness check: a non-finite state raises NonFiniteError.
 
-    The leading half-phase is one multiply by plan.factor, which still
-    holds the trailing factor of the step before when u.values is the
-    (read-only) array that step returned, from the same plan and p; for any
-    other field u's own factor is written there first.  The carry is taken
-    off the plan at entry and stored only once the new state is accepted.
+    The phase leaves |u| unchanged, so adjacent half-phases of consecutive
+    steps multiply by the same factor exp(h |u|^{p-1}) (Strang splitting's
+    merged half-steps).  So the leading half-phase is one multiply by
+    plan.factor, which still holds the trailing factor of the step before
+    when u.values is the array that step returned, from the same plan and
+    p: returned arrays are read-only, so that array still holds the state
+    the factor was taken from.  For any other field, a copy included, u's
+    own factor is written there first.  The carried factor is taken from
+    the CN output before the trailing multiply, so a chain of steps moves at
+    roundoff against steps taking both factors.  The carry is taken off the
+    plan at entry and stored only once the new state is accepted.
     """
     g = u.grid
     require_same_N(g, params)
@@ -417,7 +396,9 @@ def evolve(u0: RadialField, params: Params, cfg: StepperConfig, *,
     energy is computed only on a step whose gradient has already grown past
     the threshold.  status, t_final, blowup_time_estimate and
     gradient_growth are those of the full run, bit for bit;
-    energy_drift_max and boundary_flagged are None (not measured).
+    energy_drift_max and boundary_flagged are None (not measured).  In a
+    full run both are taken over the stepped states: the initial state's
+    wall mass is not checked.
     """
     g = u0.grid
     require_same_N(g, params)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -101,14 +101,11 @@ class GroundState:
         vals = np.interp(grid.r, src.r, np.real(self.profile.values))
         beyond = grid.r > src.r_max
         if np.any(beyond):
-            vals[beyond] = _tail(grid.r[beyond], self._tail_coeff(), self.params.N)
+            i = np.searchsorted(src.r, self.r_match)
+            q = float(np.real(self.profile.values[i]))
+            c = q / _tail(src.r[i], 1.0, self.params.N)
+            vals[beyond] = _tail(grid.r[beyond], c, self.params.N)
         return RadialField(grid, vals)
-
-    def _tail_coeff(self) -> float:
-        src = self.profile.grid
-        i = np.searchsorted(src.r, self.r_match)
-        q = float(np.real(self.profile.values[i]))
-        return q / _tail(src.r[i], 1.0, self.params.N)
 
 
 def _tail(r, c, N):
@@ -640,7 +637,7 @@ def uniqueness_constants(params: Params) -> tuple[Fraction, Fraction, Fraction]:
 def ground_state_fixture(gs: GroundState) -> dict:
     """Flat JSON-ready record of the reference quantities of a ground state."""
     return {
-        "params": {"N": gs.params.N, "b": gs.params.b, "p": gs.params.p},
+        "params": asdict(gs.params),
         "shoot_value": gs.shoot_value,
         "mass": functionals.mass(gs.profile),
         "grad_sq": gradient_sq_norm(gs.profile),

@@ -22,7 +22,7 @@ themselves, not differentiation noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -461,10 +461,9 @@ class BoundRow:
 
 
 def bound_rows_to_csv(rows, path) -> None:
-    """Write envelope rows as CSV: t, V, V', V'' measured, RHS bound, slack."""
-    write_csv(path, ("t", "V", "Vp", "Vpp_measured", "rhs_bound", "slack"),
-              ((r.t, r.V, r.Vp, r.Vpp_measured, r.rhs_bound, r.slack)
-               for r in rows))
+    """Write envelope rows as CSV: each BoundRow field but num_tol, in order."""
+    names = [f.name for f in fields(BoundRow) if f.name != "num_tol"]
+    write_csv(path, names, ([getattr(r, n) for n in names] for r in rows))
 
 
 def _require_second_difference(states):

@@ -21,6 +21,10 @@ P313 = Params(3, 1.0, 3.0)
 P214 = Params(2, 1.0, 4.0)
 P425 = Params(4, 2.0, 5.0)
 
+# the RunOutcome fields that decide a run's fate: an outcome-only run
+# (evolve with record=False) must end with these as the full run does
+FATE = ("status", "t_final", "blowup_time_estimate", "gradient_growth")
+
 
 @pytest.fixture(scope="session")
 def frozen_ground_states():

@@ -12,8 +12,10 @@ import pytest
 import inls_lab
 from inls_lab import cli, verify
 from inls_lab.cli import main
-from inls_lab.evolution import StepperConfig, evolve
+from inls_lab.evolution import StepperConfig
 from inls_lab.grids import Params, RadialField, make_grid
+
+from conftest import FATE
 
 
 def run(args):
@@ -243,7 +245,8 @@ class TestEvolveCommand:
         assert '    "dr": 0.14285714285714285,\n' in text
         assert '    "r_max": 1.0,\n' in text
 
-    def test_states_archive(self, tmp_path):
+    def test_states_archive(self, tmp_path, monkeypatch):
+        calls = _metered_evolve(monkeypatch)
         out = tmp_path / "run"
         assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
                     "--init", "gaussian:0.5", "--tend", "0.02",
@@ -251,11 +254,16 @@ class TestEvolveCommand:
         with np.load(out / "states.npz") as data:
             assert data["states"].shape[0] == len(data["t"])
         # the archive holds the in-memory run bit for bit, in the bytes that
-        # np.savez gives the stacked states
+        # np.savez gives the stacked states; the run is the command's own,
+        # whose inputs are checked here, since evolve is deterministic
         grid = make_grid(40.0, 5e-3, 3)
         u0 = RadialField(grid, (0.5 * np.exp(-grid.r**2)).astype(complex))
-        states = evolve(u0, Params(3, 1.0, 3.0),
-                        StepperConfig(dt=1e-3, t_end=0.02, save_every=10)).states
+        [((run_u0, params, cfg), _, res)] = calls
+        assert run_u0.values.tobytes() == u0.values.tobytes()
+        assert run_u0.grid.r.tobytes() == grid.r.tobytes()
+        assert params == Params(3, 1.0, 3.0)
+        assert cfg == StepperConfig(dt=1e-3, t_end=0.02, save_every=10)
+        states = res.states
         t = np.array([s for s, _ in states])
         mat = np.stack([u.values for _, u in states])
         with np.load(out / "states.npz", allow_pickle=False) as data:
@@ -483,16 +491,28 @@ def _metered_evolve(monkeypatch):
     return calls
 
 
+_SWEEP = ["sweep", "--dim", "3", "--b", "1", "--p", "4",
+          "--amplitudes", "0.5,1.5", "--tend", "0.15"]
+
+
+@pytest.fixture(scope="module")
+def metered_sweep(tmp_path_factory):
+    """One run of _SWEEP with cli.evolve metered: (exit code, sweep.csv
+    bytes, the (args, kwargs, result) of each evolve call)."""
+    out = tmp_path_factory.mktemp("sweep")
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _metered_evolve(mp)
+        rc = run([*_SWEEP, "--out", str(out)])
+    return rc, (out / "sweep.csv").read_bytes(), calls
+
+
 class TestSweepDeterminism:
-    def test_matches_single_runs_byte_identical(self, tmp_path, monkeypatch):
-        calls = _metered_evolve(monkeypatch)
-        outs = []
-        for name in ("s1", "s2"):
-            out = tmp_path / name
-            assert run(["sweep", "--dim", "3", "--b", "1", "--p", "4",
-                        "--amplitudes", "0.5,1.5", "--tend", "0.15",
-                        "--out", str(out)]) == 0
-            outs.append((out / "sweep.csv").read_bytes())
+    def test_matches_single_runs_byte_identical(self, tmp_path, metered_sweep):
+        rc, first, calls = metered_sweep
+        assert rc == 0
+        out = tmp_path / "s2"
+        assert run([*_SWEEP, "--out", str(out)]) == 0
+        outs = [first, (out / "sweep.csv").read_bytes()]
         assert outs[0] == outs[1]
         statuses = [line.split(",")[2]
                     for line in outs[0].decode().splitlines()[1:]]
@@ -506,19 +526,16 @@ class TestSweepDeterminism:
         assert statuses == [o["status"] for o in singles]
         # the sweep's outcome-only runs end as the recorded single runs do;
         # summary.json keeps each float's repr, so == is bit for bit
-        fate = ("status", "t_final", "blowup_time_estimate", "gradient_growth")
         sweep_runs = [cli._outcome_json(res.outcome) for _, _, res in calls[:2]]
-        assert ([[o[k] for k in fate] for o in sweep_runs]
-                == [[o[k] for k in fate] for o in singles])
+        assert ([[o[k] for k in FATE] for o in sweep_runs]
+                == [[o[k] for k in FATE] for o in singles])
 
-    def test_sweep_keeps_the_evolve_call_shape(self, tmp_path, monkeypatch):
+    def test_sweep_keeps_the_evolve_call_shape(self, metered_sweep):
         # one positional evolve(u0, params, cfg) per amplitude, with one
         # diagnostics.t entry per state: the shape a wrapper around
         # cli.evolve counts steps by
-        calls = _metered_evolve(monkeypatch)
-        assert run(["sweep", "--dim", "3", "--b", "1", "--p", "4",
-                    "--amplitudes", "0.5,1.5", "--tend", "0.15",
-                    "--out", str(tmp_path / "sw")]) == 0
+        rc, _, calls = metered_sweep
+        assert rc == 0
         assert len(calls) == 2
         for args, kwargs, res in calls:
             u0, params, cfg = args

@@ -20,18 +20,15 @@ from inls_lab.evolution import (
     step,
 )
 
-from conftest import P313, P314, scaled
-
-
-_FATE = ("status", "t_final", "blowup_time_estimate", "gradient_growth")
+from conftest import FATE, P313, P314, scaled
 
 
 def _assert_same_fate(full, lean):
     """lean, run with record=False, ends as the full run does, bit for bit
     (repr, so that a NaN growth compares equal), with one t and grad_sq per
     state and the record-only fields not measured."""
-    assert ([repr(getattr(lean.outcome, k)) for k in _FATE]
-            == [repr(getattr(full.outcome, k)) for k in _FATE])
+    assert ([repr(getattr(lean.outcome, k)) for k in FATE]
+            == [repr(getattr(full.outcome, k)) for k in FATE])
     assert repr(lean.diagnostics.t) == repr(full.diagnostics.t)
     assert repr(lean.diagnostics.grad_sq) == repr(full.diagnostics.grad_sq)
     assert lean.outcome.energy_drift_max is None

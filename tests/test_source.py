@@ -272,3 +272,15 @@ def test_one_trajectory_reader():
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "_shoot_trajectory"]
     assert callers == [("ground_state.py", "_trajectory")]
+
+
+def test_params_block_is_asdict():
+    # every params block is dataclasses.asdict(params), so a Params field is
+    # named once: no dict literal spells out the keys N, b and p
+    found = []
+    for path in SRC:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Dict) and len(node.keys) == 3
+                  and {getattr(k, "value", None) for k in node.keys} == {"N", "b", "p"}]
+    assert found == []
