@@ -145,6 +145,10 @@ def _initial_state(spec: str, params: Params,
         if data.shape[1] < 2:
             raise ValueError(f"initial-state file {path} needs columns r, Re u "
                              f"[, Im u]; got {data.shape[1]}")
+        if not np.all(np.diff(data[:, 0]) > 0):
+            # np.interp reads any other order as garbage, silently
+            raise ValueError(f"initial-state file {path}: the r column must be "
+                             "strictly increasing")
         vals = np.interp(grid.r, data[:, 0], data[:, 1])
         if data.shape[1] > 2:
             vals = vals + 1j * np.interp(grid.r, data[:, 0], data[:, 2])

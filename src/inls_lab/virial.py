@@ -13,8 +13,9 @@ Both are R^2 theta(r/R) with theta = rho^2 on rho <= 1, so a family is a
 table of the pieces beyond that: (mask, values) pairs whose values give
 theta and its first four derivatives in closed form on the mask's slice of
 rho.  One tabulator (``_tabulate``) lays the pieces over the inner piece,
-for just the derivative orders a caller reads, and one check
-(``_check_cutoff``) tests the inequalities of either family.  As no
+for just the derivative orders a caller reads; one builder (``_cutoff``)
+serves both families, on the whole grid or one block of it, and ends in
+the one check (``_check_cutoff``) of either family's inequalities.  As no
 derivative is taken numerically, the grid checks probe the inequalities
 themselves, not differentiation noise.
 """
@@ -203,10 +204,16 @@ def _check_cutoff(name, d2phi, phi_over_r, lap, N, convex=False):
         raise AssertionError(f"cutoff invariants violated for {name}")
 
 
-def _assemble(R, grid, block, rho, table):
-    """Build the CutoffProfile at grid.r[block] from the family table at
-    rho = r/R there."""
-    N = grid.N
+def _require_positive(R):
+    if R <= 0:
+        raise ValueError("R must be positive")
+
+
+def _cutoff(name, table, R, grid, block, convex=False):
+    """The CutoffProfile R^2 theta(r/R) of the family table at grid.r[block],
+    once its inequalities are checked."""
+    _require_positive(R)
+    N, rho = grid.N, grid.r[block] / R
     theta, f1, f, df, ddf = _tabulate(table, rho, range(5))
     lap = _laplacian(f, f1, rho, N)
     # lap^2 phi = (1/R^2) [g'' + (N-1) g'/rho] with g = lap theta; the
@@ -217,33 +224,24 @@ def _assemble(R, grid, block, rho, table):
     gpp = ddf[s] + (N - 1) * (df[s] * rr**2 - 2 * f[s] * rr + 2 * f1[s]) / rr**3
     bilap = np.zeros(len(rho))
     bilap[s] = (gpp + (N - 1) * gp / rr) / R**2
-    return CutoffProfile(R=R, grid=grid, phi=R**2 * theta, dphi=R * f1,
+    prof = CutoffProfile(R=R, grid=grid, phi=R**2 * theta, dphi=R * f1,
                          d2phi=f, lap=lap, bilap=bilap, block=block)
+    _check_cutoff(name, f, prof.phi_over_r(), lap, N, convex)
+    return prof
 
 
 def build_zeta_theta_phi(R: float, grid: RadialGrid,
                          block: slice = slice(None)) -> CutoffProfile:
     """The smoothstep cutoff phi_R at grid.r[block]: equal to r^2 for
     r <= R, slope-linear beyond 2R, with 0 <= phi'' <= 2 throughout."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    prof = _assemble(R, grid, block, grid.r[block] / R, _PHI_TABLE)
-    _check_cutoff("PhiR", prof.d2phi, prof.phi_over_r(), prof.lap, grid.N, convex=True)
-    return prof
+    return _cutoff("PhiR", _PHI_TABLE, R, grid, block, convex=True)
 
 
-def _psi_rho(R: float, r: np.ndarray) -> np.ndarray:
-    """rho = r/R, once R is checked (the bridge is checked at import)."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    return r / R
-
-
-def build_vartheta_psi(R: float, grid: RadialGrid) -> CutoffProfile:
-    """The quintic cutoff psi_R with psi'' <= 2, psi'/r <= 2, lap psi <= 2N."""
-    prof = _assemble(R, grid, slice(None), _psi_rho(R, grid.r), _PSI_TABLE)
-    _check_cutoff("PsiR", prof.d2phi, prof.phi_over_r(), prof.lap, grid.N)
-    return prof
+def build_vartheta_psi(R: float, grid: RadialGrid,
+                       block: slice = slice(None)) -> CutoffProfile:
+    """The quintic cutoff psi_R at grid.r[block], with psi'' <= 2,
+    psi'/r <= 2 and lap psi <= 2N."""
+    return _cutoff("PsiR", _PSI_TABLE, R, grid, block)
 
 
 def quadratic_cutoff(grid: RadialGrid) -> CutoffProfile:
@@ -297,12 +295,18 @@ def psi12(R: float, params: Params, grid: RadialGrid,
     Tabulates vartheta and vartheta' alone: psi'' = vartheta'(r/R) and
     psi' = R vartheta(r/R) are all it reads.  build_vartheta_psi's checks
     run on the same values, and the result is the one its profile gives,
-    bit for bit, with psi_2 clamped at 0 after the cross-check."""
+    bit for bit, with psi_2 clamped at 0 after the cross-check.  It keeps
+    this two-order tabulation rather than reading build_vartheta_psi's
+    five orders and bilaplacian: built from the profile, one psi12 on the
+    8,001-node evolve grid at R = 32 took 0.55-0.70 ms against 0.38-0.49 ms,
+    and verify's virial suite 110-131 ms against 90-108 ms (medians of 7 in
+    two runs, one BLAS thread, a shared 2-vCPU x86-64 machine)."""
     require_same_N(grid, params)
     _mass_critical_p(params)
+    _require_positive(R)
     N, b = params.N, params.b
     r = grid.r[block]
-    rho = _psi_rho(R, r)
+    rho = r / R
     v, dv = _tabulate(_PSI_TABLE, rho, (1, 2))
     lap = _laplacian(dv, v, rho, N)
     por = _over_r(R * v, dv, r)
@@ -422,6 +426,22 @@ def virial_rhs(u: RadialField, params: Params, cutoff: CutoffProfile,
     return out
 
 
+def _uniform_step(states) -> float:
+    """The time step of states, which must number at least 3, for a second
+    difference, and be uniformly spaced in time."""
+    if len(states) < 3:
+        raise ValueError("need at least 3 saved states for a second difference")
+    dts = np.diff([t for t, _ in states])
+    if not np.allclose(dts, dts[0], rtol=1e-8, atol=0.0):
+        raise ValueError("saved states must be uniformly spaced in time")
+    return float(dts[0])
+
+
+def _differences(V: np.ndarray, dt: float):
+    """V' and V'' at the interior samples of V, by central differences."""
+    return (V[2:] - V[:-2]) / (2.0 * dt), (V[2:] - 2.0 * V[1:-1] + V[:-2]) / dt**2
+
+
 def virial_dynamic_check(states, params: Params, cutoff: CutoffProfile,
                          linear_only: bool = False) -> float:
     """Max relative deviation between the second central difference of
@@ -430,8 +450,8 @@ def virial_dynamic_check(states, params: Params, cutoff: CutoffProfile,
     states: sequence of (t, RadialField) at uniform spacing.  Deviations are
     normalized by the largest |rhs| over the run.
     """
-    _require_second_difference(states)
-    _, _, _, d2V, _ = _measured_series(states, cutoff)
+    dt = _uniform_step(states)
+    _, d2V = _differences(np.array([virial_V(u, cutoff) for _, u in states]), dt)
     rhs = np.array(
         [virial_rhs(u, params, cutoff, linear_only) for _, u in states[1:-1]]
     )
@@ -466,74 +486,40 @@ def bound_rows_to_csv(rows, path) -> None:
     write_csv(path, names, ([getattr(r, n) for n in names] for r in rows))
 
 
-def _require_second_difference(states):
-    if len(states) < 3:
-        raise ValueError("need at least 3 saved states for a second difference")
-
-
-def _measured_series(states, cutoff):
-    """t, V, V', V'' and the time step dt over states, which must be
-    uniformly spaced in time."""
-    ts = np.array([t for t, _ in states])
-    dts = np.diff(ts)
-    if not np.allclose(dts, dts[0], rtol=1e-8, atol=0.0):
-        raise ValueError("saved states must be uniformly spaced in time")
-    dt = float(dts[0])
-    V = np.array([virial_V(u, cutoff) for _, u in states])
-    Vp = (V[2:] - V[:-2]) / (2.0 * dt)
-    Vpp = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / dt**2
-    return ts, V, Vp, Vpp, dt
-
-
-def _resolved_mask(E: np.ndarray) -> np.ndarray:
-    """Samples whose energy E drifts within _DRIFT_TOL of E[0].
-
-    A fixed grid cannot follow the focusing core; once the recorded energy
-    drifts, the state (and any V'' stencil touching it) no longer represents
-    the PDE solution and is excluded from envelope checks.
-    """
-    return functionals.energy_drift(E, E[0]) <= _DRIFT_TOL
-
-
-def _remainder_scale(kind: RegimeKind, params: Params, R: float, eps: float,
-                     grad_sq: float | np.ndarray) -> float | np.ndarray:
-    """The R-decay profile multiplying the fitted absolute constant in the
-    envelope regime kind, at gradient norm(s) grad_sq."""
-    N, b, p = params.N, params.b, params.p
-    if kind == RegimeKind.MASS_CRITICAL:
-        kappa = (2.0 + b) / (2.0 * (N - 1) - b)
-        return (1.0 + eps + eps ** (-kappa)) * R**-2
-    if kind == RegimeKind.INTERCRITICAL:
-        gamma = (N - 1) * (p - 1.0) / 2.0 - b
-    else:
-        gamma = (2.0 + b) * (N - 1) / (N - 2.0) - b
-    if p == 5.0:
-        return R**-2 + R ** (-(2.0 * (N - 1) - b)) * grad_sq
-    return R**-2 + R**-gamma * (grad_sq + 1.0)
-
-
-def _leading_terms(kind: RegimeKind, fields, params: Params, E0: float,
-                   grad_sq: np.ndarray, pot: np.ndarray, cutoff: CutoffProfile,
-                   eps: float) -> np.ndarray:
-    """The leading terms of the bound at each of fields, whose gradient norms
-    and potentials are grad_sq and pot, in the envelope regime kind."""
+def _envelope_terms(kind: RegimeKind, params: Params, cutoff: CutoffProfile,
+                    eps: float, E0: float, fields, grad_sq: np.ndarray,
+                    pot: np.ndarray):
+    """The bound's leading terms at each of fields, whose gradient norms and
+    potentials are grad_sq and pot, and the R-decay profile that multiplies
+    the fitted absolute constant (one value for all of them at mass-critical
+    parameters), in the envelope regime kind."""
+    N, b, p, R = params.N, params.b, params.p, cutoff.R
     if kind == RegimeKind.MASS_CRITICAL:
         # 16 E0 plus the computable gradient tail of the mass-critical estimate,
         # -2 int_{r>R} (2 psi_1 - N eps/(2N+4+2b) psi_2^{N/(2+b)}) |grad u|^2
-        form = _lemma53_form(*psi12(cutoff.R, params, cutoff.grid), params, eps)
-        tail = np.where(cutoff.grid.r > cutoff.R, form, 0.0)
-        return np.array([16.0 * E0 - 2.0 * _edge_weighted_grad_sq(u, tail)
+        form = _lemma53_form(*psi12(R, params, cutoff.grid), params, eps)
+        tail = np.where(cutoff.grid.r > R, form, 0.0)
+        lead = np.array([16.0 * E0 - 2.0 * _edge_weighted_grad_sq(u, tail)
                          for u in fields])
+        kappa = (2.0 + b) / (2.0 * (N - 1) - b)
+        return lead, (1.0 + eps + eps ** (-kappa)) * R**-2
     if kind == RegimeKind.INTERCRITICAL:
-        return 8.0 * grad_sq - 8.0 * params.A / (params.p + 1.0) * pot
-    return 8.0 * grad_sq - 8.0 * pot
+        lead = 8.0 * grad_sq - 8.0 * params.A / (p + 1.0) * pot
+        gamma = (N - 1) * (p - 1.0) / 2.0 - b
+    else:
+        lead = 8.0 * grad_sq - 8.0 * pot
+        gamma = (2.0 + b) * (N - 1) / (N - 2.0) - b
+    if p == 5.0:
+        return lead, R**-2 + R ** (-(2.0 * (N - 1) - b)) * grad_sq
+    return lead, R**-2 + R**-gamma * (grad_sq + 1.0)
 
 
 def _resolved_stencils(states, params: Params, R: float, eps: float):
-    """The measured series of V = int psi_R |u|^2 and, for each V'' stencil
-    lying entirely inside the resolved window, (i, t, leading terms,
-    remainder scale) at its centre state i + 1."""
-    _require_second_difference(states)
+    """V = int psi_R |u|^2 over states, their time step dt, and, as arrays
+    over the V'' stencils lying entirely inside the resolved window, each
+    stencil's index i and the leading terms and remainder scale at its
+    centre state i + 1."""
+    dt = _uniform_step(states)
     grid = states[0][1].grid
     require_same_N(grid, params)
     kind = classify(params).kind
@@ -541,21 +527,22 @@ def _resolved_stencils(states, params: Params, R: float, eps: float):
                     RegimeKind.ENERGY_CRITICAL):
         raise ValueError(f"no blow-up envelope in regime {kind.value}")
     cutoff = build_vartheta_psi(R, grid)
-    series = _measured_series(states, cutoff)
+    V = np.array([virial_V(u, cutoff) for _, u in states])
     # each state's gradient norm and potential, once: its energy, E0 and
     # the remainder scale all derive from them
     grad_sq = np.array([gradient_sq_norm(u) for _, u in states])
     pot = np.array([potential(u, params) for _, u in states])
     E = functionals.energy_of(grad_sq, pot, params.p)
-    resolved = _resolved_mask(E)
+    # a fixed grid cannot follow the focusing core: once the energy drifts
+    # past _DRIFT_TOL from E[0], the state (and any V'' stencil touching it)
+    # no longer represents the PDE solution and is excluded
+    resolved = functionals.energy_drift(E, E[0]) <= _DRIFT_TOL
     # stencil i spans states i, i+1, i+2
-    centre = np.flatnonzero(resolved[:-2] & resolved[1:-1] & resolved[2:]) + 1
-    lead = _leading_terms(kind, [states[j][1] for j in centre], params, E[0],
-                          grad_sq[centre], pot[centre], cutoff, eps)
-    scale = np.broadcast_to(
-        _remainder_scale(kind, params, R, eps, grad_sq[centre]), centre.shape)
-    return series, list(zip((centre - 1).tolist(), series[0][centre],
-                            lead.tolist(), scale.tolist()))
+    i = np.flatnonzero(resolved[:-2] & resolved[1:-1] & resolved[2:])
+    lead, scale = _envelope_terms(kind, params, cutoff, eps, E[0],
+                                  [states[j][1] for j in i + 1],
+                                  grad_sq[i + 1], pot[i + 1])
+    return V, dt, i, lead, np.broadcast_to(scale, i.shape)
 
 
 def fit_envelope_constant(states, params: Params, R: float, eps: float) -> float:
@@ -564,14 +551,12 @@ def fit_envelope_constant(states, params: Params, R: float, eps: float) -> float
     headroom at every resolved sample.  Raises ValueError for fewer than 3
     states, for states not uniformly spaced in time, or when no V'' stencil
     is resolved: no sample, no constant."""
-    (_, _, _, Vpp, _), stencils = _resolved_stencils(states, params, R, eps)
-    if not stencils:
+    V, dt, i, lead, scale = _resolved_stencils(states, params, R, eps)
+    if not len(i):
         raise ValueError("no V'' stencil lies inside the resolved window: "
                          "nothing to calibrate on")
-    c_needed = 0.0
-    for i, _, lead, scale in stencils:
-        c_needed = max(c_needed, (Vpp[i] - lead) / scale)
-    return 1.05 * max(c_needed, 1e-6)
+    Vpp = _differences(V, dt)[1]
+    return 1.05 * max(np.max((Vpp[i] - lead) / scale, initial=0.0), 1e-6)
 
 
 def blowup_bound_check(states, params: Params, R: float, eps: float,
@@ -588,25 +573,18 @@ def blowup_bound_check(states, params: Params, R: float, eps: float,
     PDE solution, so a run without one gives no rows.  Raises ValueError for
     fewer than 3 states or for states not uniformly spaced in time.
     """
-    (_, V, Vp, Vpp, dt), stencils = _resolved_stencils(states, params, R, eps)
+    V, dt, stencils, lead, scale = _resolved_stencils(states, params, R, eps)
+    Vp, Vpp = _differences(V, dt)
     # dt^2 V''''/12 leads the error of V''; the fourth difference v4[i - 1]
     # about state i + 1 estimates V'''' at row i, so rows 1 .. len(v4) are kept
     v4 = (V[:-4] - 4 * V[1:-3] + 6 * V[2:-2] - 4 * V[3:-1] + V[4:]) / dt**4
     rows = []
-    for i, t, lead, scale in stencils:
-        if not 1 <= i <= len(v4):
-            continue
-        rhs = lead + C_envelope * scale
-        rows.append(
-            BoundRow(
-                t=float(t),
-                V=float(V[i + 1]),
-                Vp=float(Vp[i]),
-                Vpp_measured=float(Vpp[i]),
-                rhs_bound=float(rhs),
+    for i, rhs in zip(stencils.tolist(), (lead + C_envelope * scale).tolist()):
+        if 1 <= i <= len(v4):
+            rows.append(BoundRow(
+                t=float(states[i + 1][0]), V=float(V[i + 1]), Vp=float(Vp[i]),
+                Vpp_measured=float(Vpp[i]), rhs_bound=rhs,
                 slack=float(rhs - Vpp[i]),
                 num_tol=float(1.5 * dt**2 * abs(v4[i - 1]) / 12.0
-                              + 1e-9 * (1.0 + abs(Vpp[i]))),
-            )
-        )
+                              + 1e-9 * (1.0 + abs(Vpp[i])))))
     return rows

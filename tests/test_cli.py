@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -11,15 +12,49 @@ import pytest
 
 import inls_lab
 from inls_lab import cli, verify
+from inls_lab import ground_state as gs
 from inls_lab.cli import main
 from inls_lab.evolution import StepperConfig
-from inls_lab.grids import Params, RadialField, make_grid
+from inls_lab.grids import Params, RadialField, integrate, make_grid
 
-from conftest import FATE
+from conftest import FATE, P313, P314
 
 
 def run(args):
     return main(args)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def shoot_once(q314, q313):
+    """ground_state.shoot memoized by its bound arguments for this module's
+    CLI calls, seeded with the session's (3,1,4) and (3,1,3) ground states.
+    A shoot's RuntimeError is held and raised again, so each test still sees
+    the CLI's exit code and message.  The ground-state command passes its
+    flags as keywords: those shoots stay real, as its tests read the shoot's
+    own report, and leave their outcome for the other commands."""
+    real, sig = gs.shoot, inspect.signature(gs.shoot)
+
+    def key(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return tuple(bound.arguments.values())
+
+    memo = {key(P314): q314, key(P313): q313}
+
+    def shoot(*args, **kwargs):
+        k = key(*args, **kwargs)
+        if kwargs or k not in memo:
+            try:
+                memo[k] = real(*args, **kwargs)
+            except RuntimeError as e:
+                memo[k] = e
+        if isinstance(memo[k], RuntimeError):
+            raise memo[k]
+        return memo[k]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gs, "shoot", shoot)
+        yield
 
 
 class TestExponentsCommand:
@@ -166,6 +201,43 @@ class TestEvolveCommand:
         assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
                     "--init", f"file:{path}", "--tend", "0.01", "--rmax", "2",
                     "--dr", "0.1", "--out", str(tmp_path / "x")]) == 0
+
+    def test_three_column_file_init(self, tmp_path):
+        # the third column is Im u: the first recorded mass is
+        # int (Re^2 + Im^2) of the interpolated columns
+        r = np.linspace(0.0, 4.0, 81)
+        re, im = 0.5 * np.exp(-r**2), 0.3 * r * np.exp(-r**2)
+        path = tmp_path / "u0.csv"
+        np.savetxt(path, np.column_stack([r, re, im]), delimiter=",",
+                   header="r,re,im", comments="")
+        out = tmp_path / "x"
+        assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
+                    "--init", f"file:{path}", "--tend", "0.002", "--rmax", "4",
+                    "--dr", "0.02", "--out", str(out)]) == 0
+        grid = make_grid(4.0, 0.02, 3)
+        u0 = np.interp(grid.r, r, re) + 1j * np.interp(grid.r, r, im)
+        expected = integrate(u0.real**2 + u0.imag**2, grid)
+        real_only = integrate(u0.real**2, grid)
+        first = (out / "diagnostics.csv").read_text().splitlines()[1]
+        mass = float(first.split(",")[1])
+        assert mass == pytest.approx(expected, rel=1e-11)
+        assert abs(mass - real_only) > 1e-3 * expected
+
+    def test_reversed_file_init_exit_2(self, tmp_path, capsys):
+        # np.interp needs increasing r: 0.5 exp(-r^2) listed from r = 4 down
+        # to 0 used to run from mass 6.7e4 (0.49 listed upward) and stop
+        # BlowupDetected at t = 0.001, with exit 0
+        r = np.linspace(4.0, 0.0, 81)
+        path = tmp_path / "u0.csv"
+        np.savetxt(path, np.column_stack([r, 0.5 * np.exp(-r**2)]),
+                   delimiter=",", header="r,u", comments="")
+        out = tmp_path / "x"
+        assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
+                    "--init", f"file:{path}", "--tend", "0.01",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "strictly increasing" in err
+        assert not out.exists()
 
     def test_one_column_file_init_exit_2(self, tmp_path, capsys):
         path = tmp_path / "u0.csv"
@@ -394,6 +466,18 @@ class TestSweepCommand:
         assert len(lines) == 2
         assert lines[1].endswith("true")
 
+    def test_mass_critical_verdict_undefined(self, tmp_path):
+        # at mass-critical p the thresholds are undefined for E >= 0, so the
+        # row cannot agree with its run, and the sweep fails its check
+        out = tmp_path / "sw"
+        assert run(["sweep", "--dim", "3", "--b", "1", "--p", "3",
+                    "--amplitudes", "0.5", "--tend", "0.01",
+                    "--out", str(out)]) == 1
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 2
+        _, verdict, _, agreement = lines[1].split(",")
+        assert (verdict, agreement) == ("Undefined", "false")
+
     def test_empty_amplitudes_exit_2(self, tmp_path):
         assert run(["sweep", "--dim", "3", "--b", "1", "--p", "4",
                     "--amplitudes", "", "--out", str(tmp_path / "x")]) == 2
@@ -476,6 +560,14 @@ class TestBound49Summary:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["bound_49_all_true"] is None
 
+    def test_mass_critical_cQ_run_is_null(self, tmp_path):
+        # sigma_c is infinite at mass-critical p: the bound is undefined
+        out = tmp_path / "run"
+        assert run(["evolve", "--dim", "3", "--b", "1", "--p", "3",
+                    "--init", "cQ:0.5", "--tend", "0.01",
+                    "--out", str(out)]) == 0
+        assert '"bound_49_all_true": null' in (out / "summary.json").read_text()
+
 
 def _metered_evolve(monkeypatch):
     """Wrap cli.evolve; each call appends (args, kwargs, result)."""
@@ -549,8 +641,6 @@ class TestSweepDeterminism:
 
 class TestShootOnce:
     def test_cQ_evolve_shoots_once(self, tmp_path, monkeypatch):
-        import inls_lab.ground_state as gs
-
         calls = []
         real_shoot = gs.shoot
 
@@ -576,3 +666,9 @@ class TestRationalFlagInput:
         assert rows["b"] == "4/3"
         # alpha = p - 1 - 2b/(N-1) = 3 - 4/3 = 5/3 exactly
         assert rows["alpha_N_minus_1"] == "5/3"
+
+    def test_zero_denominator_exit_2(self, capsys):
+        assert run(["exponents", "--dim", "3", "--b", "1/0", "--p", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad rational parameter")
+        assert captured.out == ""

@@ -284,3 +284,17 @@ def test_params_block_is_asdict():
                   if isinstance(node, ast.Dict) and len(node.keys) == 3
                   and {getattr(k, "value", None) for k in node.keys} == {"N", "b", "p"}]
     assert found == []
+
+
+def test_one_envelope_regime_switch():
+    # the envelope's leading terms and remainder scale branch on the regime
+    # in one function; the allow-list test (kind not in ...) is not a branch
+    path = next(p for p in SRC if p.name == "virial.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owners = {owner for owner, node in _owned_nodes(tree)
+              if isinstance(node, ast.Compare)
+              and isinstance(node.ops[0], ast.Eq)
+              and any(isinstance(c, ast.Attribute) and c.attr == "INTERCRITICAL"
+                      and isinstance(c.value, ast.Name) and c.value.id == "RegimeKind"
+                      for c in (node.left, *node.comparators))}
+    assert len(owners) == 1, owners

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from inls_lab import verify, virial
-from inls_lab.grids import (Params, RadialField, gradient_sq_norm, integrate,
-                            make_grid, radial_derivative)
+from inls_lab.grids import (Params, RadialField, blocks, gradient_sq_norm,
+                            integrate, make_grid, radial_derivative)
 from inls_lab.functionals import energy, potential
 from inls_lab.virial import (
     blowup_bound_check,
@@ -258,6 +258,22 @@ class TestBlockedScans:
         rhs = integrate(phi.lap * (4.0 * a * a * g.r**2 - 2.0 * a * g.N) * f, g)
         return abs(lhs - rhs) / abs(rhs)
 
+    # both families take a block: each block's profile is the whole one's
+    # slice there, bit for bit, the origin block included
+    @pytest.mark.parametrize("build", [build_zeta_theta_phi, build_vartheta_psi])
+    def test_profile_blocks(self, build):
+        R = 2.0
+        g = make_grid(4.0 * R, 4.0 * R / 99999, 3)
+        whole = build(R, g)
+        assert len(g) == 100000 and len(blocks(len(g))) == 13
+        for blk in blocks(len(g)):
+            part = build(R, g, blk)
+            assert part.block == blk
+            for name in ("phi", "dphi", "d2phi", "lap", "bilap"):
+                assert getattr(part, name).tobytes() == (
+                    getattr(whole, name)[blk].tobytes()), (blk, name)
+            assert part.phi_over_r().tobytes() == whole.phi_over_r()[blk].tobytes()
+
     # shorter than one block, exactly one block, and verify's 100,000 nodes
     @pytest.mark.parametrize("n", [5000, 8192, 100000])
     @pytest.mark.parametrize("R", [1.0, 8.0])
@@ -481,12 +497,13 @@ class TestBlowupEnvelope:
 
     def test_remainder_smaller_than_8E(self, blowup_runs_mc):
         from inls_lab.grids import RegimeKind
-        from inls_lab.virial import _remainder_scale
+        from inls_lab.virial import _envelope_terms
 
         C = fit_envelope_constant(blowup_runs_mc[1.6].states, P313, 32.0, 0.1)
         E0 = energy(blowup_runs_mc[1.2].states[0][1], P313)
-        remainder = C * _remainder_scale(RegimeKind.MASS_CRITICAL, P313, 32.0, 0.1,
-                                         0.0)
+        cutoff = build_vartheta_psi(32.0, blowup_runs_mc[1.2].states[0][1].grid)
+        remainder = C * _envelope_terms(RegimeKind.MASS_CRITICAL, P313, cutoff,
+                                        0.1, E0, [], 0.0, 0.0)[1]
         # the sign mechanism: remainder below |8 E(u0)| forces V'' <= 8E < 0
         assert remainder < abs(8.0 * E0)
         rows = blowup_bound_check(blowup_runs_mc[1.2].states, P313, 32.0,
